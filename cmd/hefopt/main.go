@@ -24,14 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
-	"syscall"
 
-	"hef/internal/check"
 	"hef/internal/core"
-	"hef/internal/dist"
 	"hef/internal/experiments"
 	"hef/internal/hef"
 	"hef/internal/hid"
@@ -39,13 +34,12 @@ import (
 	"hef/internal/memo"
 	"hef/internal/obs"
 	"hef/internal/sched"
-	"hef/internal/store"
-	"hef/internal/telemetry"
-	"hef/internal/telemetry/mount"
+	"hef/internal/sweepcli"
 	"hef/internal/translator"
 )
 
 func main() {
+	sw := sweepcli.Register(flag.CommandLine, "hefopt", "operators", "batch")
 	cpuName := flag.String("cpu", "silver", `CPU model: "silver" or "gold"`)
 	op := flag.String("op", "murmur", "comma-separated operators (murmur, crc64, probe, filter, agg, bloom) or template names with -file")
 	file := flag.String("file", "", "operator template file to load instead of the built-ins")
@@ -54,75 +48,15 @@ func main() {
 	trace := flag.Bool("trace", false, "print every tested node (the search trace)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable run report (obs.RunReport JSON) instead of text")
 	dotOut := flag.String("dot", "", "write the pruning search as a Graphviz digraph to this file (single operator only)")
-	timeout := flag.Duration("timeout", 0, "overall deadline; the batch drains cleanly when exceeded (0 disables)")
 	budget := flag.Int("budget", 0, "cap on node evaluations; on exhaustion the best-so-far node is reported as partial (0 = unlimited)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "evaluator workers per search (wave engine); the report is byte-identical for every setting")
-	workers := flag.Int("workers", 1, "concurrent operator optimizations (1 keeps the classic sequential run)")
-	retries := flag.Int("retries", 2, "retry attempts per operator after a failure or panic")
-	checkpoint := flag.String("checkpoint", "", "persist completed optimizations to this file as the batch progresses")
-	resume := flag.String("resume", "", "load a prior -checkpoint file and skip its completed optimizations")
-	coordinator := flag.String("coordinator", "", "hefsweep coordinator URL; run as a distributed sweep worker leasing operator ranges instead of running the whole batch")
-	coordinatorKey := flag.String("coordinator-key", "", "API key presented to the coordinator (with -coordinator)")
-	workerName := flag.String("worker-name", "", "name in coordinator logs and leases (with -coordinator; defaults to the hostname)")
-	memoDir := flag.String("memo-dir", "", "directory of a durable measurement memo store; measurements persist across runs and corrupt records are quarantined at open")
-	selfcheck := flag.Bool("selfcheck", false, "enable the simulator's internal invariant self-checks (always on under go test)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics plus /healthz, /readyz, /status on this host:port (\":0\" picks a port, logged to stderr)")
-	heartbeat := flag.Duration("heartbeat", 0, "emit a structured progress line to stderr at this interval (0 disables)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
-	heartbeatSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "heartbeat" {
-			heartbeatSet = true
-		}
-	})
 
-	if *selfcheck {
-		check.SetEnabled(true)
+	ops := sweepcli.SplitList(*op)
+	if err := validate(ops, *cpuName, *file, *dotOut, *elems, *budget); err != nil {
+		sw.UsageError(err)
 	}
-
-	ops := splitList(*op)
-	if err := validate(ops, *cpuName, *file, *dotOut, *elems, *budget, *parallel, *workers, *retries); err != nil {
-		fmt.Fprintf(os.Stderr, "hefopt: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := telemetry.ValidateFlags(*metricsAddr, heartbeatSet, *heartbeat); err != nil {
-		fmt.Fprintf(os.Stderr, "hefopt: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := validateCoordinator(*coordinator, *coordinatorKey, *workerName, *checkpoint, *resume); err != nil {
-		fmt.Fprintf(os.Stderr, "hefopt: %v\n\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	p, perr := obs.StartProfiles(*cpuProfile, *memProfile)
-	if perr != nil {
-		fmt.Fprintf(os.Stderr, "hefopt: %v\n\n", perr)
-		flag.Usage()
-		os.Exit(2)
-	}
-	prof = p
-	defer prof.Stop()
-
-	var err error
-	tel, err = mount.Start(mount.Options{Tool: "hefopt", MetricsAddr: *metricsAddr, Heartbeat: *heartbeat})
-	if err != nil {
-		fail(err)
-	}
-	defer tel.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	telStop := context.AfterFunc(ctx, tel.SetDraining)
-	defer telStop()
+	s := sw.Start()
+	defer s.Close()
 
 	// -parallel is deliberately NOT part of the fingerprint: the wave search
 	// and the memo cache are byte-identical to the serial run, so checkpoints
@@ -134,22 +68,12 @@ func main() {
 	// the per-flavour re-measurements (and any operator sharing a translated
 	// program) hit it. Shared live state, so its counters are reported to
 	// stderr only — the checkpointed reports stay resume-invariant. With
-	// -memo-dir the cache is backed by a durable store: prior runs' entries
-	// load at open, new measurements append as they are made, and the store
-	// block is attached to the emitted report at emit time only.
-	cache := memo.NewCache()
-	var mstore *store.MemoStore
-	if *memoDir != "" {
-		st, err := store.Open(*memoDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hefopt: -memo-dir %s unusable, continuing without persistence: %v\n", *memoDir, err)
-		} else {
-			mstore = st
-			cache = st.Cache()
-			tel.ObserveStore(st)
-		}
+	// -memo-dir the cache is backed by the durable store, whose block is
+	// attached to the emitted report at emit time only.
+	cache := s.Memo
+	if cache == nil {
+		cache = memo.NewCache()
 	}
-	tel.SetReady()
 	var tasks []sched.Task[*opResult]
 	for _, name := range ops {
 		name := name
@@ -157,80 +81,19 @@ func main() {
 			ID:  name,
 			Key: *cpuName,
 			Run: func(jctx context.Context) (*opResult, error) {
-				return runOne(jctx, *cpuName, name, *file, *elems, *budget, *parallel, *showCode, *trace, *dotOut != "", cache)
+				return runOne(jctx, *cpuName, name, *file, *elems, *budget, s.Parallel, *showCode, *trace, *dotOut != "", cache)
 			},
 		})
 	}
-
-	if *coordinator != "" {
-		// Worker mode: lease operator ranges from a hefsweep coordinator
-		// instead of running the whole batch here. The fingerprint is the
-		// same one a single-process run computes, so a worker with divergent
-		// flags is refused at registration; results commit remotely and the
-		// coordinator's merged checkpoint renders later via -resume.
-		stats, werr := dist.RunWorker(ctx, dist.WorkerConfig{
-			Coordinator: *coordinator, APIKey: *coordinatorKey, Name: workerIdentity(*workerName),
-			Tool: "hefopt", Fingerprint: fingerprint,
-			Workers: *workers, Retries: *retries,
-			LogW:    os.Stderr,
-			Metrics: tel.SweepMetrics(), Tracer: tel.Tracer(),
-		}, tasks)
-		if mstore != nil {
-			if cerr := mstore.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "hefopt: memo store close: %v\n", cerr)
-			}
-			fmt.Fprintf(os.Stderr, "hefopt: memo store %s: %s\n", mstore.Dir(), mstore.Stats().Summary())
-		}
-		if werr != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "hefopt: worker interrupted; the coordinator re-leases any unfinished range")
-				prof.Stop()
-				tel.Close()
-				os.Exit(1)
-			}
-			fail(werr)
-		}
-		fmt.Fprintf(os.Stderr, "hefopt: worker done: %d ranges, %d operators run here (%d deduped)\n",
-			stats.Ranges, stats.Tasks, stats.Duplicates)
+	results := sweepcli.Run(s, fingerprint, tasks)
+	if results == nil {
 		return
-	}
-
-	res, err := sched.RunSweep(ctx, sched.SweepConfig{
-		Tool:           "hefopt",
-		Fingerprint:    fingerprint,
-		CheckpointPath: *checkpoint,
-		ResumePath:     *resume,
-		Runner: sched.Config{
-			Workers:    *workers,
-			MaxRetries: *retries,
-		},
-		Metrics: tel.SweepMetrics(),
-		Tracer:  tel.Tracer(),
-	}, tasks)
-	if err != nil {
-		if res != nil && res.Interrupted {
-			hint := ""
-			if *checkpoint != "" {
-				hint = fmt.Sprintf("; resume with -resume %s", *checkpoint)
-			}
-			fmt.Fprintf(os.Stderr, "hefopt: interrupted with %d/%d operators done (%v)%s\n",
-				len(res.Results), len(tasks), err, hint)
-			prof.Stop()
-			tel.Close()
-			os.Exit(1)
-		}
-		if errors.Is(err, sched.ErrJobsFailed) {
-			for _, o := range res.Failed {
-				fmt.Fprintf(os.Stderr, "hefopt: %s failed after %d attempts: %v\n", o.ID, o.Attempts, o.Err)
-			}
-		}
-		fail(err)
 	}
 
 	// Emit in task order, not completion order, so the output is identical
 	// however the pool interleaved (or resumed) the work.
 	for _, t := range tasks {
-		if note := res.Results[t.ID].Note; note != "" {
+		if note := results[t.ID].Note; note != "" {
 			fmt.Fprintf(os.Stderr, "hefopt: %s: %s\n", t.ID, note)
 		}
 	}
@@ -238,20 +101,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hefopt: memo cache: %d hits / %d misses (%.0f%% hit rate, %d entries)\n",
 			st.Hits, st.Misses, st.HitRate()*100, st.Entries)
 	}
-	// Close the store before emitting so flagged shards compact and the
-	// final counters are on disk; the stats feed the report's memo block.
-	var storeStats *obs.StoreStats
-	if mstore != nil {
-		if err := mstore.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hefopt: memo store close: %v\n", err)
-		}
-		st := mstore.Stats()
-		fmt.Fprintf(os.Stderr, "hefopt: memo store %s: %s\n", mstore.Dir(), st.Summary())
-		storeStats = obs.StoreFromStats(mstore.Dir(), st)
-	}
+	s.CloseStore()
 	if *dotOut != "" {
-		if err := os.WriteFile(*dotOut, []byte(res.Results[tasks[0].ID].Dot), 0o644); err != nil {
-			fail(err)
+		if err := os.WriteFile(*dotOut, []byte(results[tasks[0].ID].Dot), 0o644); err != nil {
+			s.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "hefopt: wrote search digraph to %s (render with dot -Tsvg)\n", *dotOut)
 	}
@@ -260,30 +113,20 @@ func main() {
 		// merges the per-operator reports into one document.
 		var rep *obs.RunReport
 		if len(tasks) == 1 {
-			rep = res.Results[tasks[0].ID].Report
+			rep = results[tasks[0].ID].Report
 		} else {
 			var reports []*obs.RunReport
 			for _, t := range tasks {
-				reports = append(reports, res.Results[t.ID].Report)
+				reports = append(reports, results[t.ID].Report)
 			}
 			rep = experiments.MergeReports("hefopt", reports...)
 		}
-		// The memo block joins the report at emit time only: checkpointed
-		// per-operator reports never carry it, so resumed and uninterrupted
-		// batches stay byte-identical outside the memo block itself.
-		if storeStats != nil {
-			m := obs.MemoFromStats(cache.Stats())
-			if m == nil {
-				m = &obs.MemoStats{}
-			}
-			m.Store = storeStats
-			rep.Memo = m
-		}
-		// The telemetry block likewise attaches at emit time only.
-		tel.AttachReport(rep)
+		// The memo and telemetry blocks join the report at emit time only.
+		s.AttachMemo(rep)
+		s.Tel.AttachReport(rep)
 		data, err := rep.MarshalIndent()
 		if err != nil {
-			fail(err)
+			s.Fail(err)
 		}
 		os.Stdout.Write(data)
 		return
@@ -292,7 +135,7 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		fmt.Print(res.Results[t.ID].Text)
+		fmt.Print(results[t.ID].Text)
 	}
 }
 
@@ -400,7 +243,7 @@ func runOne(ctx context.Context, cpuName, opName, file string, elems int64, budg
 }
 
 // validate rejects bad flag combinations before any simulation, exit 2.
-func validate(ops []string, cpuName, file, dotOut string, elems int64, budget, parallel, workers, retries int) error {
+func validate(ops []string, cpuName, file, dotOut string, elems int64, budget int) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("-op selects no operators")
 	}
@@ -423,57 +266,7 @@ func validate(ops []string, cpuName, file, dotOut string, elems int64, budget, p
 	if budget < 0 {
 		return fmt.Errorf("-budget must be non-negative, got %d", budget)
 	}
-	if parallel <= 0 {
-		return fmt.Errorf("-parallel must be positive, got %d", parallel)
-	}
-	if workers <= 0 {
-		return fmt.Errorf("-workers must be positive, got %d", workers)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", retries)
-	}
 	return nil
-}
-
-// validateCoordinator rejects bad distributed-worker flag combinations:
-// worker options without a coordinator are a typo, and local checkpointing
-// is the coordinator's job in worker mode.
-func validateCoordinator(coordinator, key, name, checkpoint, resume string) error {
-	if coordinator == "" {
-		if key != "" {
-			return fmt.Errorf("-coordinator-key needs -coordinator")
-		}
-		if name != "" {
-			return fmt.Errorf("-worker-name needs -coordinator")
-		}
-		return nil
-	}
-	if checkpoint != "" || resume != "" {
-		return fmt.Errorf("-coordinator and -checkpoint/-resume are mutually exclusive: the coordinator journals progress; render its merged checkpoint with -resume afterwards")
-	}
-	return nil
-}
-
-// workerIdentity resolves -worker-name, defaulting to the hostname so a
-// fleet's coordinator logs tell workers apart without configuration.
-func workerIdentity(name string) string {
-	if name != "" {
-		return name
-	}
-	if h, err := os.Hostname(); err == nil && h != "" {
-		return h
-	}
-	return "worker"
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // fileDigest fingerprints a -file template source so a checkpoint taken
@@ -502,19 +295,4 @@ func selectTemplate(op, file string) (*hid.Template, error) {
 		return f.Get(op)
 	}
 	return experiments.OpTemplate(op)
-}
-
-// tel is the mounted telemetry session; nil without -metrics-addr or
-// -heartbeat, on which every method no-ops. prof is the -cpuprofile /
-// -memprofile pair; nil without those flags, on which Stop no-ops.
-var (
-	tel  *mount.Session
-	prof *obs.Profiles
-)
-
-func fail(err error) {
-	prof.Stop()
-	tel.Close()
-	fmt.Fprintln(os.Stderr, "hefopt:", err)
-	os.Exit(1)
 }

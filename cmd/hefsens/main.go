@@ -22,29 +22,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"strings"
-	"syscall"
 
-	"hef/internal/check"
-	"hef/internal/dist"
 	"hef/internal/experiments"
 	"hef/internal/isa"
-	"hef/internal/memo"
-	"hef/internal/obs"
 	"hef/internal/robust"
 	"hef/internal/sched"
-	"hef/internal/store"
-	"hef/internal/telemetry"
-	"hef/internal/telemetry/mount"
+	"hef/internal/sweepcli"
 )
 
 func main() {
+	sw := sweepcli.Register(flag.CommandLine, "hefsens", "analyses", "sweep")
 	seed := flag.Uint64("seed", 1, "perturbation ensemble seed")
 	trials := flag.Int("trials", 20, "number of perturbed models per (op, cpu) pair")
 	jitter := flag.Float64("jitter", 0.05, "relative jitter half-width for latencies, throughputs, cache, and frequencies (0.05 = ±5%)")
@@ -53,49 +43,12 @@ func main() {
 	ops := flag.String("op", "murmur,probe", "comma-separated operators (murmur, crc64, probe, filter, agg, bloom)")
 	elems := flag.Int64("elems", 1<<12, "synthetic elements per candidate evaluation")
 	budget := flag.Int("budget", 0, "cap on node evaluations per search (0 = unlimited)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "evaluator workers per search; the report is byte-identical for every setting")
 	jsonOut := flag.Bool("json", false, "emit the versioned sensitivity report as JSON")
-	timeout := flag.Duration("timeout", 0, "overall deadline; the analysis drains cleanly when exceeded (0 disables)")
-	workers := flag.Int("workers", 1, "concurrent (op, cpu) analyses (1 keeps the classic sequential run)")
-	retries := flag.Int("retries", 2, "retry attempts per analysis after a failure or panic")
-	checkpoint := flag.String("checkpoint", "", "persist completed analyses to this file as the sweep progresses")
-	resume := flag.String("resume", "", "load a prior -checkpoint file and skip its completed analyses")
-	coordinator := flag.String("coordinator", "", "hefsweep coordinator URL; run as a distributed sweep worker leasing analysis ranges instead of running the whole sweep")
-	coordinatorKey := flag.String("coordinator-key", "", "API key presented to the coordinator (with -coordinator)")
-	workerName := flag.String("worker-name", "", "name in coordinator logs and leases (with -coordinator; defaults to the hostname)")
-	memoDir := flag.String("memo-dir", "", "directory of a durable measurement memo store shared by every analysis; measurements persist across runs and corrupt records are quarantined at open")
-	selfcheck := flag.Bool("selfcheck", false, "enable the simulator's internal invariant self-checks (always on under go test)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics plus /healthz, /readyz, /status on this host:port (\":0\" picks a port, logged to stderr)")
-	heartbeat := flag.Duration("heartbeat", 0, "emit a structured progress line to stderr at this interval (0 disables)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
-	heartbeatSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "heartbeat" {
-			heartbeatSet = true
-		}
-	})
 
-	if *selfcheck {
-		check.SetEnabled(true)
+	if err := validate(*trials, *jitter, *portFault, *elems, *budget); err != nil {
+		sw.UsageError(err)
 	}
-
-	if err := validate(*trials, *jitter, *portFault, *elems, *budget, *parallel, *workers, *retries); err != nil {
-		usageErr(err)
-	}
-	if err := telemetry.ValidateFlags(*metricsAddr, heartbeatSet, *heartbeat); err != nil {
-		usageErr(err)
-	}
-	if err := validateCoordinator(*coordinator, *coordinatorKey, *workerName, *checkpoint, *resume); err != nil {
-		usageErr(err)
-	}
-	p, perr := obs.StartProfiles(*cpuProfile, *memProfile)
-	if perr != nil {
-		usageErr(perr)
-	}
-	prof = p
-	defer prof.Stop()
 	// Resolve every CPU and operator up front so a typo is a usage error
 	// before any simulation starts, not a mid-sweep failure.
 	type pair struct {
@@ -103,66 +56,33 @@ func main() {
 		cpu             *isa.CPU
 	}
 	var pairs []pair
-	for _, cpuName := range splitList(*cpus) {
+	for _, cpuName := range sweepcli.SplitList(*cpus) {
 		cpu, err := isa.ByName(cpuName)
 		if err != nil {
-			usageErr(fmt.Errorf("-cpu: %w", err))
+			sw.UsageError(fmt.Errorf("-cpu: %w", err))
 		}
-		for _, opName := range splitList(*ops) {
+		for _, opName := range sweepcli.SplitList(*ops) {
 			if _, err := experiments.OpTemplate(opName); err != nil {
-				usageErr(fmt.Errorf("-op: %w", err))
+				sw.UsageError(fmt.Errorf("-op: %w", err))
 			}
 			pairs = append(pairs, pair{cpuName, opName, cpu})
 		}
 	}
 	if len(pairs) == 0 {
-		usageErr(fmt.Errorf("no (op, cpu) pairs selected: -cpu %q -op %q", *cpus, *ops))
+		sw.UsageError(fmt.Errorf("no (op, cpu) pairs selected: -cpu %q -op %q", *cpus, *ops))
 	}
-
-	var err error
-	tel, err = mount.Start(mount.Options{Tool: "hefsens", MetricsAddr: *metricsAddr, Heartbeat: *heartbeat})
-	if err != nil {
-		fail(err)
-	}
-	defer tel.Close()
-
-	// Ctrl-C / SIGTERM and -timeout all drain through the same context; the
-	// sweep flushes its checkpoint before returning either way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	telStop := context.AfterFunc(ctx, tel.SetDraining)
-	defer telStop()
+	s := sw.Start()
+	defer s.Close()
 
 	// The fingerprint covers every flag that shapes an analysis value, so a
 	// checkpoint from a different configuration is refused, not mixed in.
 	// -parallel is deliberately NOT part of it: the search is byte-identical
 	// for every worker count, so checkpoints interchange freely across it.
+	// Nor is -memo-dir: its cache is keyed by the perturbed machine
+	// fingerprint, so sharing it never mixes models — it only lets repeated
+	// and resumed runs reuse measurements.
 	fingerprint := fmt.Sprintf("seed=%d trials=%d jitter=%g portfault=%g elems=%d budget=%d cpu=%s op=%s",
 		*seed, *trials, *jitter, *portFault, *elems, *budget, *cpus, *ops)
-
-	// With -memo-dir every analysis shares one durable measurement cache:
-	// entries are keyed by the perturbed machine fingerprint, so sharing
-	// never mixes models — it only lets repeated and resumed runs reuse
-	// measurements. The analysis values (and the report bytes) are identical
-	// either way, which keeps -memo-dir out of the fingerprint.
-	var cache *memo.Cache
-	var mstore *store.MemoStore
-	if *memoDir != "" {
-		st, err := store.Open(*memoDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hefsens: -memo-dir %s unusable, continuing without persistence: %v\n", *memoDir, err)
-		} else {
-			mstore = st
-			cache = st.Cache()
-			tel.ObserveStore(st)
-		}
-	}
-	tel.SetReady()
 
 	var tasks []sched.Task[*robust.Sensitivity]
 	for _, p := range pairs {
@@ -184,98 +104,31 @@ func main() {
 					Jitter:        *jitter,
 					PortFaultRate: *portFault,
 					Budget:        *budget,
-					Parallel:      *parallel,
-					Memo:          cache,
+					Parallel:      s.Parallel,
+					Memo:          s.Memo,
 				})
 			},
 		})
 	}
-
-	if *coordinator != "" {
-		// Worker mode: lease (op, cpu) ranges from a hefsweep coordinator
-		// instead of running the whole sweep here. The fingerprint is the
-		// same one a single-process run computes, so a worker with divergent
-		// flags is refused at registration; results commit remotely and the
-		// coordinator's merged checkpoint renders later via -resume.
-		stats, werr := dist.RunWorker(ctx, dist.WorkerConfig{
-			Coordinator: *coordinator, APIKey: *coordinatorKey, Name: workerIdentity(*workerName),
-			Tool: "hefsens", Fingerprint: fingerprint,
-			Workers: *workers, Retries: *retries,
-			LogW:    os.Stderr,
-			Metrics: tel.SweepMetrics(), Tracer: tel.Tracer(),
-		}, tasks)
-		if mstore != nil {
-			if cerr := mstore.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "hefsens: memo store close: %v\n", cerr)
-			}
-			fmt.Fprintf(os.Stderr, "hefsens: memo store %s: %s\n", mstore.Dir(), mstore.Stats().Summary())
-		}
-		if werr != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "hefsens: worker interrupted; the coordinator re-leases any unfinished range")
-				prof.Stop()
-				tel.Close()
-				os.Exit(1)
-			}
-			fail(werr)
-		}
-		fmt.Fprintf(os.Stderr, "hefsens: worker done: %d ranges, %d analyses run here (%d deduped)\n",
-			stats.Ranges, stats.Tasks, stats.Duplicates)
+	results := sweepcli.Run(s, fingerprint, tasks)
+	if results == nil {
 		return
 	}
-
-	res, err := sched.RunSweep(ctx, sched.SweepConfig{
-		Tool:           "hefsens",
-		Fingerprint:    fingerprint,
-		CheckpointPath: *checkpoint,
-		ResumePath:     *resume,
-		Metrics:        tel.SweepMetrics(),
-		Tracer:         tel.Tracer(),
-		Runner: sched.Config{
-			Workers:    *workers,
-			MaxRetries: *retries,
-		},
-	}, tasks)
-	if err != nil {
-		if res != nil && res.Interrupted {
-			hint := ""
-			if *checkpoint != "" {
-				hint = fmt.Sprintf("; resume with -resume %s", *checkpoint)
-			}
-			fmt.Fprintf(os.Stderr, "hefsens: interrupted with %d/%d analyses done (%v)%s\n",
-				len(res.Results), len(tasks), err, hint)
-			prof.Stop()
-			tel.Close()
-			os.Exit(1)
-		}
-		if errors.Is(err, sched.ErrJobsFailed) {
-			for _, o := range res.Failed {
-				fmt.Fprintf(os.Stderr, "hefsens: %s failed after %d attempts: %v\n", o.ID, o.Attempts, o.Err)
-			}
-		}
-		fail(err)
-	}
-
 	// The sensitivity report schema carries no memo block, so the store's
-	// counters go to stderr only; closing first compacts flagged shards.
-	if mstore != nil {
-		if err := mstore.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hefsens: memo store close: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "hefsens: memo store %s: %s\n", mstore.Dir(), mstore.Stats().Summary())
-	}
+	// counters go to stderr only.
+	s.CloseStore()
 
 	// Assemble the report in task order, not completion order, so the bytes
 	// are identical however the pool interleaved (or resumed) the work.
 	report := robust.NewReport(*seed, *trials, *jitter, *portFault)
 	for _, t := range tasks {
-		report.Add(res.Results[t.ID])
+		report.Add(results[t.ID])
 	}
 
 	if *jsonOut {
 		data, err := report.JSON()
 		if err != nil {
-			fail(err)
+			s.Fail(err)
 		}
 		os.Stdout.Write(data)
 		return
@@ -284,7 +137,7 @@ func main() {
 }
 
 // validate rejects nonsensical flag combinations before any simulation.
-func validate(trials int, jitter, portFault float64, elems int64, budget, parallel, workers, retries int) error {
+func validate(trials int, jitter, portFault float64, elems int64, budget int) error {
 	if trials <= 0 {
 		return fmt.Errorf("-trials must be positive, got %d", trials)
 	}
@@ -300,57 +153,7 @@ func validate(trials int, jitter, portFault float64, elems int64, budget, parall
 	if budget < 0 {
 		return fmt.Errorf("-budget must be non-negative, got %d", budget)
 	}
-	if parallel <= 0 {
-		return fmt.Errorf("-parallel must be positive, got %d", parallel)
-	}
-	if workers <= 0 {
-		return fmt.Errorf("-workers must be positive, got %d", workers)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", retries)
-	}
 	return nil
-}
-
-// validateCoordinator rejects bad distributed-worker flag combinations:
-// worker options without a coordinator are a typo, and local checkpointing
-// is the coordinator's job in worker mode.
-func validateCoordinator(coordinator, key, name, checkpoint, resume string) error {
-	if coordinator == "" {
-		if key != "" {
-			return fmt.Errorf("-coordinator-key needs -coordinator")
-		}
-		if name != "" {
-			return fmt.Errorf("-worker-name needs -coordinator")
-		}
-		return nil
-	}
-	if checkpoint != "" || resume != "" {
-		return fmt.Errorf("-coordinator and -checkpoint/-resume are mutually exclusive: the coordinator journals progress; render its merged checkpoint with -resume afterwards")
-	}
-	return nil
-}
-
-// workerIdentity resolves -worker-name, defaulting to the hostname so a
-// fleet's coordinator logs tell workers apart without configuration.
-func workerIdentity(name string) string {
-	if name != "" {
-		return name
-	}
-	if h, err := os.Hostname(); err == nil && h != "" {
-		return h
-	}
-	return "worker"
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 func printText(r *robust.Report) {
@@ -369,25 +172,4 @@ func printText(r *robust.Report) {
 	fmt.Println("stability:   fraction of perturbed models whose optimum (v,s,p) matches the baseline pick")
 	fmt.Println("regret:      extra per-element cost of shipping the baseline pick onto a perturbed machine")
 	fmt.Println("rank churn:  normalized Spearman footrule distance between candidate rankings (0 = stable)")
-}
-
-func usageErr(err error) {
-	fmt.Fprintf(os.Stderr, "hefsens: %v\n\n", err)
-	flag.Usage()
-	os.Exit(2)
-}
-
-// tel is the mounted telemetry session; nil without -metrics-addr or
-// -heartbeat, on which every method no-ops. prof is the -cpuprofile /
-// -memprofile pair; nil without those flags, on which Stop no-ops.
-var (
-	tel  *mount.Session
-	prof *obs.Profiles
-)
-
-func fail(err error) {
-	prof.Stop()
-	tel.Close()
-	fmt.Fprintln(os.Stderr, "hefsens:", err)
-	os.Exit(1)
 }
