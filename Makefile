@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short chaos corrupt dist-chaos fuzz bench bench-json bench-gate metrics-smoke hefd-chaos hefd-smoke figures tables hash ablate clean
+.PHONY: all build vet lint test test-short bench-test chaos corrupt dist-chaos fuzz bench bench-json bench-gate metrics-smoke hefd-chaos hefd-smoke figures tables hash ablate clean
 
 all: build vet lint test
 
@@ -12,10 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the error-handling contract: no panic() in non-test library
-# code outside Must*-prefixed functions.
+# lint enforces the error-handling contract (no panic() in non-test library
+# code outside Must*-prefixed functions) and the one-owner rule for the
+# shared sweep flags (only internal/sweepcli declares them).
 lint: vet
 	sh scripts/nopanic.sh
+	sh scripts/sweepflags.sh
 
 # internal/experiments exceeds the default 10m per-package limit under -race.
 test: vet
@@ -23,6 +25,11 @@ test: vet
 
 test-short:
 	$(GO) test -short ./...
+
+# bench-test runs the benchmark module's own tests (its goldens and trace
+# tests). cmd/hefbench has its own go.mod, so ./... from the root skips it.
+bench-test:
+	cd cmd/hefbench && $(GO) test ./...
 
 # chaos runs the seeded fault-injection harness for the supervised job
 # runner: worker panics, slow workers, mid-run kills, and checkpoint/resume
@@ -46,9 +53,12 @@ corrupt:
 # report must come out byte-identical to an uninterrupted single-process run
 # with zero lost and zero double-counted tasks. DIST_CHAOS_SEED reseeds the
 # fault plan; DIST_CHAOS_ARTIFACT_DIR keeps the journal and both checkpoints
-# for post-mortem (CI uploads them on failure).
+# for post-mortem (CI uploads them on failure). It then runs the binary-level
+# two-worker sweep twenty times: every worker must stop, and the coordinator
+# exit, once the sweep is done.
 dist-chaos:
 	$(GO) test ./internal/dist/ -race -count=1 -run 'DistChaos' -v -timeout 10m
+	$(GO) test ./cmd/hefsweep -run TestEndToEnd -count=20 -timeout 5m
 
 # fuzz gives each native fuzz target a short smoke budget (~30s total);
 # CI runs this on every push, longer campaigns run the same targets with

@@ -20,7 +20,9 @@
 // work. Dead or partitioned workers just stop heartbeating — their leases
 // lapse and the ranges re-dispatch; a straggler's range is speculatively
 // re-leased after -straggler-after. When every range is committed the
-// merged checkpoint is written to -out (or stdout) and the process exits 0.
+// merged checkpoint is written to -out (or stdout), and the process exits 0
+// once its workers have gone quiet: each has been told the sweep is done,
+// and none has asked anything for half a lease TTL.
 //
 // Usage:
 //
@@ -61,7 +63,6 @@ func run() int {
 	straggler := flag.Duration("straggler-after", 0, "speculatively re-lease a range still uncommitted after this long (0 selects 3x -lease-ttl)")
 	maxLeases := flag.Int("max-leases", 2, "concurrent leases per range once speculation kicks in")
 	failLimit := flag.Int("fail-limit", 3, "range failure reports tolerated before the sweep fails")
-	linger := flag.Duration("linger", 3*time.Second, "keep serving after completion so polling workers observe done and exit")
 	authKeys := flag.String("auth-keys", "", "API key file (\"<key> <name> [scope=ro]\" per line); SIGHUP reloads it (empty disables auth)")
 	heartbeat := flag.Duration("heartbeat", 0, "emit a structured progress line to stderr at this interval (0 disables)")
 	flag.Parse()
@@ -72,7 +73,7 @@ func run() int {
 		}
 	})
 
-	if err := validate(*dataDir, *rangeSize, *leaseTTL, *straggler, *maxLeases, *failLimit, *linger); err != nil {
+	if err := validate(*dataDir, *rangeSize, *leaseTTL, *straggler, *maxLeases, *failLimit); err != nil {
 		fmt.Fprintf(os.Stderr, "hefsweep: %v\n\n", err)
 		flag.Usage()
 		return 2
@@ -196,6 +197,7 @@ func run() int {
 	if err := coord.Err(); err != nil {
 		st := coord.Status()
 		fmt.Fprintf(os.Stderr, "hefsweep: %v (%d/%d ranges committed)\n", err, st.RangesDone, st.Ranges)
+		waitQuiet(ctx, coord)
 		tel.SetDraining()
 		shutdown(srv)
 		return 1
@@ -224,16 +226,25 @@ func run() int {
 		}
 	}
 
-	// Keep answering /v1/lease with done:true for a beat so workers polling
-	// for more work observe completion and exit instead of retrying against
-	// a vanished coordinator.
-	select {
-	case <-time.After(*linger):
-	case <-ctx.Done():
-	}
+	waitQuiet(ctx, coord)
 	tel.SetDraining()
 	shutdown(srv)
 	return 0
+}
+
+// waitQuiet keeps the terminal coordinator answering until its workers go
+// quiet (see Coordinator.UntilQuiet): the committing worker stops on the
+// Done in its commit response, and every other live worker learns the
+// outcome on its next poll or commit instead of retrying against a
+// vanished coordinator. A signal cuts the wait short.
+func waitQuiet(ctx context.Context, coord *dist.Coordinator) {
+	for d := coord.UntilQuiet(); d > 0; d = coord.UntilQuiet() {
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 func shutdown(srv *http.Server) {
@@ -245,7 +256,7 @@ func shutdown(srv *http.Server) {
 }
 
 // validate rejects bad flag combinations before any side effect, exit 2.
-func validate(dataDir string, rangeSize int, leaseTTL, straggler time.Duration, maxLeases, failLimit int, linger time.Duration) error {
+func validate(dataDir string, rangeSize int, leaseTTL, straggler time.Duration, maxLeases, failLimit int) error {
 	if dataDir == "" {
 		return fmt.Errorf("-data-dir is required")
 	}
@@ -263,9 +274,6 @@ func validate(dataDir string, rangeSize int, leaseTTL, straggler time.Duration, 
 	}
 	if failLimit <= 0 {
 		return fmt.Errorf("-fail-limit must be positive, got %d", failLimit)
-	}
-	if linger < 0 {
-		return fmt.Errorf("-linger must be non-negative, got %v", linger)
 	}
 	return nil
 }

@@ -44,7 +44,7 @@ func TestMain(m *testing.M) {
 // returns its exit code and stderr.
 func runMain(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\x1f"))
@@ -75,7 +75,6 @@ func TestFlagValidation(t *testing.T) {
 		{"negative straggler", []string{"-data-dir", "d", "-straggler-after", "-1s"}, "-straggler-after must be non-negative"},
 		{"zero max leases", []string{"-data-dir", "d", "-max-leases", "0"}, "-max-leases must be positive"},
 		{"zero fail limit", []string{"-data-dir", "d", "-fail-limit", "0"}, "-fail-limit must be positive"},
-		{"negative linger", []string{"-data-dir", "d", "-linger", "-1s"}, "-linger must be non-negative"},
 		{"bad key file", []string{"-data-dir", "d", "-auth-keys", filepath.Join("no", "such", "keys.txt")}, "-auth-keys"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,12 +102,19 @@ type coordProc struct {
 	waited bool
 }
 
+// testDeadline bounds every binary-level test: a coordinator or worker that
+// never exits fails the test instead of hanging the package.
+const testDeadline = time.Minute
+
 // startCoord launches the coordinator on ":0" and scrapes the bound address
-// from the machine-parseable stderr line.
+// from the machine-parseable stderr line. The process is killed at the test
+// deadline.
 func startCoord(t *testing.T, dataDir string, extra ...string) *coordProc {
 	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-data-dir", dataDir}, extra...)
-	cmd := exec.Command(os.Args[0])
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\x1f"))
 	pipe, err := cmd.StderrPipe()
 	if err != nil {
@@ -226,8 +232,10 @@ func TestEndToEndMergedReportMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "merged.ckpt")
 	p := startCoord(t, filepath.Join(dir, "data"),
-		"-out", outPath, "-range-size", "4", "-linger", "100ms")
+		"-out", outPath, "-range-size", "4", "-lease-ttl", "1s")
 
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
+	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i := range errs {
@@ -235,7 +243,7 @@ func TestEndToEndMergedReportMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = dist.RunWorker(context.Background(), dist.WorkerConfig{
+			_, errs[i] = dist.RunWorker(ctx, dist.WorkerConfig{
 				Coordinator: "http://" + p.addr, Name: fmt.Sprintf("w%d", i),
 				Tool: tool, Fingerprint: fp, Workers: 2,
 				PollMax: 100 * time.Millisecond,
@@ -271,10 +279,12 @@ func TestKillDashNineResumesFromJournal(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
 	outPath := filepath.Join(dir, "merged.ckpt")
-	p1 := startCoord(t, dataDir, "-out", outPath, "-range-size", "2", "-linger", "100ms")
+	p1 := startCoord(t, dataDir, "-out", outPath, "-range-size", "2", "-lease-ttl", "1s")
 
 	// One worker makes partial progress against the first process.
-	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), testDeadline)
+	defer cancel()
+	ctx1, cancel1 := context.WithCancel(ctx)
 	w1done := make(chan struct{})
 	go func() {
 		defer close(w1done)
@@ -292,8 +302,8 @@ func TestKillDashNineResumesFromJournal(t *testing.T) {
 	<-w1done
 
 	// Restart on the same journal; a new worker finishes the remainder.
-	p2 := startCoord(t, dataDir, "-out", outPath, "-range-size", "2", "-linger", "100ms")
-	if _, err := dist.RunWorker(context.Background(), dist.WorkerConfig{
+	p2 := startCoord(t, dataDir, "-out", outPath, "-range-size", "2", "-lease-ttl", "1s")
+	if _, err := dist.RunWorker(ctx, dist.WorkerConfig{
 		Coordinator: "http://" + p2.addr, Name: "w2",
 		Tool: tool, Fingerprint: fp, PollMax: 50 * time.Millisecond,
 	}, tasks); err != nil {
@@ -337,7 +347,7 @@ func waitRangesDone(t *testing.T, addr string, n int) {
 func TestSIGTERMRetainsJournal(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "data")
-	p := startCoord(t, dataDir, "-linger", "100ms")
+	p := startCoord(t, dataDir)
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,9 @@ type Coordinator struct {
 	counts   Counts
 	doneCh   chan struct{}
 	closed   bool
+	// lastContact is when a worker last made a protocol request (or the
+	// coordinator started); UntilQuiet measures silence from it.
+	lastContact time.Time
 }
 
 // NewCoordinator opens (or resumes) a coordinator over cfg.DataDir. An
@@ -154,6 +157,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		leases:  map[string]*lease{},
 		doneCh:  make(chan struct{}),
 	}
+	c.lastContact = c.clock.Now()
 
 	// Replay: collect records first, then rebuild state, so grants and
 	// results can be interpreted against the (earlier) plan record.
@@ -253,6 +257,7 @@ func leaseID(seq int) string { return fmt.Sprintf("L%06d", seq) }
 func (c *Coordinator) RegisterPlan(req *PlanRequest) (*PlanResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.contactLocked()
 	if c.plan == nil {
 		p, err := buildPlan(req.Tool, req.Fingerprint, req.TaskIDs, c.cfg.RangeSize)
 		if err != nil {
@@ -311,7 +316,7 @@ func (c *Coordinator) requirePlanLocked(planHash string) error {
 func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked()
+	c.contactLocked()
 	if c.failed != "" {
 		return nil, errProto(http.StatusConflict, CodeSweepFailed, "%s", c.failed)
 	}
@@ -392,7 +397,7 @@ func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 func (c *Coordinator) Heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked()
+	c.contactLocked()
 	l, ok := c.leases[req.LeaseID]
 	if !ok || l.worker != req.Worker {
 		return nil, errProto(http.StatusConflict, CodeLeaseUnknown,
@@ -413,7 +418,7 @@ func (c *Coordinator) Heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, erro
 func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked()
+	c.contactLocked()
 	if err := c.requirePlanLocked(req.PlanHash); err != nil {
 		return nil, err
 	}
@@ -458,7 +463,7 @@ func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 		}
 		c.tel.OnCommit(true)
 		c.logf.Printf("range %d re-committed by %s: byte-identical, deduped", req.RangeIdx, req.Worker)
-		return &ResultResponse{Committed: false, Duplicate: true}, nil
+		return &ResultResponse{Committed: false, Duplicate: true, Done: c.doneN == len(p.ranges)}, nil
 	}
 
 	// Journal first, acknowledge after: the fsynced record is the commit.
@@ -489,7 +494,7 @@ func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 	if c.doneN == len(p.ranges) {
 		c.finishLocked("")
 	}
-	return &ResultResponse{Committed: true}, nil
+	return &ResultResponse{Committed: true, Done: c.doneN == len(p.ranges)}, nil
 }
 
 // Fail records that a worker could not complete a leased range. The lease
@@ -498,7 +503,7 @@ func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 func (c *Coordinator) Fail(req *FailRequest) (*FailResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked()
+	c.contactLocked()
 	if err := c.requirePlanLocked(req.PlanHash); err != nil {
 		return nil, err
 	}
@@ -612,6 +617,27 @@ func (c *Coordinator) Close() error {
 	}
 	c.closed = true
 	return c.jnl.close()
+}
+
+// UntilQuiet reports how much longer the coordinator must keep serving
+// before its workers have gone quiet: zero once no worker has made a
+// protocol request for max(2×WaitHint, LeaseTTL/2). A live worker polls at
+// least every wait hint while idle and heartbeats every third of a lease
+// TTL while computing, so once the sweep is terminal that much silence
+// means every live worker has been told the outcome — Done on its commit
+// or lease, or the typed sweep_failed refusal — and stopped asking.
+func (c *Coordinator) UntilQuiet() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	quiet := max(2*c.cfg.WaitHint, c.cfg.LeaseTTL/2)
+	return max(c.lastContact.Add(quiet).Sub(c.clock.Now()), 0)
+}
+
+// contactLocked records a worker's protocol request and expires lapsed
+// leases.
+func (c *Coordinator) contactLocked() {
+	c.lastContact = c.clock.Now()
+	c.expireLocked()
 }
 
 // expireLocked drops every lapsed lease.

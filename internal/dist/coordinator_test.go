@@ -422,3 +422,60 @@ func TestCoordinatorJournalTornTailSalvage(t *testing.T) {
 		t.Fatalf("lease after salvage %+v, %v", l2, err)
 	}
 }
+
+// TestCoordinatorDoneHandshake: the commit that completes the sweep, and a
+// deduped re-commit after it, answer Done; UntilQuiet counts down from the
+// last protocol request, so a status poll does not hold the coordinator
+// open but a worker's late poll does.
+func TestCoordinatorDoneHandshake(t *testing.T) {
+	leakcheck.Check(t)
+	clock := sched.NewFakeClock(time.Unix(1000, 0))
+	c := newTestCoordinator(t, t.TempDir(), clock)
+	quiet := 5 * time.Second // max(2×wait hint, TTL/2) for the 10s test TTL
+
+	plan := testPlan(8)
+	pr, err := c.RegisterPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(idx int) *ResultResponse {
+		t.Helper()
+		r := sched.Range{Start: 4 * idx, End: 4*idx + 4}
+		rr, err := c.Commit(&ResultRequest{
+			Worker: "w1", PlanHash: pr.PlanHash, RangeIdx: idx, Range: r,
+			Results: resultsFor(plan.TaskIDs, r),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	if rr := commit(0); rr.Done {
+		t.Fatalf("first of two ranges answered %+v, want not done", rr)
+	}
+	if rr := commit(1); !rr.Committed || !rr.Done {
+		t.Fatalf("final commit answered %+v, want committed and done", rr)
+	}
+	if rr := commit(1); !rr.Duplicate || !rr.Done {
+		t.Fatalf("re-commit after completion answered %+v, want duplicate and done", rr)
+	}
+
+	if d := c.UntilQuiet(); d != quiet {
+		t.Fatalf("UntilQuiet right after the last request = %v, want %v", d, quiet)
+	}
+	clock.Advance(quiet - time.Second)
+	c.Status()
+	if d := c.UntilQuiet(); d != time.Second {
+		t.Fatalf("UntilQuiet after a status poll = %v, want 1s", d)
+	}
+	if lr, err := c.Lease(&LeaseRequest{Worker: "w2", PlanHash: pr.PlanHash}); err != nil || !lr.Done {
+		t.Fatalf("late lease %+v, %v; want done", lr, err)
+	}
+	if d := c.UntilQuiet(); d != quiet {
+		t.Fatalf("UntilQuiet after a worker's poll = %v, want %v", d, quiet)
+	}
+	clock.Advance(quiet)
+	if d := c.UntilQuiet(); d != 0 {
+		t.Fatalf("UntilQuiet after %v of silence = %v, want 0", quiet, d)
+	}
+}

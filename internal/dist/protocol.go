@@ -246,6 +246,10 @@ type ResultResponse struct {
 	// was already committed with byte-identical results, nothing changed.
 	Committed bool `json:"committed"`
 	Duplicate bool `json:"duplicate,omitempty"`
+	// Done: every range is now committed. The worker stops here instead of
+	// asking for another lease, which a coordinator that exits on
+	// completion may no longer answer.
+	Done bool `json:"done,omitempty"`
 }
 
 // FailRequest reports that a worker could not complete a leased range

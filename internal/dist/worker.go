@@ -41,7 +41,9 @@ type WorkerConfig struct {
 	Client *http.Client
 	// Clock abstracts time (nil selects the real clock).
 	Clock sched.Clock
-	// PollMax caps wait and retry backoff sleeps (<= 0 selects 2s).
+	// PollMax caps wait and retry backoff sleeps (<= 0 selects 2s). A
+	// coordinator unreachable for GoneAfterPolls×PollMax is given up on
+	// with ErrCoordinatorGone.
 	PollMax time.Duration
 	// LogW receives the worker's operational log (nil discards).
 	LogW io.Writer
@@ -53,6 +55,19 @@ type WorkerConfig struct {
 	Tracer        *telemetry.Tracer
 	RunnerMetrics *telemetry.SchedMetrics
 }
+
+// GoneAfterPolls scales PollMax into the bound after which a worker stops
+// retrying an unreachable coordinator. With the 2s default PollMax that is
+// a minute: long enough to ride out a coordinator kill -9 and restart on
+// the same data directory, short enough that a worker whose coordinator
+// exited for good does not retry forever.
+const GoneAfterPolls = 30
+
+// ErrCoordinatorGone is returned by RunWorker once the coordinator has
+// answered no request for GoneAfterPolls×PollMax. Typed refusals count as
+// answers; only transport failures (refused connections, timeouts, torn
+// responses) run the clock.
+var ErrCoordinatorGone = errors.New("dist: coordinator gone")
 
 // WorkerStats summarizes one worker's participation in a sweep.
 type WorkerStats struct {
@@ -163,6 +178,9 @@ type worker[T any] struct {
 	ids      []string
 	planHash string
 	stats    *WorkerStats
+	// downSince is when the current run of transport failures began (zero
+	// while the coordinator answers).
+	downSince time.Time
 }
 
 // RunWorker participates in a distributed sweep until it is complete: it
@@ -170,8 +188,10 @@ type worker[T any] struct {
 // is refused, not mixed in), then leases ranges, runs them on a local
 // sched.RunSweep pool, heartbeats while computing, and commits marshalled
 // results. Transport errors back off and retry — commits are idempotent on
-// the coordinator, so at-least-once delivery is safe. It returns when the
-// coordinator reports the sweep done, the sweep fails, or ctx is cancelled.
+// the coordinator, so at-least-once delivery is safe. It returns nil when a
+// commit or lease response reports the sweep done, and an error when the
+// sweep fails, ctx is cancelled, or the coordinator stays unreachable past
+// the GoneAfterPolls bound (ErrCoordinatorGone).
 func RunWorker[T any](ctx context.Context, cfg WorkerConfig, tasks []sched.Task[T]) (*WorkerStats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Coordinator == "" {
@@ -217,12 +237,38 @@ func (w *worker[T]) backoff(attempt int) time.Duration {
 	return d
 }
 
+// post sends one protocol request and tracks reachability: any response,
+// typed refusal included, proves the coordinator is there.
+func (w *worker[T]) post(ctx context.Context, path string, req, out any) error {
+	err := w.cl.post(ctx, path, req, out)
+	var pe *ProtoError
+	if err == nil || errors.As(err, &pe) {
+		w.downSince = time.Time{}
+	}
+	return err
+}
+
+// retry logs a transport failure and sleeps the backoff for attempt. It
+// returns ErrCoordinatorGone instead once the failures have lasted past the
+// GoneAfterPolls bound, and ctx's error if ctx ends first.
+func (w *worker[T]) retry(ctx context.Context, attempt int, what string, err error) error {
+	now := w.cfg.Clock.Now()
+	if w.downSince.IsZero() {
+		w.downSince = now
+	} else if down := now.Sub(w.downSince); down > GoneAfterPolls*w.cfg.PollMax {
+		return fmt.Errorf("%w: no answer for %v (last error: %v)", ErrCoordinatorGone, down.Round(time.Millisecond), err)
+	}
+	w.stats.Reconnects++
+	w.logf.Printf("%s: %v (retrying)", what, err)
+	return w.sleep(ctx, w.backoff(attempt))
+}
+
 // register announces the plan until the coordinator accepts it (transport
 // errors retry; typed refusals are fatal).
 func (w *worker[T]) register(ctx context.Context) error {
 	for attempt := 0; ; attempt++ {
 		var pr PlanResponse
-		err := w.cl.post(ctx, "/v1/plan", &PlanRequest{
+		err := w.post(ctx, "/v1/plan", &PlanRequest{
 			Version: ProtocolVersion, Tool: w.cfg.Tool, Fingerprint: w.cfg.Fingerprint,
 			TaskIDs: w.ids, Worker: w.cfg.Name,
 		}, &pr)
@@ -237,10 +283,8 @@ func (w *worker[T]) register(ctx context.Context) error {
 		if errors.As(err, &pe) && fatalCode(pe.Code) {
 			return err
 		}
-		w.stats.Reconnects++
-		w.logf.Printf("register: %v (retrying)", err)
-		if serr := w.sleep(ctx, w.backoff(attempt)); serr != nil {
-			return serr
+		if rerr := w.retry(ctx, attempt, "register", err); rerr != nil {
+			return rerr
 		}
 	}
 }
@@ -255,7 +299,7 @@ func (w *worker[T]) run(ctx context.Context) error {
 			return err
 		}
 		var lr LeaseResponse
-		err := w.cl.post(ctx, "/v1/lease", &LeaseRequest{Worker: w.cfg.Name, PlanHash: w.planHash}, &lr)
+		err := w.post(ctx, "/v1/lease", &LeaseRequest{Worker: w.cfg.Name, PlanHash: w.planHash}, &lr)
 		if err != nil {
 			var pe *ProtoError
 			switch {
@@ -270,18 +314,15 @@ func (w *worker[T]) run(ctx context.Context) error {
 				return err
 			default:
 				attempt++
-				w.stats.Reconnects++
-				w.logf.Printf("lease: %v (retrying)", err)
-				if serr := w.sleep(ctx, w.backoff(attempt)); serr != nil {
-					return serr
+				if rerr := w.retry(ctx, attempt, "lease", err); rerr != nil {
+					return rerr
 				}
 			}
 			continue
 		}
 		attempt = 0
 		if lr.Done {
-			w.logf.Printf("sweep complete: %d ranges, %d tasks run here", w.stats.Ranges, w.stats.Tasks)
-			return nil
+			break
 		}
 		if lr.LeaseID == "" {
 			wait := time.Duration(lr.WaitMS) * time.Millisecond
@@ -293,26 +334,33 @@ func (w *worker[T]) run(ctx context.Context) error {
 			}
 			continue
 		}
-		if err := w.runLease(ctx, &lr); err != nil {
+		done, err := w.runLease(ctx, &lr)
+		if err != nil {
 			return err
 		}
+		if done {
+			break
+		}
 	}
+	w.logf.Printf("sweep complete: %d ranges, %d tasks run here", w.stats.Ranges, w.stats.Tasks)
+	return nil
 }
 
-// runLease executes one leased range and commits (or fails) it.
-func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) error {
+// runLease executes one leased range and commits (or fails) it; done
+// reports that the commit completed the sweep.
+func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) (done bool, err error) {
 	sub, err := sched.SliceRange(w.tasks, lr.Range)
 	if err != nil {
-		return fmt.Errorf("dist: lease %s: %w", lr.LeaseID, err)
+		return false, fmt.Errorf("dist: lease %s: %w", lr.LeaseID, err)
 	}
 	// Double-check the shard against the coordinator's view of it; a
 	// mismatch means the plans diverged and nothing should run.
 	if len(lr.TaskIDs) != len(sub) {
-		return fmt.Errorf("dist: lease %s names %d tasks, range %s covers %d", lr.LeaseID, len(lr.TaskIDs), lr.Range, len(sub))
+		return false, fmt.Errorf("dist: lease %s names %d tasks, range %s covers %d", lr.LeaseID, len(lr.TaskIDs), lr.Range, len(sub))
 	}
 	for i, t := range sub {
 		if lr.TaskIDs[i] != t.ID {
-			return fmt.Errorf("dist: lease %s task %d is %q here, %q on the coordinator", lr.LeaseID, i, t.ID, lr.TaskIDs[i])
+			return false, fmt.Errorf("dist: lease %s task %d is %q here, %q on the coordinator", lr.LeaseID, i, t.ID, lr.TaskIDs[i])
 		}
 	}
 	spec := ""
@@ -368,7 +416,7 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) error {
 	hbStop()
 	<-hbDone
 	if ctx.Err() != nil {
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 
 	if runErr != nil {
@@ -385,25 +433,25 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) error {
 			}
 		}
 		var fr FailResponse
-		if err := w.cl.post(ctx, "/v1/fail", &FailRequest{
+		if err := w.post(ctx, "/v1/fail", &FailRequest{
 			Worker: w.cfg.Name, PlanHash: w.planHash, LeaseID: lr.LeaseID,
 			RangeIdx: lr.RangeIdx, Errors: fails,
 		}, &fr); err != nil {
 			w.logf.Printf("fail report for range %d: %v", lr.RangeIdx, err)
 		}
 		w.logf.Printf("range %d failed locally: %v (budget remaining %d)", lr.RangeIdx, runErr, fr.Remaining)
-		return nil
+		return false, nil
 	}
 
 	results := make(map[string]json.RawMessage, len(sub))
 	for _, t := range sub {
 		v, ok := res.Results[t.ID]
 		if !ok {
-			return fmt.Errorf("dist: range %d completed but task %q has no result", lr.RangeIdx, t.ID)
+			return false, fmt.Errorf("dist: range %d completed but task %q has no result", lr.RangeIdx, t.ID)
 		}
 		raw, err := json.Marshal(v)
 		if err != nil {
-			return fmt.Errorf("dist: marshal result %q: %w", t.ID, err)
+			return false, fmt.Errorf("dist: marshal result %q: %w", t.ID, err)
 		}
 		results[t.ID] = raw
 	}
@@ -412,11 +460,12 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) error {
 
 // commit delivers a completed range, retrying through transport errors and
 // coordinator restarts — the work is done and perfectly good, and the
-// coordinator dedupes, so at-least-once delivery is the right policy.
-func (w *worker[T]) commit(ctx context.Context, lr *LeaseResponse, sub []sched.Task[T], results map[string]json.RawMessage) error {
+// coordinator dedupes, so at-least-once delivery is the right policy. done
+// reports that the coordinator now holds every range.
+func (w *worker[T]) commit(ctx context.Context, lr *LeaseResponse, sub []sched.Task[T], results map[string]json.RawMessage) (done bool, err error) {
 	for attempt := 0; ; attempt++ {
 		var rr ResultResponse
-		err := w.cl.post(ctx, "/v1/result", &ResultRequest{
+		err := w.post(ctx, "/v1/result", &ResultRequest{
 			Worker: w.cfg.Name, PlanHash: w.planHash, LeaseID: lr.LeaseID,
 			RangeIdx: lr.RangeIdx, Range: lr.Range, Results: results,
 		}, &rr)
@@ -429,7 +478,7 @@ func (w *worker[T]) commit(ctx context.Context, lr *LeaseResponse, sub []sched.T
 			} else {
 				w.logf.Printf("range %d committed (%d tasks)", lr.RangeIdx, len(sub))
 			}
-			return nil
+			return rr.Done, nil
 		}
 		var pe *ProtoError
 		switch {
@@ -437,15 +486,13 @@ func (w *worker[T]) commit(ctx context.Context, lr *LeaseResponse, sub []sched.T
 			// Coordinator restarted empty mid-range: re-register, then
 			// retry the commit.
 			if rerr := w.register(ctx); rerr != nil {
-				return rerr
+				return false, rerr
 			}
 		case errors.As(err, &pe) && fatalCode(pe.Code):
-			return err
+			return false, err
 		default:
-			w.stats.Reconnects++
-			w.logf.Printf("commit range %d: %v (retrying)", lr.RangeIdx, err)
-			if serr := w.sleep(ctx, w.backoff(attempt)); serr != nil {
-				return serr
+			if rerr := w.retry(ctx, attempt, fmt.Sprintf("commit range %d", lr.RangeIdx), err); rerr != nil {
+				return false, rerr
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -317,5 +320,88 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("post-restart merged checkpoint differs from serial run")
+	}
+}
+
+// TestWorkerStopsWhenCoordinatorExits: the coordinator process exits right
+// after the final commit while a second worker is asleep on a wait hint.
+// The committing worker must stop on the Done its commit response carries,
+// and the sleeper, which wakes to a refused connection, must give up with
+// ErrCoordinatorGone instead of retrying forever.
+func TestWorkerStopsWhenCoordinatorExits(t *testing.T) {
+	leakcheck.Check(t)
+	const tool, fp = "testsweep", "seed=12"
+	release := make(chan struct{})
+	tasks := e2eTasks(2)
+	run0 := tasks[0].Run
+	tasks[0].Run = func(ctx context.Context) (taskResult, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return taskResult{}, ctx.Err()
+		}
+		return run0(ctx)
+	}
+
+	// One range: the first worker holds it, so the second only ever gets
+	// wait hints.
+	c, err := NewCoordinator(Config{DataDir: t.TempDir(), RangeSize: 2, WaitHint: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	api := NewHandler(c, nil, nil)
+	sleeperWaiting := make(chan struct{})
+	var waitOnce sync.Once
+	var srv *httptest.Server
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		api.ServeHTTP(w, r)
+		switch {
+		case r.URL.Path == "/v1/lease" && strings.Contains(string(body), `"worker":"sleeper"`):
+			waitOnce.Do(func() { close(sleeperWaiting) })
+		case r.URL.Path == "/v1/result" && c.Status().Done:
+			// Exit with the sweep: the response above is delivered, then
+			// the listener and every connection close.
+			go srv.Close()
+		}
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	errs := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(ctx, WorkerConfig{
+			Coordinator: srv.URL, Name: "committer", Tool: tool, Fingerprint: fp,
+			PollMax: 20 * time.Millisecond,
+		}, tasks)
+		errs <- err
+	}()
+	for c.Status().Leased == 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	sleeper := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(ctx, WorkerConfig{
+			Coordinator: srv.URL, Name: "sleeper", Tool: tool, Fingerprint: fp,
+			PollMax: 200 * time.Millisecond,
+		}, tasks)
+		sleeper <- err
+	}()
+	<-sleeperWaiting
+	close(release)
+
+	if err := <-errs; err != nil {
+		t.Fatalf("committing worker: %v", err)
+	}
+	start := time.Now()
+	err = <-sleeper
+	if !errors.Is(err, ErrCoordinatorGone) {
+		t.Fatalf("sleeping worker returned %v, want ErrCoordinatorGone", err)
+	}
+	if bound := GoneAfterPolls * 200 * time.Millisecond; time.Since(start) > 2*bound {
+		t.Fatalf("sleeping worker gave up after %v, bound %v", time.Since(start), bound)
 	}
 }
