@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test ./internal/hid/ -run TestNone -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/translator/ -run TestNone -fuzz FuzzTranslate -fuzztime 10s
 	$(GO) test ./internal/memo/ -run TestNone -fuzz FuzzFingerprint -fuzztime 10s
+	$(GO) test ./internal/hef/ -run TestNone -fuzz FuzzTranslationKey -fuzztime 10s
 	$(GO) test ./internal/store/ -run TestNone -fuzz FuzzStoreLoad -fuzztime 10s
 	$(GO) test ./internal/store/ -run TestNone -fuzz FuzzSaveRotateLoadFallback -fuzztime 10s
 	$(GO) test ./internal/sched/ -run TestNone -fuzz FuzzCheckpointLoad -fuzztime 10s

@@ -233,7 +233,7 @@ func runOne(ctx context.Context, cpuName, opName, file string, elems int64, budg
 		}
 	}
 	if showCode {
-		fmt.Fprintf(&b, "\ngenerated code at the optimum:\n%s\n", opt.Source)
+		fmt.Fprintf(&b, "\ngenerated code at the optimum:\n%s\n", opt.Source())
 	}
 	out.Text = b.String()
 	if wantDot {

@@ -84,5 +84,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generated code for %s at %v:\n%s", tmpl.Name, opt.Node, opt.Source)
+	fmt.Printf("generated code for %s at %v:\n%s", tmpl.Name, opt.Node, opt.Source())
 }

@@ -52,5 +52,5 @@ func main() {
 	fmt.Printf("cost at optimum:     %.3f ns/element\n", opt.SecondsPerElem()*1e9)
 	fmt.Printf("search effort:       %d of %d nodes tested (%.0f%% pruned)\n",
 		opt.Search.Tested, opt.Search.SpaceSize, opt.Search.PrunedFraction()*100)
-	fmt.Printf("\ngenerated code:\n%s", opt.Source)
+	fmt.Printf("\ngenerated code:\n%s", opt.Source())
 }

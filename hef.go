@@ -28,7 +28,7 @@
 //	b.Store(out, y)
 //	tmpl, _ := b.Build(hef.KnownOp)
 //	opt, _ := fw.OptimizeOperator(tmpl)
-//	fmt.Println(opt.Node, opt.Source)
+//	fmt.Println(opt.Node, opt.Source())
 package hef
 
 import (

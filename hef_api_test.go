@@ -37,8 +37,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if opt.SecondsPerElem() <= 0 {
 		t.Error("optimum should have positive cost")
 	}
-	if !strings.Contains(opt.Source, "void api(") {
-		t.Errorf("generated source malformed:\n%s", opt.Source)
+	if !strings.Contains(opt.Source(), "void api(") {
+		t.Errorf("generated source malformed:\n%s", opt.Source())
 	}
 
 	res, err := fw.Measure(tmpl, hef.Node{V: 1, S: 0, P: 1})

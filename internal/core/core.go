@@ -65,8 +65,6 @@ type Optimized struct {
 	Node translator.Node
 	// Initial is the candidate generator's starting node.
 	Initial translator.Node
-	// Source is the generated C-like code at the optimal node (Fig. 6).
-	Source string
 	// Program is the simulator trace at the optimal node.
 	Program *uarch.Program
 	// Search records every tested node, the candidate and end lists, and
@@ -75,7 +73,12 @@ type Optimized struct {
 	// Partial is true when the search was cut short (context done or
 	// budget exhausted) and Node is only the best candidate found so far.
 	Partial bool
+
+	out *translator.Output
 }
+
+// Source renders the generated C-like code at the optimal node (Fig. 6).
+func (o *Optimized) Source() string { return o.out.Source() }
 
 // SecondsPerElem is the measured per-element cost of the optimum.
 func (o *Optimized) SecondsPerElem() float64 { return o.Search.BestSeconds }
@@ -146,10 +149,10 @@ func (f *Framework) OptimizeOperatorContext(ctx context.Context, tmpl *hid.Templ
 		Template: tmpl,
 		Node:     res.Best,
 		Initial:  initial,
-		Source:   out.Source,
 		Program:  out.Program,
 		Search:   res,
 		Partial:  res.Partial,
+		out:      out,
 	}, serr
 }
 

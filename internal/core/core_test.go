@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"hef/internal/hashes"
 	"hef/internal/hef"
 	"hef/internal/isa"
+	"hef/internal/memo"
 	"hef/internal/translator"
 )
 
@@ -41,7 +43,7 @@ func TestOptimizeOperatorMurmur(t *testing.T) {
 	if opt.Initial != (translator.Node{V: 1, S: 3, P: 3}) {
 		t.Errorf("initial node = %v, want n(1,3,3) from the candidate generator", opt.Initial)
 	}
-	if !strings.Contains(opt.Source, "_mm512_mullo_epi64") {
+	if !strings.Contains(opt.Source(), "_mm512_mullo_epi64") {
 		t.Error("generated source should contain AVX-512 intrinsics")
 	}
 	if opt.Search.Tested >= opt.Search.SpaceSize {
@@ -124,5 +126,29 @@ func TestClampNode(t *testing.T) {
 	}
 	if got := clampNode(translator.Node{V: 0, S: 0, P: 1}, b); !got.Valid() {
 		t.Errorf("clampNode must return a valid node, got %v", got)
+	}
+}
+
+// TestMemoWarmSearchAllocs guards the memo's link index: a search whose
+// every candidate is already measured translates only the winner, so it
+// allocates a few thousand objects rather than the ~143k a search that
+// translates (and renders) every candidate did.
+func TestMemoWarmSearchAllocs(t *testing.T) {
+	fw, err := New("silver", WithTestElems(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := hashes.MurmurTemplate()
+	cache := memo.NewCache()
+	search := func() {
+		if _, err := fw.OptimizeOperatorContext(context.Background(), tmpl, OptimizeOptions{Memo: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search() // prime the memo and its links
+	allocs := testing.AllocsPerRun(5, search)
+	t.Logf("memo-warm murmur search: %.0f allocs/op", allocs)
+	if allocs > 5000 {
+		t.Fatalf("memo-warm murmur search allocated %.0f objects/op, want <= 5000", allocs)
 	}
 }

@@ -48,10 +48,13 @@ type SimEvaluator struct {
 	tmpl    *hid.Template
 	width   isa.Width
 	elems   int64
-	sim     *uarch.Sim
 	perturb *uarch.Perturb
 	memo    *memo.Cache
-	traced  bool
+	trace   *uarch.TraceLog
+
+	// sim is built by the first Run that has to translate: an evaluator
+	// whose every node is already linked in the memo never allocates one.
+	sim *uarch.Sim
 
 	// batch marks an open EvaluateBatch window; warmSnap holds the shared
 	// post-Reset+Warm hierarchy state the window's siblings fork from.
@@ -76,7 +79,18 @@ func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems in
 	if elems <= 0 {
 		elems = DefaultTestElems
 	}
-	return &SimEvaluator{cpu: cpu, tmpl: tmpl, width: width, elems: elems, sim: uarch.NewSim(cpu)}
+	return &SimEvaluator{cpu: cpu, tmpl: tmpl, width: width, elems: elems}
+}
+
+// simulator returns the evaluator's simulator, building it on first use
+// with the trace log and perturbation set so far.
+func (e *SimEvaluator) simulator() *uarch.Sim {
+	if e.sim == nil {
+		e.sim = uarch.NewSim(e.cpu)
+		e.sim.SetTraceLog(e.trace)
+		e.sim.SetPerturb(e.perturb)
+	}
+	return e.sim
 }
 
 // SetTraceLog attaches a per-instruction lifecycle recorder to the
@@ -85,14 +99,18 @@ func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems in
 // is attached the memo cache is bypassed: a cached result would leave the
 // log empty.
 func (e *SimEvaluator) SetTraceLog(t *uarch.TraceLog) {
-	e.traced = t != nil
-	e.sim.SetTraceLog(t)
+	e.trace = t
+	if e.sim != nil {
+		e.sim.SetTraceLog(t)
+	}
 }
 
 // SetMemo attaches a content-addressed measurement cache (nil detaches).
 // Runs whose fingerprint — machine model, perturbation, translated program,
 // iteration count, warmed regions — is already cached return the stored
-// Result without simulating. The cache is concurrency-safe and is shared
+// Result without simulating, and a node whose translation inputs are
+// already linked to that fingerprint (memo.TranslationKey) returns it
+// without translating either. The cache is concurrency-safe and is shared
 // with forks, so a parallel search populates it for later operators,
 // trials, and benchmark stages.
 func (e *SimEvaluator) SetMemo(c *memo.Cache) { e.memo = c }
@@ -102,7 +120,9 @@ func (e *SimEvaluator) SetMemo(c *memo.Cache) { e.memo = c }
 // this to re-run the search on perturbed machines.
 func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 	e.perturb = p
-	e.sim.SetPerturb(p)
+	if e.sim != nil {
+		e.sim.SetPerturb(p)
+	}
 }
 
 // Fork implements ForkableEvaluator: the clone measures nodes identically
@@ -159,7 +179,20 @@ func (e *SimEvaluator) EvaluateBatch(ns []Node) (secs []float64, err error) {
 // Run translates and simulates the node, returning the full counter set
 // (used by the experiment harness for the paper's tables).
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
-	if err := e.sim.Err(); err != nil {
+	// The translation key is computed on every call, not once per
+	// evaluator, so a template edited between runs (SetRegion) gets a fresh
+	// key rather than a stale link.
+	var tkey memo.Key
+	useMemo := e.memo != nil && e.trace == nil
+	if useMemo {
+		tkey = memo.TranslationKey(memo.ProtoEvaluator, e.cpu, e.perturb, e.tmpl, n, e.width, e.elems)
+		if res, ok := e.memo.GetLinked(tkey); ok {
+			e.Evaluations++
+			return res, nil
+		}
+	}
+	sim := e.simulator()
+	if err := sim.Err(); err != nil {
 		return nil, err
 	}
 	out, err := translator.Translate(e.tmpl, n, translator.Options{Width: e.width, CPU: e.cpu})
@@ -173,11 +206,13 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	warm := e.warmRanges()
 	// The whole measurement protocol below is a pure function of the
 	// fingerprinted inputs, so a cached Result is exact, not approximate.
+	// Links are recorded only past the Err check above: a machine model
+	// whose hierarchy cannot be built never gets a link that would skip it.
 	var key memo.Key
-	useMemo := e.memo != nil && !e.traced
 	if useMemo {
 		key = memo.Fingerprint(memo.ProtoEvaluator, e.cpu, e.perturb, out.Program, iters, warm)
 		if res, ok := e.memo.Get(key); ok {
+			e.memo.Link(tkey, key)
 			e.Evaluations++
 			return res, nil
 		}
@@ -192,7 +227,7 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	// replaying the warm loop. (The access clock is restored with it; every
 	// cache decision and every reported counter depends only on clock
 	// deltas, so the fork measures exactly what a replayed warm would.)
-	hier := e.sim.Hierarchy()
+	hier := sim.Hierarchy()
 	if e.batch && e.warmSnap.Valid() {
 		hier.Restore(&e.warmSnap)
 		batchForks.Add(1)
@@ -205,13 +240,14 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 			hier.Save(&e.warmSnap)
 		}
 	}
-	if _, err := e.sim.Run(out.Program, iters); err != nil {
+	if _, err := sim.Run(out.Program, iters); err != nil {
 		return nil, err
 	}
 	e.Evaluations++
-	res, err := e.sim.Run(out.Program, iters)
+	res, err := sim.Run(out.Program, iters)
 	if err == nil && useMemo {
 		e.memo.Put(key, res)
+		e.memo.Link(tkey, key)
 	}
 	return res, err
 }

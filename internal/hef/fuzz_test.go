@@ -1,0 +1,80 @@
+package hef
+
+import (
+	"testing"
+
+	"hef/internal/hid/hidgen"
+	"hef/internal/isa"
+	"hef/internal/memo"
+	"hef/internal/translator"
+	"hef/internal/uarch"
+)
+
+// linkedKeys remembers, across the inputs one fuzz worker runs, the
+// measurement key every translation key was linked to.
+var linkedKeys = map[memo.Key]memo.Key{}
+
+// FuzzTranslationKey checks the soundness of the memo's link index over
+// generated templates (hidgen.Build, the FuzzBuilderBuild generator) at
+// fuzzed nodes, machine models, widths, test sizes, table regions, and
+// perturbations. Run must link each evaluation's translation key to exactly
+// Fingerprint(Translate(...)) — the key a link-free evaluation would look
+// up — and no two inputs sharing a translation key may fingerprint apart.
+func FuzzTranslationKey(f *testing.F) {
+	// load, mul(c, v0), gather(tab, v1), store; load, load, select, store;
+	// load, srl, store — each translatable, so the seeds reach the check.
+	f.Add([]byte{0x00, 0x6b, 0x24}, "nm", uint64(3), uint8(1), uint8(1), uint8(2), uint8(0), uint32(0), uint16(1024))
+	f.Add([]byte{0x00, 0x00, 0x22}, "g", uint64(7), uint8(0), uint8(2), uint8(1), uint8(5), uint32(1<<20), uint16(64))
+	f.Add([]byte{0x00, 0x30}, "op", uint64(1<<40), uint8(3), uint8(0), uint8(0), uint8(26), uint32(1<<26), uint16(0))
+	knownOps := func(op string) bool { _, err := isa.Describe(op); return err == nil }
+	cpus := []string{"silver", "gold", "neoverse", "zen"}
+	widths := []isa.Width{0, isa.W512, isa.W256, isa.W128}
+	f.Fuzz(func(t *testing.T, prog []byte, name string, c uint64, v, s, p, variant uint8, region uint32, elems uint16) {
+		tmpl, err := hidgen.Build(prog, name, c, knownOps)
+		if err != nil {
+			return
+		}
+		if region > 0 {
+			if err := tmpl.SetRegion("tab", uint64(region)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cpu, err := isa.ByName(cpus[variant%4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var perturb *uarch.Perturb
+		if variant&16 != 0 {
+			perturb = &uarch.Perturb{Seed: c, LatJitter: 0.1}
+		}
+		node := Node{V: int(v % 4), S: int(s % 4), P: int(p%4) + 1}
+		ev := NewSimEvaluator(cpu, tmpl, widths[variant/4%4], int64(elems))
+		ev.SetPerturb(perturb)
+
+		out, err := translator.Translate(tmpl, node, translator.Options{Width: ev.width, CPU: cpu})
+		if err != nil {
+			return
+		}
+		iters := ev.elems / int64(out.ElemsPerIter)
+		if iters < 1 {
+			iters = 1
+		}
+		mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, perturb, out.Program, iters, ev.warmRanges())
+		// Seeding the measurement makes Run hit on it without simulating,
+		// which records the link under test.
+		cache := memo.NewCache()
+		cache.Put(mk, &uarch.Result{Name: "seeded"})
+		ev.SetMemo(cache)
+		if _, err := ev.Run(node); err != nil {
+			t.Fatalf("Run(%v): %v", node, err)
+		}
+		tk := memo.TranslationKey(memo.ProtoEvaluator, cpu, perturb, tmpl, node, ev.width, ev.elems)
+		if r, ok := cache.GetLinked(tk); !ok || r.Name != "seeded" {
+			t.Fatalf("%s@%v: translation key not linked to Fingerprint(Translate(...))", tmpl.Name, node)
+		}
+		if prev, ok := linkedKeys[tk]; ok && prev != mk {
+			t.Fatalf("%s@%v: one translation key, two measurement keys", tmpl.Name, node)
+		}
+		linkedKeys[tk] = mk
+	})
+}

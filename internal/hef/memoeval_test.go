@@ -87,7 +87,8 @@ func TestSimEvaluatorMemo(t *testing.T) {
 		t.Fatalf("stats after perturbed run = %+v, want 3 entries", st)
 	}
 
-	// With a trace log attached the cache is bypassed entirely.
+	// With a trace log attached the cache is bypassed entirely, the link
+	// the runs above recorded for node included.
 	traced := hef.NewSimEvaluator(cpu, tmpl, cpu.NativeWidth(), elems)
 	traced.SetMemo(cache)
 	tl := &uarch.TraceLog{}
@@ -101,7 +102,7 @@ func TestSimEvaluatorMemo(t *testing.T) {
 		t.Fatal("traced run diverges from the unmemoized measurement")
 	}
 	if len(tl.Events) == 0 {
-		t.Fatal("trace log stayed empty — run served from cache?")
+		t.Fatal("trace log stayed empty — run served from cache or link?")
 	}
 	after := cache.Stats()
 	if before != after {

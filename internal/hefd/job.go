@@ -53,7 +53,7 @@ type job struct {
 	// done/total track operator-level progress for GET status.
 	done, total int
 	errMsg      string
-	report      []byte
+	report      *sharedReport
 	// terminalAt anchors the retention age policy; zero for non-terminal
 	// jobs and for terminal transitions whose WAL record predates retention.
 	terminalAt time.Time
@@ -61,6 +61,15 @@ type job struct {
 	// cancelRequested distinguishes a DELETE-driven interruption from a
 	// drain or deadline when the sweep unwinds.
 	cancelRequested bool
+}
+
+// sharedReport is one distinct RunReport held by every done job whose
+// report has exactly these bytes. A report is a pure function of its spec
+// (see spec.go), so jobs repeating a spec share one copy however many of
+// them are retained.
+type sharedReport struct {
+	data string
+	refs int // jobs holding it
 }
 
 // JobView is the API representation of a job (GET /v1/jobs/{id} and list

@@ -116,8 +116,9 @@ type Manager struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
 	jobs         map[string]*job
-	order        []string // job IDs in acceptance order
-	pending      []*job   // FIFO of queued jobs
+	reports      map[string]*sharedReport // done jobs' reports by content
+	order        []string                 // job IDs in acceptance order
+	pending      []*job                   // FIFO of queued jobs
 	seq          int
 	runningN     int
 	counts       Counts
@@ -170,6 +171,7 @@ func New(cfg Config) (*Manager, error) {
 		breakers:     newTenantBreakers(cfg.Breaker),
 		cache:        memo.NewCache(),
 		jobs:         map[string]*job{},
+		reports:      map[string]*sharedReport{},
 		queueBackoff: shedBackoff{base: 100 * time.Millisecond, max: 5 * time.Second},
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -299,20 +301,54 @@ func (m *Manager) replay(rec walRecord) {
 		}
 	case walReport:
 		if j := m.jobs[rec.ID]; j != nil {
-			j.report = []byte(rec.Report)
+			m.attachReport(j, rec.Report)
 			j.done = j.total
 		}
 	case walTomb:
 		// The job expired before the crash; its artifacts may or may not
 		// have been deleted — the startup sweep's orphan pass finishes the
 		// cleanup either way.
-		delete(m.jobs, rec.ID)
+		m.forgetJob(rec.ID)
 	case walSeq:
 		// Compaction high-water mark: ids never restart below it even when
 		// every job it covered has since expired.
 		if rec.Seq > m.seq {
 			m.seq = rec.Seq
 		}
+	}
+}
+
+// attachReport gives done job j the report data, sharing the copy other
+// jobs with the same report already hold. Callers hold m.mu (replay owns m
+// outright).
+func (m *Manager) attachReport(j *job, data string) {
+	m.dropReport(j)
+	r := m.reports[data]
+	if r == nil {
+		r = &sharedReport{data: data}
+		m.reports[data] = r
+	}
+	r.refs++
+	j.report = r
+}
+
+// dropReport detaches j's report; the last job holding a copy frees it.
+func (m *Manager) dropReport(j *job) {
+	if j.report == nil {
+		return
+	}
+	if j.report.refs--; j.report.refs == 0 {
+		delete(m.reports, j.report.data)
+	}
+	j.report = nil
+}
+
+// forgetJob removes an expired job from the job table. Callers hold m.mu
+// (replay owns m outright).
+func (m *Manager) forgetJob(id string) {
+	if j := m.jobs[id]; j != nil {
+		m.dropReport(j)
+		delete(m.jobs, id)
 	}
 }
 
@@ -342,7 +378,7 @@ func (m *Manager) compactLocked() error {
 			}
 			recs = append(recs, rec)
 			if j.state == StateDone && j.report != nil {
-				recs = append(recs, walRecord{Kind: walReport, ID: j.id, Report: string(j.report)})
+				recs = append(recs, walRecord{Kind: walReport, ID: j.id, Report: j.report.data})
 			}
 		}
 	}
@@ -511,7 +547,7 @@ func (m *Manager) Report(id string) ([]byte, error) {
 	if j.state != StateDone || j.report == nil {
 		return nil, fmt.Errorf("%w: job %q is %s", ErrReportNotReady, id, j.state)
 	}
-	return append([]byte(nil), j.report...), nil
+	return []byte(j.report.data), nil
 }
 
 // Cancel requests a job's cancellation: a queued job is removed and
@@ -718,8 +754,8 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 			m.finishLocked(j, StateFailed, fmt.Sprintf("marshal report: %v", merr))
 			return
 		}
-		j.report = data
-		m.walAppendLocked(walRecord{Kind: walReport, ID: j.id, Report: string(data)})
+		m.attachReport(j, string(data))
+		m.walAppendLocked(walRecord{Kind: walReport, ID: j.id, Report: j.report.data})
 		m.finishLocked(j, StateDone, "")
 	case res != nil && res.Interrupted:
 		switch {

@@ -68,7 +68,7 @@ func (m *Manager) Sweep() []string {
 	// tombstone is durable, so a crash between the two costs nothing.
 	for _, id := range expired {
 		m.walAppendLocked(walRecord{Kind: walTomb, ID: id, AtMS: now.UnixMilli()})
-		delete(m.jobs, id)
+		m.forgetJob(id)
 		m.counts.Expired++
 	}
 	if len(expired) > 0 {

@@ -17,67 +17,6 @@ var fuzzOps = map[string]bool{
 
 func knownOpsForFuzz(op string) bool { return fuzzOps[op] }
 
-// FuzzBuilderBuild drives the template builder with operand wiring derived
-// from arbitrary bytes and asserts the Build edge never panics: it either
-// returns a valid template or a descriptive error. The byte string is
-// interpreted as a little program — each byte selects an operation and which
-// previously-built values feed it.
-func FuzzBuilderBuild(f *testing.F) {
-	f.Add([]byte{0x00, 0x12, 0x23, 0xff}, "nm", uint64(3))
-	f.Add([]byte{0x41, 0x42}, "", uint64(0))
-	f.Add([]byte{0x90, 0x91, 0x92, 0x93, 0x94, 0x95}, "op", uint64(1<<40))
-	f.Fuzz(func(t *testing.T, prog []byte, name string, c uint64) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("Builder.Build panicked: %v", r)
-			}
-		}()
-
-		b := NewTemplate(name, U64)
-		in := b.Stream("in", ReadStream)
-		tab := b.Table("tab", 1<<16)
-		con := b.Const("c", c)
-		vals := []Operand{in, tab, con}
-		names := []string{"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"}
-		binOps := []string{"add", "sub", "mul", "and", "or", "xor", "cmpeq", "frob"}
-
-		for i, op := range prog {
-			if i >= len(names) {
-				break
-			}
-			x := vals[int(op>>4)%len(vals)]
-			y := vals[int(op&0x0f)%len(vals)]
-			var v Operand
-			switch int(op) % 5 {
-			case 0:
-				v = b.Load(names[i], x)
-			case 1:
-				v = b.Gather(names[i], tab, y)
-			case 2:
-				v = b.Op(names[i], binOps[int(op>>2)%len(binOps)], x, y)
-			case 3:
-				v = b.Srl(names[i], x, uint64(op))
-			default:
-				v = b.Select(names[i], x, y, con)
-			}
-			vals = append(vals, v)
-		}
-		out := b.Stream("out", WriteStream)
-		b.Store(out, vals[len(vals)-1])
-
-		tmpl, err := b.Build(knownOpsForFuzz)
-		if err != nil {
-			return // rejected inputs are fine; panics are not
-		}
-		if tmpl.Name == "" && name != "" {
-			t.Fatalf("template lost its name %q", name)
-		}
-		if len(tmpl.Body) == 0 {
-			t.Fatal("accepted template has an empty body")
-		}
-	})
-}
-
 // FuzzParse feeds arbitrary text to the operator-template parser; it must
 // reject garbage with an error, never a panic, and anything it accepts must
 // round-trip through Get.

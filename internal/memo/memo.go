@@ -13,14 +13,23 @@
 // alone: two CPU models with the same name but different geometry (a
 // perturbed clone, say) fingerprint differently, as do programs differing
 // in any instruction, operand, or address-stream field.
+//
+// Computing a measurement key needs the translated program, and translating
+// costs far more than the lookup it feeds. A Cache therefore also keeps an
+// in-memory link index from TranslationKey — a fingerprint of the
+// translator's inputs — to the measurement key those inputs produced, so a
+// repeated evaluation finds its Result without translating at all.
 package memo
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"hef/internal/fpenc"
+	"hef/internal/hid"
 	"hef/internal/isa"
+	"hef/internal/translator"
 	"hef/internal/uarch"
 )
 
@@ -140,6 +149,66 @@ func Fingerprint(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, prog *uarch.Pro
 	return Key(fpenc.Sum128(e.Buf))
 }
 
+// TranslationKey computes the canonical key of every input from which an
+// evaluation under proto derives its measurement key: the machine model and
+// normalized perturbation, the whole template (name, element type,
+// parameters with pattern and region, accumulators, constants in sorted
+// order, body), the node, the SIMD width, and the test size. Translation,
+// the iteration count, and the warmed regions are deterministic functions
+// of these, so equal translation keys imply equal measurement keys.
+func TranslationKey(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template, node translator.Node, width isa.Width, elems int64) Key {
+	var e enc
+	// 4 KiB holds the machine model plus the largest built-in template.
+	e.Buf = make([]byte, 0, 4096)
+	// The leading tag keeps translation keys disjoint from measurement keys.
+	e.Buf = append(e.Buf, 'T', byte(proto))
+	e.cpu(cpu)
+	e.perturb(p)
+	e.template(tmpl)
+	e.i(node.V)
+	e.i(node.S)
+	e.i(node.P)
+	e.i(int(width))
+	e.u64(uint64(elems))
+	return Key(fpenc.Sum128(e.Buf))
+}
+
+func (e *enc) template(t *hid.Template) {
+	e.str(t.Name)
+	e.i(int(t.Elem))
+	e.i(len(t.Params))
+	for _, p := range t.Params {
+		e.str(p.Name)
+		e.i(int(p.Pattern))
+		e.u64(p.Region)
+	}
+	e.i(len(t.Accs))
+	for _, a := range t.Accs {
+		e.str(a)
+	}
+	names := make([]string, 0, len(t.Consts))
+	for name := range t.Consts {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	e.i(len(names))
+	for _, name := range names {
+		e.str(name)
+		e.u64(t.Consts[name])
+	}
+	e.i(len(t.Body))
+	for _, st := range t.Body {
+		e.str(st.Dst)
+		e.str(st.Op)
+		e.i(len(st.Args))
+		for _, a := range st.Args {
+			e.i(int(a.Kind))
+			e.str(a.Name)
+			e.u64(a.Value)
+		}
+	}
+}
+
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
 	// Hits and Misses count Get calls; Entries counts stored Results.
@@ -162,6 +231,10 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	mu sync.Mutex
 	m  map[Key]*uarch.Result
+	// links maps a TranslationKey to the measurement key its translation
+	// fingerprinted to. It is memory-only: translation keys are never
+	// persisted, so stores are the same bytes with or without it.
+	links map[Key]Key
 	// hits/misses are atomics, not mu-guarded fields: Stats is polled from
 	// the telemetry scrape path while workers are mid-Get, and the counters
 	// must stay exact without the poller contending for the map lock.
@@ -192,7 +265,43 @@ func ResetTotals() {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[Key]*uarch.Result)}
+	return &Cache{m: make(map[Key]*uarch.Result), links: make(map[Key]Key)}
+}
+
+// GetLinked returns a private copy of the Result stored under the
+// measurement key tk is linked to, counting one hit. When tk has no link
+// (or its target is absent) it returns false and counts nothing: the caller
+// translates, fingerprints, and Gets the measurement key, which counts the
+// hit or miss exactly as if there were no link index.
+func (c *Cache) GetLinked(tk Key) (*uarch.Result, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	mk, ok := c.links[tk]
+	if !ok {
+		return nil, false
+	}
+	r, ok := c.m[mk]
+	if !ok {
+		return nil, false
+	}
+	c.hits.Add(1)
+	totalHits.Add(1)
+	return r.Clone(), true
+}
+
+// Link records that translation key tk yields measurement key mk. Callers
+// link only what they computed: mk must be the fingerprint of the
+// translation tk describes.
+func (c *Cache) Link(tk, mk Key) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.links[tk] = mk
+	c.mu.Unlock()
 }
 
 // Get returns a private copy of the Result stored under k, if any.

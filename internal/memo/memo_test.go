@@ -173,10 +173,10 @@ func FuzzFingerprint(f *testing.F) {
 	})
 }
 
-// TestCacheCountersConcurrent hammers Get from many goroutines and checks
-// the hit/miss counters stay exact. Runs under -race in CI: the counters
-// are read by the telemetry poller while workers are mid-Get, so they must
-// be atomics, not plain fields.
+// TestCacheCountersConcurrent hammers Get, Link and GetLinked from many
+// goroutines and checks the hit/miss counters stay exact. Runs under -race
+// in CI: the counters are read by the telemetry poller while workers are
+// mid-Get, so they must be atomics, not plain fields.
 func TestCacheCountersConcurrent(t *testing.T) {
 	c := NewCache()
 	k := baseKey()
@@ -184,14 +184,20 @@ func TestCacheCountersConcurrent(t *testing.T) {
 	var miss Key
 	miss[0] = 0xff
 
+	// Parallel search forks share one cache, so links are written and read
+	// concurrently too; a linked lookup counts one hit.
 	const workers, per = 8, 500
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
+			var tk Key
+			tk[0] = byte(w)
+			c.Link(tk, k)
 			for i := 0; i < per; i++ {
 				c.Get(k)
 				c.Get(miss)
+				c.GetLinked(tk)
 				c.Stats() // concurrent reader — the race the test guards against
 			}
 		}()
@@ -200,11 +206,11 @@ func TestCacheCountersConcurrent(t *testing.T) {
 		<-done
 	}
 	s := c.Stats()
-	if s.Hits != workers*per || s.Misses != workers*per {
-		t.Fatalf("counters hits=%d misses=%d, want %d each", s.Hits, s.Misses, workers*per)
+	if s.Hits != 2*workers*per || s.Misses != workers*per {
+		t.Fatalf("counters hits=%d misses=%d, want %d and %d", s.Hits, s.Misses, 2*workers*per, workers*per)
 	}
-	if got := s.HitRate(); got != 0.5 {
-		t.Fatalf("hit rate = %g, want 0.5", got)
+	if got, want := s.HitRate(), 2.0/3; got != want {
+		t.Fatalf("hit rate = %g, want %g", got, want)
 	}
 	h, m := Totals()
 	if h < workers*per || m < workers*per {

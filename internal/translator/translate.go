@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"hef/internal/hid"
 	"hef/internal/isa"
@@ -49,8 +50,6 @@ type Options struct {
 type Output struct {
 	// Program is the simulator trace.
 	Program *uarch.Program
-	// Source is a C-like rendering of the generated code (Fig. 6 analogue).
-	Source string
 	// Node echoes the candidate.
 	Node Node
 	// SpillStores and SpillLoads count the register-pressure spill code the
@@ -61,6 +60,18 @@ type Output struct {
 	SpillLoads  int
 	// ElemsPerIter is p*(v*lanes + s).
 	ElemsPerIter int
+
+	// tmpl and opt are the translation inputs Source renders from.
+	tmpl *hid.Template
+	opt  Options
+}
+
+// Source renders the generated code as C-like text (the Fig. 6 analogue).
+// The simulator consumes Program, not this text, so it is rendered only
+// when asked for, from the template as it is at the time of the call:
+// modifying the template after Translate changes the rendering.
+func (o *Output) Source() string {
+	return renderSource(o.tmpl, o.Node, o.opt, int(o.opt.Width)/64)
 }
 
 // absOp is an abstract instruction over SSA value ids, before spill
@@ -256,15 +267,15 @@ func Translate(tmpl *hid.Template, node Node, opt Options) (*Output, error) {
 		}
 		prog.Body = append(prog.Body, u)
 	}
-	out := &Output{
+	return &Output{
 		Program:      prog,
 		Node:         node,
 		SpillStores:  stores,
 		SpillLoads:   loads,
 		ElemsPerIter: elemsPerIter,
-	}
-	out.Source = renderSource(tmpl, node, opt, lanes)
-	return out, nil
+		tmpl:         tmpl,
+		opt:          opt,
+	}, nil
 }
 
 // ParamBase returns the virtual base address the translator assigns to a
@@ -382,8 +393,12 @@ func emitInstance(
 		return 0, fmt.Errorf("translator: %s: operand %v cannot be a register", tmpl.Name, o)
 	}
 
-	suffix := fmt.Sprintf("%s_%d_p%d", map[bool]string{true: "v", false: "s"}[k.vec], k.idx, k.pack)
-	op := absOp{instr: in, dst: noVal, vector: k.vec, comment: stmt.Dst + "_" + suffix}
+	kind := "_s_"
+	if k.vec {
+		kind = "_v_"
+	}
+	op := absOp{instr: in, dst: noVal, vector: k.vec,
+		comment: stmt.Dst + kind + strconv.Itoa(k.idx) + "_p" + strconv.Itoa(k.pack)}
 
 	defineDst := func() {
 		if stmt.Dst == "" {

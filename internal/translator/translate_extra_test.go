@@ -239,7 +239,7 @@ func TestSourceRenderingScalarForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := MustTranslate(tmpl, Node{V: 1, S: 1, P: 1}, Options{}).Source
+	src := MustTranslate(tmpl, Node{V: 1, S: 1, P: 1}, Options{}).Source()
 	for _, want := range []string{
 		"g_s0_p0 = *(tab + x_s0_p0);",
 		"r_s0_p0 = m_s0_p0 ? g_s0_p0 : x_s0_p0;",

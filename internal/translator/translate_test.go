@@ -87,7 +87,7 @@ func TestFig6SourceRendering(t *testing.T) {
 	// Fig. 6(b): v=1, s=3, p=2. The generated source must contain the
 	// instance naming and offsets shown in the paper.
 	out := MustTranslate(murmur(), Node{1, 3, 2}, Options{})
-	src := out.Source
+	src := out.Source()
 	for _, want := range []string{
 		"data_v0_p0 = _mm512_loadu_epi64(val + ofs + 0);",
 		"data_s0_p0 = *(val + ofs + 8);",
@@ -112,7 +112,7 @@ func TestFig6SourceRendering(t *testing.T) {
 		"data_v0_p1 = _mm512_loadu_epi64(val + ofs + 19);",
 		"data_v1_p1 = _mm512_loadu_epi64(val + ofs + 27);",
 	} {
-		if !strings.Contains(out.Source, want) {
+		if !strings.Contains(out.Source(), want) {
 			t.Errorf("source missing %q", want)
 		}
 	}
