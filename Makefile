@@ -60,7 +60,7 @@ dist-chaos:
 	$(GO) test ./internal/dist/ -race -count=1 -run 'DistChaos' -v -timeout 10m
 	$(GO) test ./cmd/hefsweep -run TestEndToEnd -count=20 -timeout 5m
 
-# fuzz gives each native fuzz target a short smoke budget (~30s total);
+# fuzz gives each native fuzz target a short smoke budget (10s each);
 # CI runs this on every push, longer campaigns run the same targets with
 # a bigger -fuzztime.
 fuzz:
@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/hef/ -run TestNone -fuzz FuzzTranslationKey -fuzztime 10s
 	$(GO) test ./internal/store/ -run TestNone -fuzz FuzzStoreLoad -fuzztime 10s
 	$(GO) test ./internal/store/ -run TestNone -fuzz FuzzSaveRotateLoadFallback -fuzztime 10s
+	$(GO) test ./internal/store/ -run TestNone -fuzz FuzzLogOpen -fuzztime 10s
 	$(GO) test ./internal/sched/ -run TestNone -fuzz FuzzCheckpointLoad -fuzztime 10s
 	$(GO) test ./internal/dist/ -run TestNone -fuzz FuzzDistProtocol -fuzztime 10s
 

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"hef/internal/hefd"
+	"hef/internal/sched"
 	"hef/internal/telemetry"
 	"hef/internal/telemetry/mount"
 )
@@ -130,7 +131,7 @@ func run() int {
 		QueueSize:    *queue,
 		Retries:      *retries,
 		Quota:        hefd.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
-		Breaker:      hefd.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
+		Breaker:      sched.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
 		Retention:    hefd.RetentionConfig{Age: *retainAge, Count: *retainCount},
 		WALMaxBytes:  *walMaxBytes,
 		AuthKeys:     *authKeys,
@@ -165,14 +166,14 @@ func run() int {
 		m.Close()
 		return 1
 	}
-	// The port line is machine-parseable on purpose: tests and scripts bind
-	// ":0" and scrape the actual address from here.
-	fmt.Fprintf(os.Stderr, "hefd: serving on %s\n", ln.Addr())
-
 	srv := telemetry.NewHTTPServer(hefd.NewHandler(m, tel.Handler()))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	tel.SetReady()
+	// The port line is machine-parseable on purpose: tests and scripts bind
+	// ":0" and scrape the actual address from here. It follows SetReady, so
+	// a client that has the address never sees /readyz still starting.
+	fmt.Fprintf(os.Stderr, "hefd: serving on %s\n", ln.Addr())
 
 	// SIGHUP re-reads the key file in place: in-flight jobs keep running,
 	// only the keyring pointer swaps. A broken edit keeps the old ring.

@@ -2,12 +2,14 @@
 // the pipeline writes to disk: durable memo stores (-memo-dir directories
 // of sharded record logs), sweep checkpoints (-checkpoint files and their
 // .bak rotations), machine-readable run reports (the -json output and the
-// BENCH_*.json snapshots), and JSON-line streams (go test -json captures).
+// BENCH_*.json snapshots), JSON-line streams (go test -json captures), and
+// the services' record files (hefd's jobs.log and admission.state, the
+// hefsweep coordinator's sweep.log).
 //
-// Each argument is diagnosed by content, not file name: a directory is
-// treated as a memo store and every shard log inside is scanned; a file is
-// classified as a record log, a checkpoint, a run report, or a JSON-line
-// stream, and validated accordingly.
+// Each argument is diagnosed by content (the service files by their fixed
+// names first): a directory is treated as a memo store and every shard log
+// inside is scanned; a file is classified as a record log, a checkpoint, a
+// run report, or a JSON-line stream, and validated accordingly.
 //
 // -repair applies the same salvage the runtime layers apply at open:
 // record logs are truncated to their longest valid prefix with the bad

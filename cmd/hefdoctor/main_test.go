@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hef/internal/dist"
 	"hef/internal/hefd"
 	"hef/internal/store"
 )
@@ -107,14 +108,21 @@ func TestExitCodesReflectArtifactHealth(t *testing.T) {
 	}
 }
 
-// The exit contract extends to hefd's artifacts: a torn jobs.log or
-// admission.state exits 1, -repair salvages both back to exit 0.
+// The exit contract extends to the service artifacts: a torn jobs.log,
+// sweep.log or admission.state exits 1, -repair salvages each back to
+// exit 0.
 func TestExitCodesOnHefdArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, hefd.JobLogName)
 	frames := store.AppendRecord(nil, []byte(`{"kind":"spec","id":"j000001-aa","seq":1}`))
 	frames = store.AppendRecord(frames, []byte(`{"kind":"state","id":"j000001-aa","state":"done","at_ms":7}`))
 	if err := os.WriteFile(log, append(append([]byte{}, frames...), 0xde, 0xad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, dist.JournalName)
+	jframes := store.AppendRecord(nil, []byte(`{"kind":"plan","tool":"t","fingerprint":"f","task_ids":["a"],"range_size":1,"range_idx":0}`))
+	jframes = store.AppendRecord(jframes, []byte(`{"kind":"grant","seq":1,"range_idx":0,"worker":"w1"}`))
+	if err := os.WriteFile(journal, append(append([]byte{}, jframes...), jframes[:9]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(dir, hefd.AdmissionStateName)
@@ -128,23 +136,28 @@ func TestExitCodesOnHefdArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, stdout, _ := runMain(t, log, snap)
+	code, stdout, _ := runMain(t, log, journal, snap)
 	if code != 1 {
-		t.Fatalf("torn hefd artifacts: exit %d, want 1\nstdout:\n%s", code, stdout)
+		t.Fatalf("torn service artifacts: exit %d, want 1\nstdout:\n%s", code, stdout)
 	}
-	if !strings.Contains(stdout, "job-log") || !strings.Contains(stdout, "admission-state") {
-		t.Fatalf("kinds missing from findings:\n%s", stdout)
+	for _, kind := range []string{"job-log", "sweep-journal", "admission-state"} {
+		if !strings.Contains(stdout, kind) {
+			t.Fatalf("kind %s missing from findings:\n%s", kind, stdout)
+		}
 	}
-	if code, stdout, _ = runMain(t, "-repair", log, snap); code != 0 {
+	if code, stdout, _ = runMain(t, "-repair", log, journal, snap); code != 0 {
 		t.Fatalf("repair run: exit %d\nstdout:\n%s", code, stdout)
 	}
-	if code, stdout, _ = runMain(t, log, snap); code != 0 {
+	if code, stdout, _ = runMain(t, log, journal, snap); code != 0 {
 		t.Fatalf("post-repair: exit %d\nstdout:\n%s", code, stdout)
 	}
-	// The salvage matches the daemon's own: log truncated to the valid
+	// The salvage matches the services' own: logs truncated to the valid
 	// prefix, snapshot reset to the empty zero state.
 	if got, err := os.ReadFile(log); err != nil || len(got) != len(frames) {
 		t.Fatalf("repaired log is %d bytes, want %d (%v)", len(got), len(frames), err)
+	}
+	if got, err := os.ReadFile(journal); err != nil || len(got) != len(jframes) {
+		t.Fatalf("repaired journal is %d bytes, want %d (%v)", len(got), len(jframes), err)
 	}
 	if got, err := os.ReadFile(snap); err != nil || len(got) != 0 {
 		t.Fatalf("repaired snapshot is %d bytes, want 0 (%v)", len(got), err)

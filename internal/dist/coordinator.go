@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -77,6 +78,9 @@ func (c *Config) withDefaults() Config {
 	if out.LogW == nil {
 		out.LogW = io.Discard
 	}
+	if out.FS == nil {
+		out.FS = store.OS
+	}
 	return out
 }
 
@@ -121,7 +125,7 @@ type Coordinator struct {
 	tel   *telemetry.DistMetrics
 
 	mu       sync.Mutex
-	jnl      *journal
+	jnl      *store.Log
 	plan     *plan
 	ranges   []rangeState
 	results  map[string]json.RawMessage
@@ -168,7 +172,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	lastGrant := map[int]grantRec{} // rangeIdx → most recent grant
 	var resultRecs []journalRecord
-	jnl, err := openJournal(cfg.FS, cfg.DataDir, func(rec journalRecord) {
+	jnl, err := store.OpenLog(cfg.FS, filepath.Join(cfg.DataDir, JournalName), func(payload []byte) error {
+		rec, err := decodeJournalRecord(payload)
+		if err != nil {
+			return err
+		}
 		switch rec.Kind {
 		case jnlPlan:
 			if planRec == nil {
@@ -183,12 +191,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		case jnlResult:
 			resultRecs = append(resultRecs, rec)
 		}
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: journal: %w", err)
 	}
 	c.jnl = jnl
-	if n := jnl.salvagedBytes(); n > 0 {
+	if n := jnl.Salvaged(); n > 0 {
 		c.logf.Printf("journal salvage: quarantined %d bytes of torn tail", n)
 	}
 
@@ -263,7 +272,7 @@ func (c *Coordinator) RegisterPlan(req *PlanRequest) (*PlanResponse, error) {
 		if err != nil {
 			return nil, errProto(http.StatusBadRequest, CodeInvalid, "%v", err)
 		}
-		if err := c.jnl.append(journalRecord{
+		if err := c.jnl.Append(journalRecord{
 			Kind: jnlPlan, Tool: p.tool, Fingerprint: p.fingerprint,
 			TaskIDs: p.ids, RangeSize: p.rangeSize,
 		}); err != nil {
@@ -334,7 +343,7 @@ func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 	}
 	grant := func(idx int, speculative bool) (*LeaseResponse, error) {
 		seq := c.leaseSeq + 1
-		if err := c.jnl.append(journalRecord{
+		if err := c.jnl.Append(journalRecord{
 			Kind: jnlGrant, Seq: seq, RangeIdx: idx, Worker: req.Worker,
 		}); err != nil {
 			return nil, errProto(http.StatusServiceUnavailable, CodeStorage, "%v", err)
@@ -467,7 +476,7 @@ func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 	}
 
 	// Journal first, acknowledge after: the fsynced record is the commit.
-	if err := c.jnl.append(journalRecord{
+	if err := c.jnl.Append(journalRecord{
 		Kind: jnlResult, RangeIdx: req.RangeIdx, Worker: req.Worker, Results: req.Results,
 	}); err != nil {
 		return nil, errProto(http.StatusServiceUnavailable, CodeStorage, "%v", err)
@@ -616,7 +625,7 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	return c.jnl.close()
+	return c.jnl.Close()
 }
 
 // UntilQuiet reports how much longer the coordinator must keep serving

@@ -2,19 +2,10 @@ package dist
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"path/filepath"
-	"sync"
 
 	"hef/internal/store"
 )
-
-// ErrStorage marks a journal append that could not be made durable. The
-// coordinator refuses to grant or commit anything it cannot journal — its
-// contract is that a kill -9 resumes the sweep with no lost and no
-// double-counted work, so it never acknowledges state it could not persist.
-var ErrStorage = errors.New("dist: sweep journal unavailable")
 
 // JournalName is the coordinator's write-ahead log inside the data
 // directory.
@@ -27,8 +18,9 @@ const (
 	jnlResult = "result" // a committed range with its result bytes
 )
 
-// journalRecord is one framed record of the sweep journal. Every record is
-// appended and fsynced before the effect it describes is acknowledged.
+// journalRecord is one record of the sweep journal, the coordinator's
+// store.Log. Every record is appended and fsynced before the effect it
+// describes is acknowledged.
 type journalRecord struct {
 	Kind string `json:"kind"`
 
@@ -49,138 +41,42 @@ type journalRecord struct {
 	Results map[string]json.RawMessage `json:"results,omitempty"`
 }
 
-// jnlKindKnown reports whether kind is in the closed record-kind set.
-func jnlKindKnown(kind string) bool {
-	switch kind {
+// decodeJournalRecord decodes one journal payload. Non-JSON payloads and
+// kinds outside the closed set are corruption that ends the valid prefix:
+// the coordinator's open and hefdoctor's check (JournalSummary.Add) both
+// decode through here, so runtime salvage and doctor repair agree.
+func decodeJournalRecord(payload []byte) (journalRecord, error) {
+	var rec journalRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("%w: journal record: %v", store.ErrCorrupt, err)
+	}
+	switch rec.Kind {
 	case jnlPlan, jnlGrant, jnlResult:
-		return true
+		return rec, nil
 	}
-	return false
+	return rec, fmt.Errorf("%w: journal record kind %q unknown", store.ErrCorrupt, rec.Kind)
 }
 
-// journal is the coordinator's append-only, CRC-framed write-ahead log,
-// with the same salvage discipline as hefd's job log: a torn or foreign
-// tail is quarantined into a .quarantine sidecar and truncated away, so one
-// interrupted append costs that record, never the log.
-type journal struct {
-	fs   store.FS
-	path string
-
-	mu       sync.Mutex
-	f        store.File
-	degraded string // first persistence failure; appends stop
-	salvaged int    // bytes quarantined at open
+// JournalSummary describes the intact content of a sweep journal, for
+// hefdoctor.
+type JournalSummary struct {
+	Plans, Grants, Results int
 }
 
-// openJournal opens (creating if needed) the sweep journal in dir and
-// replays its records in append order through replay.
-func openJournal(fsys store.FS, dir string, replay func(journalRecord)) (*journal, error) {
-	if fsys == nil {
-		fsys = store.OS
-	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("dist: journal dir: %w", err)
-	}
-	j := &journal{fs: fsys, path: filepath.Join(dir, JournalName)}
-	store.RemoveStaleTemps(fsys, j.path)
-
-	data, err := fsys.ReadFile(j.path)
+// Add decodes one journal payload into the summary; it is the decode
+// callback hefdoctor hands to store.ScanRecords.
+func (s *JournalSummary) Add(payload []byte) error {
+	rec, err := decodeJournalRecord(payload)
 	if err != nil {
-		// A missing journal is a fresh sweep; anything else (permission,
-		// I/O) is fatal — silently starting empty would re-run committed
-		// work and, worse, forget granted lease IDs.
-		if _, statErr := fsys.Stat(j.path); statErr == nil {
-			return nil, fmt.Errorf("dist: journal read: %w", err)
-		}
-		data = nil
+		return err
 	}
-	validLen, scanErr := store.ScanRecords(data, func(payload []byte) error {
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("%w: journal record: %v", store.ErrCorrupt, err)
-		}
-		if !jnlKindKnown(rec.Kind) {
-			return fmt.Errorf("%w: journal record kind %q unknown", store.ErrCorrupt, rec.Kind)
-		}
-		if replay != nil {
-			replay(rec)
-		}
-		return nil
-	})
-	if scanErr != nil {
-		j.quarantine(data[validLen:], validLen, scanErr)
-		if err := fsys.Truncate(j.path, int64(validLen)); err != nil {
-			return nil, fmt.Errorf("dist: journal truncate after salvage: %w", err)
-		}
-	}
-
-	f, err := fsys.OpenAppend(j.path)
-	if err != nil {
-		return nil, fmt.Errorf("dist: journal open: %w", err)
-	}
-	j.f = f
-	return j, nil
-}
-
-// quarantine preserves the invalid suffix in a sidecar: a one-line JSON
-// header describing the event, then the raw bytes.
-func (j *journal) quarantine(bad []byte, offset int, cause error) {
-	j.salvaged = len(bad)
-	side, err := j.fs.OpenAppend(j.path + ".quarantine")
-	if err != nil {
-		return // salvage still happened; only the post-mortem copy is lost
-	}
-	meta, _ := json.Marshal(map[string]any{
-		"offset": offset, "bytes": len(bad), "reason": cause.Error(),
-	})
-	_, _ = side.Write(append(append(meta, '\n'), bad...))
-	_ = side.Close()
-}
-
-// salvagedBytes reports how many bytes the open scan quarantined.
-func (j *journal) salvagedBytes() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.salvaged
-}
-
-// append frames, writes, and fsyncs one record. The first failure degrades
-// the journal — further appends return ErrStorage immediately.
-func (j *journal) append(rec journalRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("%w: marshal: %w", ErrStorage, err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.degraded != "" {
-		return fmt.Errorf("%w: %s", ErrStorage, j.degraded)
-	}
-	if j.f == nil {
-		return fmt.Errorf("%w: closed", ErrStorage)
-	}
-	frame := store.AppendRecord(nil, payload)
-	if _, err := j.f.Write(frame); err != nil {
-		j.degraded = err.Error()
-		return fmt.Errorf("%w: %w", ErrStorage, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		j.degraded = err.Error()
-		return fmt.Errorf("%w: %w", ErrStorage, err)
+	switch rec.Kind {
+	case jnlPlan:
+		s.Plans++
+	case jnlGrant:
+		s.Grants++
+	case jnlResult:
+		s.Results++
 	}
 	return nil
-}
-
-// close releases the append handle. Every record is fsynced at append time,
-// so close-without-sync is equivalent to a crash the journal already
-// survives.
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	f := j.f
-	j.f = nil
-	return f.Close()
 }

@@ -1,56 +1,35 @@
-// hefd artifact checks: the daemon's job write-ahead log (jobs.log) and
-// its admission snapshot (admission.state). Both are CRC-framed record
-// files, but their damage semantics differ: the log salvages its longest
-// valid prefix (exactly like a memo shard), while the snapshot is
-// all-or-nothing — a torn snapshot repairs to the empty file, which the
-// daemon reads as the zero admission state.
+// Service record-file checks: hefd's job write-ahead log (jobs.log) and
+// admission snapshot (admission.state), and the dist coordinator's sweep
+// journal (sweep.log). All three are CRC-framed record files, but their
+// damage semantics differ: the two logs salvage their longest valid prefix
+// (exactly like a memo shard), decoding each record with the decoder the
+// owning service opens the log with, while the snapshot is all-or-nothing
+// — a torn snapshot repairs to the empty file, which the daemon reads as
+// the zero admission state.
 package doctor
 
 import (
 	"fmt"
 
+	"hef/internal/dist"
 	"hef/internal/hefd"
 	"hef/internal/store"
 )
 
-// checkJobLog diagnoses a hefd job write-ahead log: CRC-framed records
-// whose payloads decode as known job-log kinds (spec/state/report plus the
-// retention tombstone and compaction sequence marks). Repair is the same
-// salvage OpenJobLog performs at daemon start — quarantine the invalid
-// suffix, truncate to the valid prefix.
+// checkJobLog diagnoses a hefd job write-ahead log.
 func checkJobLog(fsys store.FS, path string, data []byte, repair bool) Finding {
-	f := Finding{Path: path, Kind: "job-log"}
-	if len(data) == 0 {
-		f.Status, f.Detail = StatusOK, "empty"
-		return f
-	}
-	sum, validLen, scanErr := hefd.ScanJobLog(data)
-	content := fmt.Sprintf("%d record(s): %d job(s), %d tombstone(s)", sum.Records, sum.Jobs, sum.Tombstones)
-	if scanErr == nil && validLen == len(data) {
-		f.Status, f.Detail = StatusOK, fmt.Sprintf("%s, %d bytes", content, len(data))
-		return f
-	}
-	reason := "torn tail"
-	if scanErr != nil {
-		reason = scanErr.Error()
-	}
-	bad := len(data) - validLen
-	diag := fmt.Sprintf("%s: %s in a %d-byte prefix, %d bytes invalid", reason, content, validLen, bad)
-	if !repair {
-		f.Status, f.Detail = StatusCorrupt, diag+" (repair would quarantine and truncate; the suffix may hold a job's last transition)"
-		return f
-	}
-	if err := quarantineSuffix(fsys, path, validLen, data[validLen:], reason); err != nil {
-		f.Status, f.Detail = StatusCorrupt, fmt.Sprintf("%s; quarantine failed: %v", diag, err)
-		return f
-	}
-	if err := fsys.Truncate(path, int64(validLen)); err != nil {
-		f.Status, f.Detail = StatusCorrupt, fmt.Sprintf("%s; truncate failed: %v", diag, err)
-		return f
-	}
-	f.Status = StatusRepaired
-	f.Detail = fmt.Sprintf("%s; suffix preserved in %s.quarantine, log truncated to %d bytes", diag, hefd.JobLogName, validLen)
-	return f
+	var sum hefd.JobLogSummary
+	validLen, err := store.ScanRecords(data, sum.Add)
+	return checkLog(fsys, Finding{Path: path, Kind: "job-log"}, data, validLen, err,
+		fmt.Sprintf("%d record(s): %d job(s), %d tombstone(s)", sum.Records, sum.Jobs, sum.Tombstones), repair)
+}
+
+// checkJournal diagnoses a dist coordinator's sweep journal.
+func checkJournal(fsys store.FS, path string, data []byte, repair bool) Finding {
+	var sum dist.JournalSummary
+	validLen, err := store.ScanRecords(data, sum.Add)
+	return checkLog(fsys, Finding{Path: path, Kind: "sweep-journal"}, data, validLen, err,
+		fmt.Sprintf("%d plan(s), %d grant(s), %d result(s)", sum.Plans, sum.Grants, sum.Results), repair)
 }
 
 // checkAdmissionState diagnoses a hefd admission snapshot: exactly one
@@ -61,28 +40,13 @@ func checkJobLog(fsys store.FS, path string, data []byte, repair bool) Finding {
 func checkAdmissionState(fsys store.FS, path string, data []byte, repair bool) Finding {
 	f := Finding{Path: path, Kind: "admission-state"}
 	st, err := hefd.ParseAdmissionState(data)
-	if err == nil {
-		if len(data) == 0 {
-			f.Status, f.Detail = StatusOK, "empty (zero admission state)"
-			return f
-		}
+	switch {
+	case err != nil:
+		return salvage(fsys, f, data, 0, err.Error(), err.Error(), repair)
+	case len(data) == 0:
+		f.Status, f.Detail = StatusOK, "empty (zero admission state)"
+	default:
 		f.Status, f.Detail = StatusOK, fmt.Sprintf("%d bucket(s), %d breaker(s), %d bytes", len(st.Buckets), len(st.Breakers), len(data))
-		return f
 	}
-	diag := err.Error()
-	if !repair {
-		f.Status, f.Detail = StatusCorrupt, diag+" (repair would quarantine it and reset to the zero state)"
-		return f
-	}
-	if qerr := quarantineSuffix(fsys, path, 0, data, diag); qerr != nil {
-		f.Status, f.Detail = StatusCorrupt, fmt.Sprintf("%s; quarantine failed: %v", diag, qerr)
-		return f
-	}
-	if terr := fsys.Truncate(path, 0); terr != nil {
-		f.Status, f.Detail = StatusCorrupt, fmt.Sprintf("%s; truncate failed: %v", diag, terr)
-		return f
-	}
-	f.Status = StatusRepaired
-	f.Detail = diag + "; snapshot preserved in " + hefd.AdmissionStateName + ".quarantine, reset to the zero state"
 	return f
 }

@@ -2,7 +2,6 @@ package hefd
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -61,150 +60,3 @@ func (b *shedBackoff) next() time.Duration {
 }
 
 func (b *shedBackoff) reset() { b.consecutive = 0 }
-
-// BreakerConfig tunes the per-tenant admission circuit breaker. The zero
-// value disables it.
-type BreakerConfig struct {
-	// Threshold is the consecutive terminal-failure count that opens a
-	// tenant's breaker (<= 0 disables).
-	Threshold int
-	// Cooldown is how long an open breaker sheds the tenant before
-	// half-opening to admit a single probe job (<= 0 selects 30s).
-	Cooldown time.Duration
-}
-
-// tenantBreakers is the per-tenant circuit-breaker table guarding
-// admission: a tenant whose jobs fail Threshold times in a row is shed at
-// the door for Cooldown, then one probe job is admitted — success closes
-// the circuit, failure re-opens it. It mirrors the sched-layer breaker but
-// acts before the queue, so a tenant submitting poisoned specs cannot
-// occupy workers at all.
-type tenantBreakers struct {
-	cfg BreakerConfig
-
-	mu sync.Mutex
-	m  map[string]*tenantBreaker
-}
-
-type tenantBreaker struct {
-	failures int
-	open     bool
-	openedAt time.Time
-	probing  bool // the half-open probe job is in flight
-}
-
-func newTenantBreakers(cfg BreakerConfig) *tenantBreakers {
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 30 * time.Second
-	}
-	return &tenantBreakers{cfg: cfg, m: map[string]*tenantBreaker{}}
-}
-
-// allow reports whether tenant may submit at now; when shed it returns the
-// remaining cooldown as the Retry-After.
-func (t *tenantBreakers) allow(tenant string, now time.Time) (ok bool, retryAfter time.Duration) {
-	if t == nil || t.cfg.Threshold <= 0 {
-		return true, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.m[tenant]
-	if b == nil || !b.open {
-		return true, 0
-	}
-	if wait := t.cfg.Cooldown - now.Sub(b.openedAt); wait > 0 {
-		return false, wait
-	}
-	// Cooldown elapsed: half-open. Exactly one probe job is admitted; the
-	// tenant stays shed until that probe resolves.
-	if b.probing {
-		return false, t.cfg.Cooldown
-	}
-	b.probing = true
-	return true, 0
-}
-
-// release clears a half-open probe without judging it, for probe jobs that
-// ended neutrally (cancelled by the user, parked by a drain): the next
-// submission becomes the new probe instead of the tenant staying shed.
-func (t *tenantBreakers) release(tenant string) {
-	if t == nil || t.cfg.Threshold <= 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b := t.m[tenant]; b != nil {
-		b.probing = false
-	}
-}
-
-// snapshot serializes every breaker for the admission.state file. The
-// half-open probing flag is deliberately not persisted: a probe in flight
-// at crash time resolves as parked or lost, and on restart the next
-// submission becomes the probe — persisting it would shed the tenant
-// forever waiting on a probe that no longer exists.
-func (t *tenantBreakers) snapshot() map[string]BreakerState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.m) == 0 {
-		return nil
-	}
-	out := make(map[string]BreakerState, len(t.m))
-	for tenant, b := range t.m {
-		s := BreakerState{Failures: b.failures, Open: b.open}
-		if b.open {
-			s.OpenedAtMS = b.openedAt.UnixMilli()
-		}
-		out[tenant] = s
-	}
-	return out
-}
-
-// restore replaces the breaker table with a loaded snapshot: an open
-// breaker stays open for the remainder of its original cooldown, and a
-// tenant one failure from the threshold is still one failure away.
-func (t *tenantBreakers) restore(states map[string]BreakerState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.m = make(map[string]*tenantBreaker, len(states))
-	for tenant, s := range states {
-		b := &tenantBreaker{failures: s.Failures, open: s.Open}
-		if s.Open {
-			b.openedAt = time.UnixMilli(s.OpenedAtMS)
-		}
-		t.m[tenant] = b
-	}
-}
-
-// onResult records a tenant job's terminal outcome. Cancellations and
-// parks say nothing about the tenant's health and must not be reported.
-func (t *tenantBreakers) onResult(tenant string, success bool, now time.Time) {
-	if t == nil || t.cfg.Threshold <= 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.m[tenant]
-	if b == nil {
-		b = &tenantBreaker{}
-		t.m[tenant] = b
-	}
-	if success {
-		b.failures = 0
-		b.open = false
-		b.probing = false
-		return
-	}
-	if b.open {
-		// A failed probe re-opens for a fresh cooldown.
-		b.openedAt = now
-		b.probing = false
-		return
-	}
-	b.failures++
-	if b.failures >= t.cfg.Threshold {
-		b.open = true
-		b.openedAt = now
-		b.probing = false
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"hef/internal/sched"
 	"hef/internal/store"
 )
 
@@ -28,15 +29,6 @@ type BucketState struct {
 	LastMS int64 `json:"last_ms"`
 }
 
-// BreakerState is one tenant's persisted circuit breaker.
-type BreakerState struct {
-	// Failures is the consecutive terminal-failure count.
-	Failures int `json:"failures,omitempty"`
-	// Open reports an open circuit; OpenedAtMS anchors its cooldown.
-	Open       bool  `json:"open,omitempty"`
-	OpenedAtMS int64 `json:"opened_at_ms,omitempty"`
-}
-
 // AdmissionState is the admission.state payload: a single CRC-framed
 // record whose JSON body is this document. JSON maps marshal with sorted
 // keys, so a save/load/save round trip is byte-identical — the property
@@ -45,8 +37,8 @@ type AdmissionState struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
 
-	Buckets  map[string]BucketState  `json:"buckets,omitempty"`
-	Breakers map[string]BreakerState `json:"breakers,omitempty"`
+	Buckets  map[string]BucketState        `json:"buckets,omitempty"`
+	Breakers map[string]sched.BreakerState `json:"breakers,omitempty"`
 }
 
 // EncodeAdmissionState frames the snapshot for disk.

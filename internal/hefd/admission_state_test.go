@@ -64,7 +64,7 @@ func TestAdmissionRecoveryKeepsBreakerOpen(t *testing.T) {
 		return nil, errors.New("poisoned spec")
 	}
 	cfg := Config{DataDir: dir, LogW: io.Discard, Clock: clock,
-		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour}}
+		Breaker: sched.BreakerConfig{Threshold: 1, Cooldown: time.Hour}}
 
 	cfg.runOp = failing
 	m1, err := New(cfg)
@@ -117,7 +117,7 @@ func TestAdmissionStateRoundTripByteIdentical(t *testing.T) {
 			"alice": {Tokens: 0.25, LastMS: 123456},
 			"bob":   {Tokens: 3, LastMS: 99},
 		},
-		Breakers: map[string]BreakerState{
+		Breakers: map[string]sched.BreakerState{
 			"mallory": {Failures: 4, Open: true, OpenedAtMS: 5000},
 			"trent":   {Failures: 1},
 		},

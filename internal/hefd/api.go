@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hef/internal/httpapi"
+	"hef/internal/store"
 )
 
 // MaxBodyBytes caps a request body. It comfortably fits the largest valid
@@ -192,7 +193,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		httpapi.WriteError(w, status, body)
 	case errors.Is(err, ErrInvalidSpec):
 		httpapi.WriteError(w, http.StatusBadRequest, apiError{Code: "invalid_spec", Message: err.Error()})
-	case errors.Is(err, ErrStorage):
+	case errors.Is(err, store.ErrLogUnavailable):
 		httpapi.WriteError(w, http.StatusServiceUnavailable, apiError{Code: "storage_unavailable", Message: err.Error()})
 	case errors.Is(err, ErrUnknownJob):
 		httpapi.WriteError(w, http.StatusNotFound, apiError{Code: "unknown_job", Message: err.Error()})

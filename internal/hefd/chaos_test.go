@@ -12,6 +12,7 @@ import (
 
 	"hef/internal/leakcheck"
 	"hef/internal/obs"
+	"hef/internal/sched"
 )
 
 // nThousand is the concurrent-submission scale of the load test: enough to
@@ -108,7 +109,7 @@ func TestChaosMixedTenantsSeededOutcomes(t *testing.T) {
 		Workers:   4,
 		QueueSize: 64,
 		Quota:     QuotaConfig{Rate: 1000, Burst: 40},
-		Breaker:   BreakerConfig{Threshold: 8, Cooldown: time.Minute},
+		Breaker:   sched.BreakerConfig{Threshold: 8, Cooldown: time.Minute},
 		runOp: func(ctx context.Context, spec JobSpec, op string) (*obs.RunReport, error) {
 			switch fate(spec.Tenant, op) % 4 {
 			case 0:

@@ -2,19 +2,10 @@ package hefd
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"path/filepath"
-	"sync"
 
 	"hef/internal/store"
 )
-
-// ErrStorage marks a write-ahead append that could not be made durable. A
-// submission that cannot be logged is refused — the daemon's contract is
-// that an acknowledged job survives kill -9, so it never acknowledges a job
-// it could not persist.
-var ErrStorage = errors.New("hefd: job log unavailable")
 
 // JobLogName is the write-ahead log file inside the data directory.
 const JobLogName = "jobs.log"
@@ -48,14 +39,22 @@ type walRecord struct {
 	AtMS int64 `json:"at_ms,omitempty"`
 }
 
-// walKindKnown reports whether kind is one of the closed record-kind set;
-// hefdoctor uses it (through ScanJobLog) to classify job logs by content.
-func walKindKnown(kind string) bool {
-	switch kind {
-	case walSpec, walState, walReport, walTomb, walSeq:
-		return true
+// decodeJobRecord decodes one job-log payload. A payload that is not JSON,
+// or whose kind is outside the closed set, is corruption: the log is the
+// daemon's source of truth, so it refuses a foreign or future record
+// rather than guess, and the record ends the valid prefix. The daemon's
+// open and hefdoctor's check (JobLogSummary.Add) both decode through here,
+// so runtime salvage and doctor repair keep the same prefix.
+func decodeJobRecord(payload []byte) (walRecord, error) {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("%w: job log record: %v", store.ErrCorrupt, err)
 	}
-	return false
+	switch rec.Kind {
+	case walSpec, walState, walReport, walTomb, walSeq:
+		return rec, nil
+	}
+	return rec, fmt.Errorf("%w: job log record kind %q unknown", store.ErrCorrupt, rec.Kind)
 }
 
 // JobLogSummary describes the intact content of a job log, for hefdoctor.
@@ -66,228 +65,29 @@ type JobLogSummary struct {
 	Jobs int
 	// Tombstones counts retention tombstones.
 	Tombstones int
+
+	seen map[string]bool
 }
 
-// ScanJobLog validates data as a job write-ahead log: CRC-framed records
-// whose payloads decode as job-log records of a known kind. It returns a
-// content summary, the length of the valid prefix, and the error that
-// stopped the scan (nil when every byte checked out) — the verification
-// primitive behind hefdoctor's job-log findings.
-func ScanJobLog(data []byte) (JobLogSummary, int, error) {
-	var sum JobLogSummary
-	seen := map[string]bool{}
-	validLen, err := store.ScanRecords(data, func(payload []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("%w: job log record: %v", store.ErrCorrupt, err)
-		}
-		if !walKindKnown(rec.Kind) {
-			return fmt.Errorf("%w: job log record kind %q unknown", store.ErrCorrupt, rec.Kind)
-		}
-		sum.Records++
-		switch rec.Kind {
-		case walSpec:
-			if !seen[rec.ID] {
-				seen[rec.ID] = true
-				sum.Jobs++
+// Add decodes one job-log payload into the summary; it is the decode
+// callback hefdoctor hands to store.ScanRecords.
+func (s *JobLogSummary) Add(payload []byte) error {
+	rec, err := decodeJobRecord(payload)
+	if err != nil {
+		return err
+	}
+	s.Records++
+	switch rec.Kind {
+	case walSpec:
+		if !s.seen[rec.ID] {
+			if s.seen == nil {
+				s.seen = map[string]bool{}
 			}
-		case walTomb:
-			sum.Tombstones++
+			s.seen[rec.ID] = true
+			s.Jobs++
 		}
-		return nil
-	})
-	return sum, validLen, err
-}
-
-// JobLog is the append-only, CRC-framed write-ahead log of accepted jobs.
-// Open salvages a torn tail (the kill -9 artifact) into a .quarantine
-// sidecar exactly like the memo store's shards, so one interrupted append
-// costs that record, never the log.
-type JobLog struct {
-	fs   store.FS
-	path string
-
-	mu       sync.Mutex
-	f        store.File
-	degraded string // first persistence failure; appends stop, reads keep serving
-	salvaged int    // bytes quarantined at open
-}
-
-// OpenJobLog opens (creating if needed) the job log in dir and replays its
-// records in append order through replay. A torn or corrupt tail is
-// truncated to the longest valid prefix with the bad suffix preserved in
-// jobs.log.quarantine.
-func OpenJobLog(fsys store.FS, dir string, replay func(walRecord)) (*JobLog, error) {
-	if fsys == nil {
-		fsys = store.OS
-	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("hefd: job log dir: %w", err)
-	}
-	l := &JobLog{fs: fsys, path: filepath.Join(dir, JobLogName)}
-	// A crash mid-compaction leaves the temp file behind; sweep it so the
-	// directory stays bounded across any number of interrupted compactions.
-	store.RemoveStaleTemps(fsys, l.path)
-
-	data, err := fsys.ReadFile(l.path)
-	if err != nil {
-		// A missing log is a first boot; anything else (permission, I/O) is
-		// fatal — silently starting empty would orphan accepted jobs.
-		if _, statErr := fsys.Stat(l.path); statErr == nil {
-			return nil, fmt.Errorf("hefd: job log read: %w", err)
-		}
-		data = nil
-	}
-	validLen, scanErr := store.ScanRecords(data, func(payload []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// CRC passed but JSON did not: a foreign or future record.
-			// Refuse rather than guess — the log is the source of truth.
-			return fmt.Errorf("%w: job log record: %v", store.ErrCorrupt, err)
-		}
-		if replay != nil {
-			replay(rec)
-		}
-		return nil
-	})
-	if scanErr != nil {
-		l.quarantine(data[validLen:], validLen, scanErr)
-		if err := fsys.Truncate(l.path, int64(validLen)); err != nil {
-			return nil, fmt.Errorf("hefd: job log truncate after salvage: %w", err)
-		}
-	}
-
-	f, err := fsys.OpenAppend(l.path)
-	if err != nil {
-		return nil, fmt.Errorf("hefd: job log open: %w", err)
-	}
-	l.f = f
-	return l, nil
-}
-
-// quarantine preserves the invalid suffix in a sidecar: a one-line JSON
-// header describing the event, then the raw bytes.
-func (l *JobLog) quarantine(bad []byte, offset int, cause error) {
-	l.salvaged = len(bad)
-	side, err := l.fs.OpenAppend(l.path + ".quarantine")
-	if err != nil {
-		return // salvage still happened; only the post-mortem copy is lost
-	}
-	meta, _ := json.Marshal(map[string]any{
-		"offset": offset, "bytes": len(bad), "reason": cause.Error(),
-	})
-	_, _ = side.Write(append(append(meta, '\n'), bad...))
-	_ = side.Close()
-}
-
-// Salvaged reports how many bytes the open scan quarantined (0 on a clean
-// log).
-func (l *JobLog) Salvaged() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.salvaged
-}
-
-// Degraded reports the first append failure ("" while healthy).
-func (l *JobLog) Degraded() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.degraded
-}
-
-// Append frames, writes, and fsyncs one record. The first failure degrades
-// the log — further appends return ErrStorage immediately — because a log
-// that failed mid-write can no longer promise ordering.
-func (l *JobLog) Append(rec walRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("%w: marshal: %w", ErrStorage, err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.degraded != "" {
-		return fmt.Errorf("%w: %s", ErrStorage, l.degraded)
-	}
-	if l.f == nil {
-		return fmt.Errorf("%w: closed", ErrStorage)
-	}
-	frame := store.AppendRecord(nil, payload)
-	if _, err := l.f.Write(frame); err != nil {
-		l.degraded = err.Error()
-		return fmt.Errorf("%w: %w", ErrStorage, err)
-	}
-	if err := l.f.Sync(); err != nil {
-		l.degraded = err.Error()
-		return fmt.Errorf("%w: %w", ErrStorage, err)
+	case walTomb:
+		s.Tombstones++
 	}
 	return nil
-}
-
-// Compact rewrites the log so it holds exactly recs, in order, via the
-// atomic temp+fsync+rename discipline: a kill -9 at any byte of the
-// compaction leaves either the old log or the new log fully intact on
-// disk, never a mix. On success the append handle points at the new log;
-// on failure the old log is untouched and appending resumes against it.
-// It returns the compacted log's size in bytes.
-func (l *JobLog) Compact(recs []walRecord) (int, error) {
-	var buf []byte
-	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("hefd: compact marshal: %w", err)
-		}
-		buf = store.AppendRecord(buf, payload)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.degraded != "" {
-		return 0, fmt.Errorf("%w: %s", ErrStorage, l.degraded)
-	}
-	// The append handle must close before the rename replaces the inode:
-	// a write through the old handle after the swap would vanish.
-	if l.f != nil {
-		if err := l.f.Close(); err != nil {
-			return 0, fmt.Errorf("hefd: compact close: %w", err)
-		}
-		l.f = nil
-	}
-	rewriteErr := store.RewriteFile(l.fs, l.path, buf)
-	f, openErr := l.fs.OpenAppend(l.path)
-	if openErr != nil {
-		// Whichever generation survived, it can no longer be appended to;
-		// degrade exactly like a failed append.
-		l.degraded = openErr.Error()
-		if rewriteErr != nil {
-			return 0, fmt.Errorf("%w: %v (reopen also failed: %v)", ErrStorage, rewriteErr, openErr)
-		}
-		return 0, fmt.Errorf("%w: reopen after compaction: %v", ErrStorage, openErr)
-	}
-	l.f = f
-	if rewriteErr != nil {
-		return 0, fmt.Errorf("hefd: compact: %w", rewriteErr)
-	}
-	return len(buf), nil
-}
-
-// Size reports the log's current on-disk size in bytes (0 when missing).
-func (l *JobLog) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	info, err := l.fs.Stat(l.path)
-	if err != nil {
-		return 0
-	}
-	return info.Size()
-}
-
-// Close releases the append handle. Safe to call more than once.
-func (l *JobLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	f := l.f
-	l.f = nil
-	return f.Close()
 }

@@ -10,21 +10,34 @@ import (
 	"hef/internal/store"
 )
 
-func mustAppend(t *testing.T, l *JobLog, rec walRecord) {
+func mustAppend(t *testing.T, l *store.Log, rec walRecord) {
 	t.Helper()
 	if err := l.Append(rec); err != nil {
 		t.Fatalf("append %+v: %v", rec, err)
 	}
 }
 
-func replayAll(t *testing.T, dir string) (*JobLog, []walRecord) {
+// openJobLog opens dir's job log the way the daemon does, through
+// decodeJobRecord, and returns the records it replayed.
+func openJobLog(t *testing.T, fsys store.FS, dir string) (*store.Log, []walRecord) {
 	t.Helper()
 	var recs []walRecord
-	l, err := OpenJobLog(store.OS, dir, func(r walRecord) { recs = append(recs, r) })
+	l, err := store.OpenLog(fsys, filepath.Join(dir, JobLogName), func(payload []byte) error {
+		rec, err := decodeJobRecord(payload)
+		if err == nil {
+			recs = append(recs, rec)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatalf("open job log: %v", err)
 	}
 	return l, recs
+}
+
+func replayAll(t *testing.T, dir string) (*store.Log, []walRecord) {
+	t.Helper()
+	return openJobLog(t, store.OS, dir)
 }
 
 func TestJobLogRoundTrip(t *testing.T) {
@@ -105,22 +118,28 @@ func TestJobLogTornTailSalvaged(t *testing.T) {
 	}
 }
 
-// Valid CRC framing around non-JSON payload is foreign data, not a torn
-// tail — it must still salvage, not crash or silently replay garbage.
+// Valid CRC framing around a payload the daemon cannot interpret — not
+// JSON, or JSON of an unknown kind — is foreign data, not a torn tail: it
+// must still salvage, ending the valid prefix, not crash or silently
+// replay garbage.
 func TestJobLogForeignRecordQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, JobLogName)
-	frame := store.AppendRecord(nil, []byte("not json"))
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, recs := replayAll(t, dir)
-	defer l.Close()
-	if len(recs) != 0 {
-		t.Fatalf("foreign record replayed: %+v", recs)
-	}
-	if l.Salvaged() == 0 {
-		t.Fatal("foreign record not quarantined")
+	spec := store.AppendRecord(nil, []byte(`{"kind":"spec","id":"j0","spec":{"ops":["murmur"]}}`))
+	for _, foreign := range []string{"not json", `{"kind":"bogus"}`} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, JobLogName)
+		data := store.AppendRecord(append([]byte(nil), spec...), []byte(foreign))
+		data = store.AppendRecord(data, []byte(`{"kind":"state","id":"j0","state":"done"}`))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs := replayAll(t, dir)
+		l.Close()
+		if len(recs) != 1 || recs[0].Kind != walSpec {
+			t.Fatalf("%s: replayed %+v, want only the spec before it", foreign, recs)
+		}
+		if l.Salvaged() != len(data)-len(spec) {
+			t.Fatalf("%s: salvaged %d bytes, want the %d from the foreign record on", foreign, l.Salvaged(), len(data)-len(spec))
+		}
 	}
 }
 
@@ -154,21 +173,18 @@ func (f *failAfterFile) Write(p []byte) (int, error) {
 func TestJobLogDegradesAfterWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &failAfterFS{FS: store.OS, remaining: 1}
-	l, err := OpenJobLog(fsys, dir, nil)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
+	l, _ := openJobLog(t, fsys, dir)
 	defer l.Close()
 	mustAppend(t, l, walRecord{Kind: walSpec, ID: "j0", Spec: &JobSpec{Ops: []string{"murmur"}}})
-	if err := l.Append(walRecord{Kind: walSpec, ID: "j1"}); !errors.Is(err, ErrStorage) {
-		t.Fatalf("failed append returned %v, want ErrStorage", err)
+	if err := l.Append(walRecord{Kind: walSpec, ID: "j1"}); !errors.Is(err, store.ErrLogUnavailable) {
+		t.Fatalf("failed append returned %v, want ErrLogUnavailable", err)
 	}
 	if l.Degraded() == "" {
 		t.Fatal("log not marked degraded")
 	}
 	// Degradation is sticky: ordering can no longer be promised.
-	if err := l.Append(walRecord{Kind: walSpec, ID: "j2"}); !errors.Is(err, ErrStorage) {
-		t.Fatalf("append after degradation returned %v, want ErrStorage", err)
+	if err := l.Append(walRecord{Kind: walSpec, ID: "j2"}); !errors.Is(err, store.ErrLogUnavailable) {
+		t.Fatalf("append after degradation returned %v, want ErrLogUnavailable", err)
 	}
 	// The record written before the failure is still replayable.
 	_, recs := replayAll(t, dir)

@@ -44,8 +44,9 @@ type Config struct {
 	Retries int
 	// Quota configures the per-tenant token buckets (zero disables).
 	Quota QuotaConfig
-	// Breaker configures the per-tenant admission breaker (zero disables).
-	Breaker BreakerConfig
+	// Breaker configures the per-tenant admission breaker (zero disables;
+	// a zero Cooldown selects 30s).
+	Breaker sched.BreakerConfig
 	// Retention bounds the data directory: expired terminal jobs are
 	// tombstoned by a periodic sweep and the WAL is compacted at startup
 	// (zero retains everything forever).
@@ -97,9 +98,9 @@ type Manager struct {
 	clock    sched.Clock
 	fs       store.FS
 	logW     io.Writer
-	wal      *JobLog
+	wal      *store.Log
 	quotas   *quotas
-	breakers *tenantBreakers
+	breakers *sched.Breakers
 	cache    *memo.Cache
 	mstore   *store.MemoStore
 
@@ -161,6 +162,9 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.LogW == nil {
 		cfg.LogW = os.Stderr
 	}
+	if cfg.Breaker.Cooldown <= 0 {
+		cfg.Breaker.Cooldown = 30 * time.Second
+	}
 
 	m := &Manager{
 		cfg:          cfg,
@@ -168,7 +172,7 @@ func New(cfg Config) (*Manager, error) {
 		fs:           cfg.FS,
 		logW:         cfg.LogW,
 		quotas:       newQuotas(cfg.Quota),
-		breakers:     newTenantBreakers(cfg.Breaker),
+		breakers:     sched.NewBreakers(cfg.Breaker),
 		cache:        memo.NewCache(),
 		jobs:         map[string]*job{},
 		reports:      map[string]*sharedReport{},
@@ -188,9 +192,9 @@ func New(cfg Config) (*Manager, error) {
 		m.keys.Store(ring)
 	}
 
-	wal, err := OpenJobLog(cfg.FS, cfg.DataDir, m.replay)
+	wal, err := store.OpenLog(cfg.FS, filepath.Join(cfg.DataDir, JobLogName), m.replay)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hefd: job log: %w", err)
 	}
 	m.wal = wal
 	if n := wal.Salvaged(); n > 0 {
@@ -219,7 +223,7 @@ func New(cfg Config) (*Manager, error) {
 				fmt.Fprintf(m.logW, "hefd: %s unusable, starting from zero admission state: %v\n", AdmissionStateName, perr)
 			} else {
 				m.quotas.restore(st.Buckets)
-				m.breakers.restore(st.Breakers)
+				m.breakers.Restore(st.Breakers)
 			}
 		}
 	}
@@ -271,17 +275,21 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// replay applies one job-log record during OpenJobLog. Records arrive in
+// replay applies one job-log record while the log opens. Records arrive in
 // append order, so the last state recorded wins.
-func (m *Manager) replay(rec walRecord) {
+func (m *Manager) replay(payload []byte) error {
+	rec, err := decodeJobRecord(payload)
+	if err != nil {
+		return err
+	}
 	m.walRecords++
 	switch rec.Kind {
 	case walSpec:
 		if rec.Spec == nil || rec.ID == "" {
-			return
+			return nil
 		}
 		if _, dup := m.jobs[rec.ID]; dup {
-			return
+			return nil
 		}
 		spec := *rec.Spec
 		spec.Normalize()
@@ -316,6 +324,7 @@ func (m *Manager) replay(rec walRecord) {
 			m.seq = rec.Seq
 		}
 	}
+	return nil
 }
 
 // attachReport gives done job j the report data, sharing the copy other
@@ -364,7 +373,7 @@ func (m *Manager) compact() error {
 
 // compactLocked is compact's body; callers hold m.mu.
 func (m *Manager) compactLocked() error {
-	recs := make([]walRecord, 0, 1+3*len(m.order))
+	recs := make([]any, 0, 1+3*len(m.order))
 	recs = append(recs, walRecord{Kind: walSeq, Seq: m.seq})
 	for _, id := range m.order {
 		j := m.jobs[id]
@@ -385,7 +394,7 @@ func (m *Manager) compactLocked() error {
 	if m.walRecords <= len(recs) {
 		return nil // the log is already minimal; a rewrite would only burn I/O
 	}
-	if _, err := m.wal.Compact(recs); err != nil {
+	if err := m.wal.Compact(recs); err != nil {
 		return err
 	}
 	m.walRecords = len(recs)
@@ -438,9 +447,9 @@ func (m *Manager) Counts() Counts {
 
 // Submit runs admission control and, when the job is accepted, persists it
 // write-ahead and enqueues it. The error is nil (accepted), a wrapped
-// ErrInvalidSpec (400), a *ShedError (429/503), or a wrapped ErrStorage
-// (503): nothing here blocks, so submission latency is bounded at any
-// load.
+// ErrInvalidSpec (400), a *ShedError (429/503), or a wrapped
+// store.ErrLogUnavailable (503): nothing here blocks, so submission
+// latency is bounded at any load.
 func (m *Manager) Submit(spec JobSpec) (JobView, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -461,7 +470,7 @@ func (m *Manager) Submit(spec JobSpec) (JobView, error) {
 		m.counts.Shed++
 		return JobView{}, &ShedError{Code: ShedDraining, Message: "daemon is draining; resubmit to the next instance"}
 	}
-	if ok, wait := m.breakers.allow(spec.Tenant, now); !ok {
+	if ok, wait := m.breakers.Allow(spec.Tenant, now); !ok {
 		m.counts.Shed++
 		return JobView{}, &ShedError{
 			Code:       ShedBreakerOpen,
@@ -761,10 +770,10 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 		switch {
 		case j.cancelRequested:
 			m.setTerminalLocked(j, StateCancelled, "cancelled while running")
-			m.breakers.release(spec.Tenant)
+			m.breakers.Release(spec.Tenant)
 		case m.draining:
 			m.setTerminalLocked(j, StateParked, "")
-			m.breakers.release(spec.Tenant)
+			m.breakers.Release(spec.Tenant)
 		default:
 			m.finishLocked(j, StateFailed, fmt.Sprintf("deadline exceeded after %dms", spec.DeadlineMS))
 		}
@@ -781,7 +790,11 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 // breaker. Callers hold m.mu.
 func (m *Manager) finishLocked(j *job, state JobState, errMsg string) {
 	m.setTerminalLocked(j, state, errMsg)
-	m.breakers.onResult(j.spec.Tenant, state == StateDone, m.clock.Now())
+	if state == StateDone {
+		m.breakers.Success(j.spec.Tenant)
+	} else {
+		m.breakers.Failure(j.spec.Tenant, m.clock.Now())
+	}
 	// A breaker that opened (or stepped toward opening) must survive a
 	// crash: a tenant cannot close its circuit by killing the daemon.
 	m.saveAdmissionLocked()
@@ -797,7 +810,7 @@ func (m *Manager) saveAdmissionLocked() {
 	}
 	buf, err := EncodeAdmissionState(AdmissionState{
 		Buckets:  m.quotas.snapshot(),
-		Breakers: m.breakers.snapshot(),
+		Breakers: m.breakers.Snapshot(),
 	})
 	if err == nil {
 		err = store.RewriteFile(m.fs, m.admPath, buf)

@@ -190,7 +190,7 @@ func TestTenantBreakerShedsPoisonedTenant(t *testing.T) {
 	clock := sched.NewFakeClock(time.Unix(1000, 0))
 	var healthy atomic.Bool
 	m := newTestManager(t, Config{
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: 10 * time.Second},
+		Breaker: sched.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Second},
 		Clock:   clock,
 		runOp: func(ctx context.Context, spec JobSpec, op string) (*obs.RunReport, error) {
 			if healthy.Load() {
@@ -317,8 +317,8 @@ func TestUnknownJobLookups(t *testing.T) {
 func TestSubmitStorageFailureRefusesJob(t *testing.T) {
 	m := newTestManager(t, Config{FS: &failAfterFS{FS: store.OS, remaining: 0}})
 	_, err := m.Submit(JobSpec{Ops: []string{"murmur"}})
-	if !errors.Is(err, ErrStorage) {
-		t.Fatalf("submit on failed storage: %v, want ErrStorage", err)
+	if !errors.Is(err, store.ErrLogUnavailable) {
+		t.Fatalf("submit on failed storage: %v, want store.ErrLogUnavailable", err)
 	}
 	// The refusal is complete: no ghost job exists.
 	if got := len(m.List("")); got != 0 {

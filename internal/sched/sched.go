@@ -231,7 +231,7 @@ type Runner struct {
 	pending    int // accepted jobs not yet terminal
 	submitting int // SubmitWait calls blocked on the queue
 	outcomes   []Outcome
-	breakers   map[string]*breaker
+	breakers   *Breakers
 	stopped    bool
 
 	cbMu    sync.Mutex // serializes OnOutcome callbacks
@@ -260,6 +260,9 @@ func New(cfg Config) *Runner {
 	if cfg.Metrics == nil {
 		cfg.Metrics = defaultMetrics.Load()
 	}
+	if cfg.Breaker.Cooldown <= 0 {
+		cfg.Breaker.Cooldown = time.Second
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Runner{
 		cfg:      cfg,
@@ -267,7 +270,7 @@ func New(cfg Config) *Runner {
 		ctx:      ctx,
 		cancel:   cancel,
 		queue:    make(chan *task, cfg.QueueSize),
-		breakers: map[string]*breaker{},
+		breakers: NewBreakers(cfg.Breaker),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(cfg.Workers)
@@ -433,8 +436,9 @@ func (r *Runner) execute(t *task) {
 	r.mu.Lock()
 	r.stats.Queued--
 	r.stats.Running++
-	br := r.breakerLocked(t.job.Key)
 	r.mu.Unlock()
+	// An empty Key opts the job out of the breaker.
+	keyed := t.job.Key != "" && r.cfg.Breaker.Threshold > 0
 	r.cfg.Metrics.OnStart()
 	started := r.clock.Now()
 	if r.cfg.Tracer != nil {
@@ -443,23 +447,27 @@ func (r *Runner) execute(t *task) {
 
 	var val any
 	var err error
-	if br != nil && !br.Allow(started) {
+	allowed := true
+	if keyed {
+		allowed, _ = r.breakers.Allow(t.job.Key, started)
+	}
+	if !allowed {
 		err = fmt.Errorf("sched: job %q key %q: %w", t.job.ID, t.job.Key, ErrCircuitOpen)
 		r.cfg.Metrics.OnBreakerDenial()
 	} else {
 		val, err = r.runAttempt(t)
-		if br != nil {
+		if keyed {
 			if err == nil {
-				br.Success()
+				r.breakers.Success(t.job.Key)
 			} else if r.ctx.Err() == nil {
 				// Shutdown cancellations say nothing about the key's
 				// health, so they don't count against the breaker.
-				br.Failure(r.clock.Now())
+				r.breakers.Failure(t.job.Key, r.clock.Now())
 			}
 		}
 	}
-	if br != nil {
-		r.publishBreakers()
+	if keyed && r.cfg.Metrics != nil {
+		r.cfg.Metrics.SetBreakersOpen(r.breakers.OpenCount())
 	}
 
 	ended := r.clock.Now()
@@ -578,36 +586,4 @@ func (r *Runner) finish(t *task, o Outcome, queuedGauge bool) {
 	r.pending--
 	r.cond.Broadcast()
 	r.mu.Unlock()
-}
-
-// publishBreakers recounts open breakers and publishes the gauge. Called
-// after every breaker-routed attempt; keys are CPU-model names, so the walk
-// is a handful of entries.
-func (r *Runner) publishBreakers() {
-	if r.cfg.Metrics == nil {
-		return
-	}
-	r.mu.Lock()
-	open := 0
-	for _, b := range r.breakers {
-		if b.isOpen() {
-			open++
-		}
-	}
-	r.mu.Unlock()
-	r.cfg.Metrics.SetBreakersOpen(open)
-}
-
-// breakerLocked returns the circuit breaker for key, creating it on first
-// use. Callers hold r.mu.
-func (r *Runner) breakerLocked(key string) *breaker {
-	if key == "" || r.cfg.Breaker.Threshold <= 0 {
-		return nil
-	}
-	b, ok := r.breakers[key]
-	if !ok {
-		b = newBreaker(r.cfg.Breaker)
-		r.breakers[key] = b
-	}
-	return b
 }

@@ -360,32 +360,6 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second})
-	t0 := time.Unix(0, 0)
-	b.Failure(t0) // trips at threshold 1
-	if b.Allow(t0.Add(500 * time.Millisecond)) {
-		t.Fatal("open breaker allowed before cooldown")
-	}
-	if !b.Allow(t0.Add(2 * time.Second)) {
-		t.Fatal("breaker did not half-open after cooldown")
-	}
-	if b.Allow(t0.Add(2 * time.Second)) {
-		t.Fatal("half-open breaker allowed a second concurrent probe")
-	}
-	b.Failure(t0.Add(2 * time.Second)) // probe failed → open again
-	if b.Allow(t0.Add(2500 * time.Millisecond)) {
-		t.Fatal("breaker allowed during the second cooldown")
-	}
-	if !b.Allow(t0.Add(4 * time.Second)) {
-		t.Fatal("breaker did not half-open again")
-	}
-	b.Success()
-	if !b.Allow(t0.Add(4 * time.Second)) {
-		t.Fatal("closed breaker denied")
-	}
-}
-
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	base, max := 10*time.Millisecond, 200*time.Millisecond
 	var a, b backoffState

@@ -150,26 +150,21 @@ func (s *MemoStore) loadShard(shard int) {
 	validLen := 0
 	if len(data) < len(MemoMagic) || string(data[:len(MemoMagic)]) != MemoMagic {
 		if len(data) > 0 {
-			s.quarantine(shard, path, 0, data, fmt.Sprintf("%v: bad shard header", ErrCorrupt))
+			s.quarantine(path, 0, data, fmt.Sprintf("%v: bad shard header", ErrCorrupt))
 		}
 	} else {
 		n, scanErr := ScanRecords(data[len(MemoMagic):], func(payload []byte) error {
-			if len(payload) <= len(memo.Key{}) {
-				return fmt.Errorf("%w: record payload too short for a fingerprint (%d bytes)", ErrCorrupt, len(payload))
+			k, res, err := DecodeMemoPayload(payload)
+			if err != nil {
+				return err
 			}
-			var k memo.Key
-			copy(k[:], payload)
-			var res uarch.Result
-			if err := json.Unmarshal(payload[len(k):], &res); err != nil {
-				return fmt.Errorf("%w: undecodable result payload: %v", ErrCorrupt, err)
-			}
-			s.cache.Put(k, &res)
+			s.cache.Put(k, res)
 			s.stats.Loaded++
 			return nil
 		})
 		validLen = len(MemoMagic) + n
 		if scanErr != nil {
-			s.quarantine(shard, path, validLen, data[validLen:], scanErr.Error())
+			s.quarantine(path, validLen, data[validLen:], scanErr.Error())
 		}
 	}
 	if validLen < len(data) {
@@ -183,24 +178,13 @@ func (s *MemoStore) loadShard(shard int) {
 	}
 }
 
-// quarantine preserves the invalid suffix of a shard in its sidecar file:
-// a one-line JSON header describing the event, then the raw bytes.
-func (s *MemoStore) quarantine(shard int, path string, offset int, bad []byte, reason string) {
+// quarantine counts one corruption event and preserves the invalid suffix
+// of a shard in its sidecar.
+func (s *MemoStore) quarantine(path string, offset int, bad []byte, reason string) {
 	s.stats.Quarantined++
 	s.stats.QuarantinedBytes += uint64(len(bad))
-	side, err := s.fs.OpenAppend(path + ".quarantine")
-	if err != nil {
-		s.degrade(fmt.Sprintf("opening quarantine sidecar for %s: %v", path, err))
-		return
-	}
-	meta, _ := json.Marshal(map[string]any{
-		"shard": shard, "offset": offset, "bytes": len(bad), "reason": reason,
-	})
-	if _, err := side.Write(append(append(meta, '\n'), bad...)); err != nil {
-		s.degrade(fmt.Sprintf("writing quarantine sidecar for %s: %v", path, err))
-	}
-	if err := side.Close(); err != nil && s.stats.Degraded == "" {
-		s.degrade(fmt.Sprintf("closing quarantine sidecar for %s: %v", path, err))
+	if err := Quarantine(s.fs, path, offset, bad, reason); err != nil {
+		s.degrade(fmt.Sprintf("quarantining the bad tail of %s: %v", path, err))
 	}
 }
 
