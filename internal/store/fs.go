@@ -1,14 +1,16 @@
 // Package store is the crash- and corruption-tolerant on-disk artifact
-// layer shared by the measurement memo cache and the sweep checkpoints.
+// layer shared by the measurement memo cache, the sweep checkpoints, and
+// the services' write-ahead logs.
 //
 // Two durability primitives live here:
 //
-//   - A sharded, append-only record log with per-record CRC32C framing
-//     (recordlog.go) backing the persistent memo store (memostore.go). Load
-//     salvages the longest valid prefix of each shard; everything after the
-//     first bad frame is moved into a `.quarantine` sidecar and the shard is
-//     truncated, so a corrupt entry costs a cache miss, never a failed
-//     sweep.
+//   - Append-only record logs with per-record CRC32C framing
+//     (recordlog.go) backing the persistent memo store (memostore.go) and
+//     Log (log.go), hefd's and the dist coordinator's write-ahead log. Open
+//     salvages the longest valid prefix; everything after the first bad
+//     frame is moved into a `.quarantine` sidecar (Quarantine) and the file
+//     is truncated, so a corrupt entry costs a cache miss or one record,
+//     never a failed sweep.
 //
 //   - Rotated atomic file replacement with torn-primary fallback
 //     (safefile.go) backing checkpoint persistence: every save keeps the
