@@ -81,7 +81,7 @@ bench:
 
 # Machine-readable benchmark snapshots (the BENCH_*.json series).
 # BENCH_1: the µop-histogram microbenchmark. BENCH_2: the evaluation
-# pipeline — simulator throughput, the search layer serial vs parallel,
+# pipeline — simulator throughput, the search at 1, 2, 4 and 8 workers,
 # and the memoized offline phase — as a go-test JSON event stream.
 # BENCH_3: the telemetry overhead pair — the full offline phase with the
 # process-wide instruments uninstalled ("off", the default) vs installed

@@ -1,6 +1,6 @@
 package cache
 
-// Mutation journal and full-state snapshots.
+// Mutation journal.
 //
 // The journal gives the core simulator's steady-replay fast path a cheap
 // undo: it opens a window, lets the replay issue real Access/Prefetch calls,
@@ -11,10 +11,6 @@ package cache
 // compare), and the scalar state (counters, stream table, access clock) is a
 // single struct copy, so a committed window costs little more than the
 // accesses themselves.
-//
-// Snapshots serve the evaluator's shared-warm-prefix batching: one deep copy
-// of the post-warm state, restored per sibling candidate instead of
-// re-running the warm loop.
 
 // journalEntry records one set's contents before its first mutation inside
 // the open window. The tags live in the journal's shared arena.
@@ -109,64 +105,4 @@ func (h *Hierarchy) setStats(s Stats) {
 	h.hwPrefetchFills = s.HWPrefetchFills
 	h.hwPrefetchMem = s.HWPrefetchMem
 	h.swPrefetchMem = s.SWPrefetchMem
-}
-
-// Snapshot is a deep copy of the full hierarchy state: contents, counters,
-// stream table, and access clock. Its buffers are reused across Save calls.
-type Snapshot struct {
-	valid bool
-	// Per level: flattened tags plus each set's length.
-	tags [3][]uint64
-	lens [3][]int32
-
-	streams  [streamTableSize]stream
-	accessNo uint64
-	stats    Stats
-}
-
-// Valid reports whether the snapshot holds a saved state.
-func (sn *Snapshot) Valid() bool { return sn.valid }
-
-// Invalidate empties the snapshot.
-func (sn *Snapshot) Invalidate() { sn.valid = false }
-
-// Save deep-copies the hierarchy state into sn, reusing its buffers.
-func (h *Hierarchy) Save(sn *Snapshot) {
-	for li, l := range []*level{h.l1, h.l2, h.llc} {
-		tags := sn.tags[li][:0]
-		lens := sn.lens[li][:0]
-		for _, set := range l.sets {
-			tags = append(tags, set...)
-			lens = append(lens, int32(len(set)))
-		}
-		sn.tags[li] = tags
-		sn.lens[li] = lens
-	}
-	sn.streams = h.streams
-	sn.accessNo = h.accessNo
-	sn.stats = h.Stats()
-	sn.valid = true
-}
-
-// Restore overwrites the hierarchy state from sn. The hierarchy must have
-// the geometry sn was saved from.
-func (h *Hierarchy) Restore(sn *Snapshot) {
-	for li, l := range []*level{h.l1, h.l2, h.llc} {
-		off := 0
-		for si, n := range sn.lens[li] {
-			n := int(n)
-			set := l.sets[si]
-			if cap(set) < n {
-				set = make([]uint64, n)
-			} else {
-				set = set[:n]
-			}
-			copy(set, sn.tags[li][off:off+n])
-			l.sets[si] = set
-			off += n
-		}
-	}
-	h.streams = sn.streams
-	h.accessNo = sn.accessNo
-	h.setStats(sn.stats)
 }

@@ -90,9 +90,9 @@ type OptimizeOptions struct {
 	// When exhausted, the best-so-far optimum is returned together with an
 	// error matching errors.Is(err, hef.ErrBudgetExhausted).
 	Budget int
-	// Parallel selects the wave-based parallel search engine with that
-	// many evaluator workers (0 keeps the classic serial walk). The search
-	// result is byte-identical for every setting.
+	// Parallel is the number of evaluator workers the search measures
+	// each frontier on; 0 means 1. The search result is byte-identical for
+	// every setting.
 	Parallel int
 	// Memo, when non-nil, caches candidate measurements by content
 	// fingerprint; repeat measurements (re-measuring searched nodes,
@@ -117,9 +117,10 @@ func (f *Framework) OptimizeOperator(tmpl *hid.Template) (*Optimized, error) {
 // budget. When stopped early it still returns an Optimized for the best node
 // found so far — with Partial set on it and on its Search — alongside the
 // non-nil reason (ctx.Err(), hef.ErrBudgetExhausted, or a *hef.PanicError
-// for a recovered evaluator panic). An already-cancelled context returns
-// within at most one node evaluation. Both return values are nil only when
-// no candidate could be evaluated at all.
+// for a recovered evaluator panic). An already-cancelled context runs no
+// evaluation; a cancellation mid-search takes effect at the next search
+// frontier. Both return values are nil only when no candidate could be
+// evaluated at all.
 func (f *Framework) OptimizeOperatorContext(ctx context.Context, tmpl *hid.Template, opts OptimizeOptions) (*Optimized, error) {
 	initial, err := hef.InitialNode(f.cpu, tmpl, f.width)
 	if err != nil {

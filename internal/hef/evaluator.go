@@ -2,9 +2,7 @@ package hef
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"hef/internal/cache"
 	"hef/internal/hid"
 	"hef/internal/isa"
 	"hef/internal/memo"
@@ -20,25 +18,20 @@ type Evaluator interface {
 	Evaluate(n Node) (float64, error)
 }
 
-// BatchEvaluator is implemented by evaluators that can measure a group of
-// sibling candidates — the fresh neighbors of one search expansion, whose
-// measurements share a common prefix — more cheaply than one at a time.
-// EvaluateBatch must return costs identical to calling Evaluate on each node
-// in order. On error, the returned slice holds the costs of the nodes
-// evaluated before the failure and the error pertains to ns[len(secs)].
-type BatchEvaluator interface {
+// ForkableEvaluator is an Evaluator that can clone itself for concurrent
+// use. Fork must return an evaluator that measures nodes identically to the
+// receiver (same template, machine model, test size, perturbation) but
+// shares no mutable state with it, so forks may run on different goroutines.
+type ForkableEvaluator interface {
 	Evaluator
-	EvaluateBatch(ns []Node) (secs []float64, err error)
+	Fork() Evaluator
 }
 
-// batchForks counts sibling evaluations that forked the shared post-warm
-// hierarchy state instead of replaying the warm loop; the telemetry layer
-// polls it through BatchForks.
-var batchForks atomic.Uint64
-
-// BatchForks reports the number of batch-evaluation state forks since
-// process start.
-func BatchForks() uint64 { return batchForks.Load() }
+// BatchForks always reports 0: the search measures every node from a
+// freshly warmed hierarchy and forks no cache state.
+//
+// Deprecated: kept for callers that still read the counter.
+func BatchForks() uint64 { return 0 }
 
 // SimEvaluator translates the operator template at a node and times it on
 // the microarchitecture simulator — the analogue of the paper's
@@ -50,16 +43,10 @@ type SimEvaluator struct {
 	elems   int64
 	perturb *uarch.Perturb
 	memo    *memo.Cache
-	trace   *uarch.TraceLog
 
 	// sim is built by the first Run that has to translate: an evaluator
 	// whose every node is already linked in the memo never allocates one.
 	sim *uarch.Sim
-
-	// batch marks an open EvaluateBatch window; warmSnap holds the shared
-	// post-Reset+Warm hierarchy state the window's siblings fork from.
-	batch    bool
-	warmSnap cache.Snapshot
 
 	// Evaluations counts Evaluate calls, for pruning-savings reports.
 	Evaluations int
@@ -83,26 +70,13 @@ func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems in
 }
 
 // simulator returns the evaluator's simulator, building it on first use
-// with the trace log and perturbation set so far.
+// with the perturbation set so far.
 func (e *SimEvaluator) simulator() *uarch.Sim {
 	if e.sim == nil {
 		e.sim = uarch.NewSim(e.cpu)
-		e.sim.SetTraceLog(e.trace)
 		e.sim.SetPerturb(e.perturb)
 	}
 	return e.sim
-}
-
-// SetTraceLog attaches a per-instruction lifecycle recorder to the
-// evaluator's simulator (nil detaches). Note the warm-up run is recorded
-// too; bound the log with TraceLog.Limit when that matters. While a trace
-// is attached the memo cache is bypassed: a cached result would leave the
-// log empty.
-func (e *SimEvaluator) SetTraceLog(t *uarch.TraceLog) {
-	e.trace = t
-	if e.sim != nil {
-		e.sim.SetTraceLog(t)
-	}
 }
 
 // SetMemo attaches a content-addressed measurement cache (nil detaches).
@@ -129,9 +103,8 @@ func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 // (same CPU model, template, width, test size, and perturbation) on its own
 // fresh simulator, so forks are safe to run concurrently. Each run resets
 // the cache hierarchy before measuring, so a fresh simulator times nodes
-// exactly like the original. Trace logs do not carry over (a shared log
-// would interleave nondeterministically); the fork's Evaluations counter
-// starts at zero.
+// exactly like the original. The memo is shared; the fork's Evaluations
+// counter starts at zero.
 func (e *SimEvaluator) Fork() Evaluator {
 	f := NewSimEvaluator(e.cpu, e.tmpl, e.width, e.elems)
 	f.SetPerturb(e.perturb)
@@ -151,31 +124,6 @@ func (e *SimEvaluator) Evaluate(n Node) (float64, error) {
 	return res.Seconds() / float64(res.Elems), nil
 }
 
-// EvaluateBatch implements BatchEvaluator: the sibling candidates of one
-// search expansion all start from the same measurement prefix — a reset
-// hierarchy with the template's random regions warmed — so the batch window
-// lets Run fork that state from a snapshot at the point the candidates
-// diverge rather than rebuilding it per node. Results are bit-identical to
-// serial Evaluate calls; memo hits inside the window are served without
-// touching the simulator, exactly as in the serial path.
-func (e *SimEvaluator) EvaluateBatch(ns []Node) (secs []float64, err error) {
-	e.batch = true
-	e.warmSnap.Invalidate()
-	defer func() {
-		e.batch = false
-		e.warmSnap.Invalidate()
-	}()
-	secs = make([]float64, 0, len(ns))
-	for _, n := range ns {
-		sec, err := safeEvaluate(e, n)
-		if err != nil {
-			return secs, err
-		}
-		secs = append(secs, sec)
-	}
-	return secs, nil
-}
-
 // Run translates and simulates the node, returning the full counter set
 // (used by the experiment harness for the paper's tables).
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
@@ -183,7 +131,7 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	// evaluator, so a template edited between runs (SetRegion) gets a fresh
 	// key rather than a stale link.
 	var tkey memo.Key
-	useMemo := e.memo != nil && e.trace == nil
+	useMemo := e.memo != nil
 	if useMemo {
 		tkey = memo.TranslationKey(memo.ProtoEvaluator, e.cpu, e.perturb, e.tmpl, n, e.width, e.elems)
 		if res, ok := e.memo.GetLinked(tkey); ok {
@@ -221,24 +169,11 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	// hierarchy with LLC-fitting random regions (hash tables, lookup
 	// tables) warmed, then one throwaway run to settle the stream
 	// prefetcher. Without the reset, lines touched by earlier candidates
-	// would stay resident and bias later candidates. Inside a batch window
-	// all siblings share that prefix, so the first measured node saves the
-	// post-warm state and the rest fork from the snapshot instead of
-	// replaying the warm loop. (The access clock is restored with it; every
-	// cache decision and every reported counter depends only on clock
-	// deltas, so the fork measures exactly what a replayed warm would.)
+	// would stay resident and bias later candidates.
 	hier := sim.Hierarchy()
-	if e.batch && e.warmSnap.Valid() {
-		hier.Restore(&e.warmSnap)
-		batchForks.Add(1)
-	} else {
-		hier.Reset()
-		for _, w := range warm {
-			hier.Warm(w.Base, w.Region)
-		}
-		if e.batch {
-			hier.Save(&e.warmSnap)
-		}
+	hier.Reset()
+	for _, w := range warm {
+		hier.Warm(w.Base, w.Region)
 	}
 	if _, err := sim.Run(out.Program, iters); err != nil {
 		return nil, err

@@ -86,26 +86,4 @@ func TestSimEvaluatorMemo(t *testing.T) {
 	if st := cache.Stats(); st.Entries != 3 {
 		t.Fatalf("stats after perturbed run = %+v, want 3 entries", st)
 	}
-
-	// With a trace log attached the cache is bypassed entirely, the link
-	// the runs above recorded for node included.
-	traced := hef.NewSimEvaluator(cpu, tmpl, cpu.NativeWidth(), elems)
-	traced.SetMemo(cache)
-	tl := &uarch.TraceLog{}
-	traced.SetTraceLog(tl)
-	before := cache.Stats()
-	tres, err := traced.Run(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, tres) {
-		t.Fatal("traced run diverges from the unmemoized measurement")
-	}
-	if len(tl.Events) == 0 {
-		t.Fatal("trace log stayed empty — run served from cache or link?")
-	}
-	after := cache.Stats()
-	if before != after {
-		t.Fatalf("traced run touched the cache: %+v -> %+v", before, after)
-	}
 }

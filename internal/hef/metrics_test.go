@@ -6,23 +6,21 @@ import (
 	"hef/internal/telemetry"
 )
 
-// TestSearchMetrics checks both search engines publish the same progress
-// series — evaluations, prune counts, best-so-far — and that installing
-// metrics does not change the search result.
+// TestSearchMetrics checks every worker count publishes the same progress
+// series — evaluations, prune counts, frontiers, best-so-far — and that
+// installing metrics does not change the search result.
 func TestSearchMetrics(t *testing.T) {
 	opt := Node{V: 2, S: 2, P: 3}
-	baseline, err := Search(&fakeEval{opt: opt}, Node{V: 1, S: 1, P: 1}, DefaultBounds)
+	baseline, err := referenceSearch(&fakeEval{opt: opt}, Node{V: 1, S: 1, P: 1}, DefaultBounds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{0, 4} {
+	var waves float64
+	for _, workers := range []int{0, 1, 4} {
 		reg := telemetry.NewRegistry()
 		SetMetrics(telemetry.NewSearchMetrics(reg))
-		var eval Evaluator = &fakeEval{opt: opt}
-		if workers > 0 {
-			eval = &forkableFake{fakeEval{opt: opt}}
-		}
+		eval := &forkableFake{fakeEval{opt: opt}}
 		res, err := SearchContext(t.Context(), eval, Node{V: 1, S: 1, P: 1}, DefaultBounds,
 			SearchOpts{Workers: workers})
 		SetMetrics(nil)
@@ -41,8 +39,11 @@ func TestSearchMetrics(t *testing.T) {
 		if got := vals[telemetry.MetricPruned]; got != float64(len(res.EndList)) {
 			t.Errorf("workers=%d: pruned = %g, want %d", workers, got, len(res.EndList))
 		}
-		if vals[telemetry.MetricWaves] == 0 {
-			t.Errorf("workers=%d: no waves recorded", workers)
+		if waves == 0 {
+			waves = vals[telemetry.MetricWaves]
+		}
+		if got := vals[telemetry.MetricWaves]; got == 0 || got != waves {
+			t.Errorf("workers=%d: waves = %g, want %g at every worker count", workers, got, waves)
 		}
 		wantBest := res.BestSeconds * 1e9
 		if got := vals[telemetry.MetricBestNS]; got != wantBest {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,12 +14,14 @@ import (
 // forkableEval is a deterministic synthetic cost surface implementing
 // ForkableEvaluator; its forks share an atomic call counter and optional
 // per-node fault/cancel hooks, so the tests can inject failures that fire
-// no matter which fork draws the node.
+// no matter which fork draws the node. A nonzero step rounds every cost up
+// to a multiple of step, so neighbours tie.
 type forkableEval struct {
 	calls    *atomic.Int64
 	panicAt  map[Node]bool
 	cancelAt map[Node]bool
 	cancel   context.CancelFunc
+	step     float64
 }
 
 func newForkableEval() *forkableEval {
@@ -34,44 +37,51 @@ func (e *forkableEval) Evaluate(n Node) (float64, error) {
 		e.cancel()
 	}
 	d := func(a, b int) float64 { x := float64(a - b); return x * x }
-	return 1 + d(n.V, 2) + d(n.S, 3) + d(n.P, 4), nil
+	cost := 1 + d(n.V, 2) + d(n.S, 3) + d(n.P, 4)
+	if e.step > 0 {
+		cost = math.Ceil(cost/e.step) * e.step
+	}
+	return cost, nil
 }
 
 func (e *forkableEval) Fork() Evaluator {
-	return &forkableEval{calls: e.calls, panicAt: e.panicAt, cancelAt: e.cancelAt, cancel: e.cancel}
+	return &forkableEval{calls: e.calls, panicAt: e.panicAt, cancelAt: e.cancelAt, cancel: e.cancel, step: e.step}
 }
 
-var parallelWorkerCounts = []int{1, 2, 8}
+var parallelWorkerCounts = []int{0, 1, 2, 8}
 
 // TestParallelSearchMatchesSerial: the wave engine must reproduce the
-// serial Result — trace order, parents, candidate and end lists, best node
-// — exactly, for every worker count.
+// serial reference Result — trace order, parents, candidate and end lists,
+// best node — exactly, for every worker count, on the bowl and on a
+// terraced bowl whose ties exercise the strict pruning comparison.
 func TestParallelSearchMatchesSerial(t *testing.T) {
 	initial := Node{V: 1, S: 1, P: 1}
-	serial, err := SearchContext(context.Background(), newForkableEval(), initial, testBounds, SearchOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range parallelWorkerCounts {
-		par, err := SearchContext(context.Background(), newForkableEval(), initial, testBounds,
-			SearchOpts{Workers: w})
+	for _, step := range []float64{0, 4} {
+		mk := func() *forkableEval { e := newForkableEval(); e.step = step; return e }
+		serial, err := referenceSearch(mk(), initial, testBounds, 0)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("workers=%d: result diverged from serial\nserial: %+v\nparallel: %+v", w, serial, par)
+		for _, w := range parallelWorkerCounts {
+			par, err := SearchContext(context.Background(), mk(), initial, testBounds,
+				SearchOpts{Workers: w})
+			if err != nil {
+				t.Fatalf("step=%g workers=%d: %v", step, w, err)
+			}
+			if !reflect.DeepEqual(serial, par) {
+				t.Errorf("step=%g workers=%d: result diverged from serial\nserial: %+v\nparallel: %+v", step, w, serial, par)
+			}
 		}
 	}
 }
 
 // TestParallelSearchBudgetMatchesSerial: budget exhaustion must cut the
-// parallel walk at the same evaluation, with the same error, as the serial
-// one.
+// wave engine at the same evaluation, with the same error, as the serial
+// reference.
 func TestParallelSearchBudgetMatchesSerial(t *testing.T) {
 	initial := Node{V: 1, S: 1, P: 1}
 	for _, budget := range []int{1, 2, 5, 9, 30} {
-		serial, serr := SearchContext(context.Background(), newForkableEval(), initial, testBounds,
-			SearchOpts{MaxEvaluations: budget})
+		serial, serr := referenceSearch(newForkableEval(), initial, testBounds, budget)
 		if !errors.Is(serr, ErrBudgetExhausted) {
 			t.Fatalf("budget=%d: serial err = %v", budget, serr)
 		}
@@ -93,8 +103,8 @@ func TestParallelSearchBudgetMatchesSerial(t *testing.T) {
 
 // TestParallelSearchPanicMatchesSerial: an evaluator panic keyed to a node
 // must surface the identical *PanicError node and best-so-far state for
-// every worker count — the wave replay stops exactly where the serial walk
-// would have.
+// every worker count — the wave replay stops exactly where the serial
+// reference does.
 func TestParallelSearchPanicMatchesSerial(t *testing.T) {
 	initial := Node{V: 1, S: 1, P: 1}
 	bad := Node{V: 2, S: 2, P: 1}
@@ -103,7 +113,7 @@ func TestParallelSearchPanicMatchesSerial(t *testing.T) {
 		e.panicAt = map[Node]bool{bad: true}
 		return e
 	}
-	serial, serr := SearchContext(context.Background(), mk(), initial, testBounds, SearchOpts{})
+	serial, serr := referenceSearch(mk(), initial, testBounds, 0)
 	var spe *PanicError
 	if !errors.As(serr, &spe) {
 		t.Fatalf("serial err = %v, want *PanicError", serr)
@@ -128,8 +138,7 @@ func TestParallelSearchPanicMatchesSerial(t *testing.T) {
 // TestParallelSearchCancelMidFrontier: a cancellation triggered from inside
 // an evaluation takes effect at the next wave boundary. That boundary is a
 // deterministic point of the walk, so every worker count must produce the
-// same bytes (the serial engine, checking per evaluation, legitimately
-// stops earlier).
+// same bytes.
 func TestParallelSearchCancelMidFrontier(t *testing.T) {
 	initial := Node{V: 1, S: 1, P: 1}
 	trigger := Node{V: 2, S: 1, P: 1} // evaluated in the first frontier
@@ -160,8 +169,8 @@ func TestParallelSearchCancelMidFrontier(t *testing.T) {
 	}
 }
 
-// TestParallelSearchPreCancelled mirrors TestSearchContextPreCancelled for
-// the wave engine: no evaluations at all.
+// TestParallelSearchPreCancelled mirrors TestSearchContextPreCancelled at
+// four workers: no evaluations at all.
 func TestParallelSearchPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -184,7 +193,7 @@ func TestParallelSearchPreCancelled(t *testing.T) {
 // point: the engine must never call it from two goroutines.
 func TestParallelSearchUnforkableEvaluator(t *testing.T) {
 	initial := Node{V: 1, S: 1, P: 1}
-	serial, err := SearchContext(context.Background(), &countingEval{}, initial, testBounds, SearchOpts{})
+	serial, err := referenceSearch(&countingEval{}, initial, testBounds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

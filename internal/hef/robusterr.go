@@ -18,13 +18,12 @@ type SearchOpts struct {
 	// cap is hit the search returns best-so-far with an ErrBudgetExhausted
 	// error.
 	MaxEvaluations int
-	// Workers selects the wave-based parallel engine: each search
-	// frontier's candidates are evaluated concurrently on a pool of that
-	// many workers (the evaluator must implement ForkableEvaluator to get
-	// real concurrency) and the results replayed in serial order, so the
-	// Result is byte-identical to the serial engine for every worker
-	// count. Zero keeps the classic serial walk. Context cancellation
-	// under Workers > 0 is wave-granular — see searchParallel.
+	// Workers is how many evaluators measure each search frontier: the
+	// caller's evaluator plus Workers-1 forks (the evaluator must implement
+	// ForkableEvaluator to get real concurrency). One worker evaluates
+	// inline on the calling goroutine. The Result is byte-identical for
+	// every worker count. 0 means 1. Context cancellation is wave-granular;
+	// see SearchContext.
 	Workers int
 }
 
@@ -62,22 +61,4 @@ func safeEvaluate(eval Evaluator, n Node) (sec float64, err error) {
 		}
 	}()
 	return eval.Evaluate(n)
-}
-
-// safeEvaluateBatch is safeEvaluate for BatchEvaluator: a panic that escapes
-// EvaluateBatch becomes a *PanicError blamed on the first node the returned
-// costs do not cover. (SimEvaluator recovers per node internally, so its
-// partial results survive; a foreign implementation that panics outright
-// loses the batch and the first node is blamed.)
-func safeEvaluateBatch(be BatchEvaluator, ns []Node) (secs []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			n := ns[0]
-			if len(secs) < len(ns) {
-				n = ns[len(secs)]
-			}
-			err = &PanicError{Node: n, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return be.EvaluateBatch(ns)
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Bounds caps the search space, mirroring the v, s, p upper limits of Eq. 1.
@@ -130,25 +132,33 @@ func Search(eval Evaluator, initial Node, bounds Bounds) (*Result, error) {
 // non-nil error: ctx.Err() (via errors.Is(err, context.Canceled) or
 // context.DeadlineExceeded), ErrBudgetExhausted, or a *PanicError. Only
 // evaluator errors (a broken template or machine model) return a nil Result.
+//
+// The walk proceeds one frontier (wave) at a time. Algorithm 2's candidate
+// queue is FIFO, so its pop order equals generation order, and which
+// neighbours get evaluated (as opposed to which win) depends only on bounds
+// and the seen set, never on measured cost. Each wave's evaluation list is
+// therefore known up front: the engine lists the wave, measures the list
+// on SearchOpts.Workers evaluators, then replays it in generation order to
+// apply the pruning rule. Trace, candidate list, end list and best node are
+// identical for every worker count.
+//
+// Budgets, panics and evaluator errors stop the replay at the entry the
+// FIFO walk would have stopped at. The context is checked once per wave,
+// before its evaluations start: a pre-cancelled context runs no evaluation,
+// and a cancellation mid-wave takes effect at the next wave, so the bytes
+// do not depend on the worker count.
 func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bounds, opts SearchOpts) (*Result, error) {
 	if !bounds.contains(initial) {
 		return nil, fmt.Errorf("hef: initial node %v outside bounds %+v", initial, bounds)
 	}
-	if opts.Workers > 0 {
-		return searchParallel(ctx, eval, initial, bounds, opts)
-	}
 	m := metrics()
 	defer m.OnSearchEnd()
 	res := &Result{Initial: initial, SpaceSize: SearchSpaceSize(bounds.VMax, bounds.SMax, bounds.PMax)}
-
-	// partial finalizes an early exit: the result so far plus the reason.
 	partial := func(err error) (*Result, error) {
 		res.Partial = true
 		sortNodes(res.EndList)
 		return res, err
 	}
-	// checkCtx and checkBudget gate every evaluation, so an already-expired
-	// context or a zero budget stops the search within one node evaluation.
 	checkCtx := func() error {
 		select {
 		case <-ctx.Done():
@@ -157,18 +167,7 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 			return nil
 		}
 	}
-	budget := opts.MaxEvaluations
-	checkBudget := func() error {
-		if budget > 0 && res.Tested >= budget {
-			return fmt.Errorf("hef: %w after %d evaluations", ErrBudgetExhausted, res.Tested)
-		}
-		return nil
-	}
 
-	type scored struct {
-		node Node
-		sec  float64
-	}
 	if err := checkCtx(); err != nil {
 		return partial(err)
 	}
@@ -186,104 +185,128 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 	m.OnEvaluated(false)
 	m.OnBest(initSec * 1e9)
 
-	// accept folds one measured neighbor into the result, in the exact order
-	// the classic serial walk used — both the per-node and the batched path
-	// below route every evaluation through it.
-	seen := map[Node]float64{initial: initSec}
-	queue := []scored{{initial, initSec}}
-	accept := func(cur scored, nb Node, sec float64) {
-		res.Tested++
-		seen[nb] = sec
-		win := sec < cur.sec
-		res.Trace = append(res.Trace, Step{Node: nb, Seconds: sec, Parent: cur.node, Winner: win})
-		m.OnEvaluated(!win)
-		if win {
-			res.CandidateList = append(res.CandidateList, nb)
-			queue = append(queue, scored{nb, sec})
-			if sec < res.BestSeconds {
-				res.Best, res.BestSeconds = nb, sec
-				m.OnBest(sec * 1e9)
-			}
-		} else {
-			res.EndList = append(res.EndList, nb)
-		}
-	}
-	be, _ := eval.(BatchEvaluator)
-	var fresh []Node
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		// The serial engine's "frontier" is the FIFO queue: the popped node
-		// plus everything still waiting to be expanded.
-		m.OnWave(len(queue) + 1)
-		// The fresh in-bounds neighbors of one expansion are siblings: their
-		// measurements share a prefix (the same reset-and-warm protocol), so a
-		// batch-capable evaluator measures them together, forking its state at
-		// the point the candidates diverge. Siblings are distinct by
-		// construction (±1 in distinct dimensions), so collecting them before
-		// evaluating keeps the seen-set semantics of the per-node walk.
-		fresh = fresh[:0]
-		for _, nb := range neighbors(cur.node) {
-			if !bounds.contains(nb) {
-				continue
-			}
-			if _, ok := seen[nb]; ok {
-				// Already evaluated via another parent; Algorithm 2 tests
-				// each node once.
-				continue
-			}
-			fresh = append(fresh, nb)
-		}
-		for len(fresh) > 0 {
-			if err := checkCtx(); err != nil {
-				return partial(err)
-			}
-			if err := checkBudget(); err != nil {
-				return partial(err)
-			}
-			if be == nil {
-				nb := fresh[0]
-				fresh = fresh[1:]
-				sec, err := safeEvaluate(eval, nb)
-				if err != nil {
-					if pe := (*PanicError)(nil); errors.As(err, &pe) {
-						return partial(err)
-					}
-					return nil, fmt.Errorf("hef: evaluating node %v: %w", nb, err)
+	evals := evaluators(eval, opts.Workers)
+	seen := map[Node]bool{initial: true}
+	var list []entry
+	wave, next := []scored{{initial, initSec}}, []scored(nil)
+	for len(wave) > 0 {
+		m.OnWave(len(wave))
+		// List the wave's evaluations in generation order. Nodes are marked
+		// seen as they are listed, exactly when the FIFO walk would have
+		// evaluated them, so a node reachable from two wave members keeps
+		// its first parent.
+		list = list[:0]
+		for _, cur := range wave {
+			for _, nb := range neighbors(cur.node) {
+				if bounds.contains(nb) && !seen[nb] {
+					seen[nb] = true
+					list = append(list, entry{node: nb, parent: cur})
 				}
-				accept(cur, nb, sec)
-				continue
-			}
-			// Cap the batch at the remaining budget so the stop point, Tested
-			// count, and error are identical to the per-node walk.
-			slice := fresh
-			if budget > 0 {
-				if rem := budget - res.Tested; rem < len(slice) {
-					slice = slice[:rem]
-				}
-			}
-			secs, err := safeEvaluateBatch(be, slice)
-			if len(secs) > len(slice) {
-				secs = secs[:len(slice)]
-			}
-			for i, sec := range secs {
-				accept(cur, slice[i], sec)
-			}
-			fresh = fresh[len(secs):]
-			if err != nil {
-				if pe := (*PanicError)(nil); errors.As(err, &pe) {
-					return partial(err)
-				}
-				nb := slice[len(slice)-1]
-				if len(secs) < len(slice) {
-					nb = slice[len(secs)]
-				}
-				return nil, fmt.Errorf("hef: evaluating node %v: %w", nb, err)
 			}
 		}
+		if len(list) == 0 {
+			break
+		}
+		if err := checkCtx(); err != nil {
+			return partial(err)
+		}
+		evalN := len(list)
+		if opts.MaxEvaluations > 0 {
+			evalN = max(0, min(evalN, opts.MaxEvaluations-res.Tested))
+		}
+		evaluateList(evals, list[:evalN])
+
+		// Replay: apply the pruning rule in generation order.
+		next = next[:0]
+		for i := range list {
+			e := &list[i]
+			if i == evalN {
+				return partial(fmt.Errorf("hef: %w after %d evaluations", ErrBudgetExhausted, res.Tested))
+			}
+			if e.err != nil {
+				if pe := (*PanicError)(nil); errors.As(e.err, &pe) {
+					return partial(e.err)
+				}
+				return nil, fmt.Errorf("hef: evaluating node %v: %w", e.node, e.err)
+			}
+			res.Tested++
+			win := e.sec < e.parent.sec
+			res.Trace = append(res.Trace, Step{Node: e.node, Seconds: e.sec, Parent: e.parent.node, Winner: win})
+			m.OnEvaluated(!win)
+			if win {
+				res.CandidateList = append(res.CandidateList, e.node)
+				next = append(next, scored{e.node, e.sec})
+				if e.sec < res.BestSeconds {
+					res.Best, res.BestSeconds = e.node, e.sec
+					m.OnBest(e.sec * 1e9)
+				}
+			} else {
+				res.EndList = append(res.EndList, e.node)
+			}
+		}
+		wave, next = next, wave
 	}
 	sortNodes(res.EndList)
 	return res, nil
+}
+
+// scored is a measured node.
+type scored struct {
+	node Node
+	sec  float64
+}
+
+// entry is one listed evaluation of a wave and its outcome.
+type entry struct {
+	node   Node
+	parent scored
+	sec    float64
+	err    error
+}
+
+// evaluators returns the evaluators a search measures on: the caller's plus
+// workers-1 forks. Workers below 1 mean 1, and an evaluator that cannot fork
+// runs alone; the replay keeps the result identical either way.
+func evaluators(eval Evaluator, workers int) []Evaluator {
+	fe, ok := eval.(ForkableEvaluator)
+	if !ok || workers < 1 {
+		workers = 1
+	}
+	evals := []Evaluator{eval}
+	for len(evals) < workers {
+		evals = append(evals, fe.Fork())
+	}
+	return evals
+}
+
+// evaluateList measures every entry of list. One evaluator runs inline on
+// the calling goroutine; with more, each evaluator gets a goroutine that
+// pulls list indices from a shared counter, and evaluateList returns once
+// all of them have finished. Panics are recovered per node into
+// *PanicError, so the replay can surface the exact error of the FIFO walk.
+func evaluateList(evals []Evaluator, list []entry) {
+	if len(evals) == 1 {
+		for i := range list {
+			list[i].sec, list[i].err = safeEvaluate(evals[0], list[i].node)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, ev := range evals[:min(len(evals), len(list))] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(list) {
+					return
+				}
+				list[i].sec, list[i].err = safeEvaluate(ev, list[i].node)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func sortNodes(ns []Node) {

@@ -47,10 +47,9 @@ type SensConfig struct {
 	// makes the search walk far.
 	Budget int
 
-	// Parallel selects the wave-based parallel search engine with that many
-	// evaluator workers for the baseline and every trial search (0 keeps
-	// the classic serial walk). The analysis is byte-identical for every
-	// setting.
+	// Parallel is the number of evaluator workers for the baseline and
+	// every trial search; 0 means 1. The analysis is byte-identical for
+	// every setting.
 	Parallel int
 
 	// Memo, when non-nil, is the measurement cache the analysis populates

@@ -129,9 +129,6 @@ func Start(opts Options) (*Session, error) {
 	s.reg.GaugeFunc(telemetry.MetricSimReplayPeriods, "loop periods fast-forwarded by response-verified replay", func() float64 {
 		return float64(uarch.Totals().ReplayPeriods)
 	})
-	s.reg.GaugeFunc(telemetry.MetricSimBatchForks, "batch evaluations forked from a shared warm-cache snapshot", func() float64 {
-		return float64(hef.BatchForks())
-	})
 	s.reg.GaugeFunc(telemetry.MetricUptime, "process uptime in seconds", func() float64 {
 		return time.Since(s.start).Seconds()
 	})

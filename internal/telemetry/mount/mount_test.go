@@ -79,7 +79,6 @@ func TestMountedSession(t *testing.T) {
 		telemetry.MetricSimSkelHits,
 		telemetry.MetricSimSkelMisses,
 		telemetry.MetricSimReplayPeriods,
-		telemetry.MetricSimBatchForks,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("scrape missing %q", want)

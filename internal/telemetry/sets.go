@@ -52,7 +52,6 @@ const (
 	MetricSimSkelHits      = "hef_uarch_skeleton_hits_total"
 	MetricSimSkelMisses    = "hef_uarch_skeleton_misses_total"
 	MetricSimReplayPeriods = "hef_uarch_replay_periods_total"
-	MetricSimBatchForks    = "hef_uarch_batch_forks_total"
 
 	// Process.
 	MetricUptime = "hef_uptime_seconds"

@@ -96,7 +96,6 @@ for series in \
     hef_uarch_skeleton_hits_total \
     hef_uarch_idle_skipped_cycles_total \
     hef_uarch_replay_periods_total \
-    hef_uarch_batch_forks_total \
     hef_sweep_tasks \
     hef_uptime_seconds; do
     grep -q "^$series " "$WORK/scrape2" || die "scrape missing series $series"
