@@ -21,8 +21,10 @@ import (
 	"hef/internal/queries"
 )
 
-// benchFigure drives one SSB figure and reports the mean hybrid speedups.
+// benchFigure drives one SSB figure and reports the mean hybrid speedups
+// and the figure's allocations.
 func benchFigure(b *testing.B, cpu string, sf float64) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fig, err := experiments.RunFigure(experiments.FigureConfig{
 			CPUName: cpu, NominalSF: sf, SampleSF: 0.005,

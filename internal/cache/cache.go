@@ -436,12 +436,14 @@ func (h *Hierarchy) AdvanceSteady(k int64, d Stats, dAccess uint64) {
 	}
 }
 
-// Reset clears contents, counters, and prefetcher state.
+// Reset clears contents, counters, prefetcher state, and the access clock,
+// leaving the hierarchy indistinguishable from one just built by New.
 func (h *Hierarchy) Reset() {
 	h.l1.reset()
 	h.l2.reset()
 	h.llc.reset()
 	h.streams = [streamTableSize]stream{}
+	h.accessNo = 0
 	h.memAccesses, h.prefetchFills, h.hwPrefetchFills = 0, 0, 0
 	h.hwPrefetchMem, h.swPrefetchMem = 0, 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +97,54 @@ func TestResetClearsContents(t *testing.T) {
 	if lvl != 4 {
 		t.Errorf("Reset should clear contents, got level %d", lvl)
 	}
+}
+
+// TestResetMatchesNew: after traffic that fills every level, confirms
+// prefetch streams and advances the access clock, Reset leaves a hierarchy
+// indistinguishable from a fresh New — equal counters, access clock, and
+// steady-state digest, and identical responses to the same later traffic.
+// Simulators reuse one hierarchy across measurements on exactly this
+// guarantee.
+func TestResetMatchesNew(t *testing.T) {
+	cpu := isa.XeonSilver4110()
+	used := mustNew(cpu)
+	used.Warm(1<<20, 64<<10)
+	for a := uint64(0); a < 256<<10; a += 64 {
+		used.Access(1<<30 + a)
+	}
+	for i := uint64(0); i < 4096; i++ {
+		used.Access((i * 0x9e3779b97f4a7c15) % (1 << 36))
+		used.Prefetch(i * 4096)
+	}
+	if used.AccessNo() == 0 {
+		t.Fatal("traffic did not advance the access clock")
+	}
+	used.Reset()
+	fresh := mustNew(cpu)
+
+	addrs := []uint64{0, 1 << 20, 1<<20 + 4096, 1 << 30, 1<<30 + 64<<10, 0x9e3779b97f4a7c15 % (1 << 36)}
+	lines := fresh.SteadyLines(addrs, nil)
+	check := func(when string) {
+		t.Helper()
+		if got, want := used.Stats(), fresh.Stats(); got != want {
+			t.Errorf("%s: Stats after Reset = %+v, fresh = %+v", when, got, want)
+		}
+		if got, want := used.AccessNo(), fresh.AccessNo(); got != want {
+			t.Errorf("%s: AccessNo after Reset = %d, fresh = %d", when, got, want)
+		}
+		if !bytes.Equal(used.AppendSteadyState(nil, lines), fresh.AppendSteadyState(nil, lines)) {
+			t.Errorf("%s: steady-state digest after Reset differs from a fresh hierarchy's", when)
+		}
+	}
+	check("after Reset")
+	for i, a := range append(addrs, addrs...) {
+		gl, gv := used.Access(a)
+		wl, wv := fresh.Access(a)
+		if gl != wl || gv != wv {
+			t.Fatalf("access %d (%#x): reset hierarchy (%d, %d), fresh (%d, %d)", i, a, gl, gv, wl, wv)
+		}
+	}
+	check("after replayed traffic")
 }
 
 func TestInvalidGeometry(t *testing.T) {

@@ -50,6 +50,7 @@ func TimeQueryTuned(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF f
 		region uint64
 	}
 	cache := map[cacheKey]translator.Node{}
+	sim := &stageSim{cpu: cpu}
 
 	for _, stage := range stages {
 		if stage.Elems == 0 {
@@ -76,7 +77,11 @@ func TimeQueryTuned(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF f
 		}
 		n := node
 		stage.Node = &n
-		res, err := runStage(cpu, stage, KindHybrid, nil)
+		pl, err := planStage(cpu, stage, KindHybrid)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := runStage(sim, stage, pl, nil)
 		if err != nil {
 			return nil, nil, err
 		}

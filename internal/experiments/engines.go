@@ -248,18 +248,17 @@ func buildStages(q queries.Query, st queries.Stats, nominalSF float64, kind Engi
 	return stages, nil
 }
 
-// stagePlan is one stage's translated, fingerprinted measurement: the
-// inputs measurePlan needs plus the content key the memo cache stores the
-// result under.
+// stagePlan is one stage's measurement under memo.ProtoStage plus the
+// content key the memo cache stores its result under.
 type stagePlan struct {
-	prog  *uarch.Program
-	iters int64
-	warm  []memo.WarmRange
-	key   memo.Key
+	memo.Plan
+	key memo.Key
 }
 
 // planStage translates a stage at the engine's node and computes the
-// simulation parameters and content fingerprint of its measurement.
+// measurement plan and content fingerprint of its simulation. Random
+// regions that fit in the LLC are warmed before the run so node comparisons
+// reflect steady state.
 func planStage(cpu *isa.CPU, stage Stage, kind EngineKind) (*stagePlan, error) {
 	node := nodeFor(kind)
 	if stage.Node != nil {
@@ -277,50 +276,47 @@ func planStage(cpu *isa.CPU, stage Stage, kind EngineKind) (*stagePlan, error) {
 	if iters < 1 {
 		iters = 1
 	}
-	pl := &stagePlan{prog: out.Program, iters: iters}
+	pl := &stagePlan{Plan: memo.Plan{Proto: memo.ProtoStage, Prog: out.Program, Iters: iters}}
 	for _, p := range stage.Template.Params {
 		if p.Pattern == hid.RandomRegion && p.Region <= uint64(cpu.LLC.SizeBytes) {
-			pl.warm = append(pl.warm, memo.WarmRange{Base: translator.ParamBase(stage.Template, p.Name), Region: p.Region})
+			pl.Warm = append(pl.Warm, memo.WarmRange{Base: translator.ParamBase(stage.Template, p.Name), Region: p.Region})
 		}
 	}
-	pl.key = memo.Fingerprint(memo.ProtoStage, cpu, nil, out.Program, iters, pl.warm)
+	pl.key = pl.Key(cpu, nil)
 	return pl, nil
 }
 
-// measurePlan simulates one planned stage measurement: a fresh hierarchy
-// with the LLC-fitting random regions warmed, then a single run — a pure
-// function of the plan, which is what makes the memo cache exact.
-func measurePlan(cpu *isa.CPU, name string, pl *stagePlan) (*uarch.Result, error) {
-	sim := uarch.NewSim(cpu)
-	if err := sim.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: stage %s: %w", name, err)
+// stageSim is the simulator one worker measures stage plans on. It is built
+// on the first measurement, so a worker whose every stage is served from
+// the cache never allocates a cache hierarchy, and reused for every later
+// one: Plan.Measure resets the hierarchy, so the results are those of a
+// fresh simulator per plan.
+type stageSim struct {
+	cpu *isa.CPU
+	sim *uarch.Sim
+}
+
+// measure simulates one planned stage measurement.
+func (s *stageSim) measure(name string, pl *stagePlan) (*uarch.Result, error) {
+	if s.sim == nil {
+		s.sim = uarch.NewSim(s.cpu)
 	}
-	for _, w := range pl.warm {
-		sim.Hierarchy().Warm(w.Base, w.Region)
-	}
-	res, err := sim.Run(pl.prog, pl.iters)
+	res, err := pl.Measure(s.sim)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stage %s: %w", name, err)
 	}
 	return res, nil
 }
 
-// runStage translates and simulates one stage, scaling the counters to the
-// stage's nominal element count. Random regions that fit in the LLC are
-// warmed first so node comparisons reflect steady state. A non-nil cache
-// serves repeat measurements (stages shared across queries and engines)
-// from their fingerprint; a nil cache always simulates.
-func runStage(cpu *isa.CPU, stage Stage, kind EngineKind, cache *memo.Cache) (*uarch.Result, error) {
-	if stage.Elems == 0 {
-		return &uarch.Result{Name: stage.Name, FreqGHz: cpu.Freq.ScalarGHz}, nil
-	}
-	pl, err := planStage(cpu, stage, kind)
-	if err != nil {
-		return nil, err
-	}
+// runStage returns a planned stage's counters scaled to the stage's
+// nominal element count. A non-nil cache serves repeat measurements (stages
+// shared across queries and engines) from their fingerprint; a miss, or a
+// nil cache, simulates on sim and stores the result.
+func runStage(sim *stageSim, stage Stage, pl *stagePlan, cache *memo.Cache) (*uarch.Result, error) {
 	res, ok := cache.Get(pl.key)
 	if !ok {
-		if res, err = measurePlan(cpu, stage.Name, pl); err != nil {
+		var err error
+		if res, err = sim.measure(stage.Name, pl); err != nil {
 			return nil, err
 		}
 		cache.Put(pl.key, res)
@@ -330,23 +326,47 @@ func runStage(cpu *isa.CPU, stage Stage, kind EngineKind, cache *memo.Cache) (*u
 	return res, nil
 }
 
-// TimeQuery produces the timing of one query for one engine on one CPU,
-// from the sampled functional stats, extrapolated to nominalSF.
-func TimeQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float64, kind EngineKind) (*QueryRun, error) {
-	return timeQuery(cpu, q, st, nominalSF, kind, nil)
+// queryPlan is one (query, engine) cell, planned once: its timed stages and,
+// for each stage that processes elements, the stage's measurement plan (nil
+// for the others).
+type queryPlan struct {
+	queryID string
+	kind    EngineKind
+	stages  []Stage
+	plans   []*stagePlan
 }
 
-// timeQuery is TimeQuery with an optional stage-measurement cache.
-func timeQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float64, kind EngineKind, cache *memo.Cache) (*QueryRun, error) {
+// planQuery builds and plans the timed pipeline of one query and engine.
+func planQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float64, kind EngineKind) (*queryPlan, error) {
 	stages, err := buildStages(q, st, nominalSF, kind)
 	if err != nil {
 		return nil, err
 	}
-	run := &QueryRun{QueryID: q.ID, Kind: kind, CPU: cpu}
-	for _, stage := range stages {
-		res, err := runStage(cpu, stage, kind, cache)
-		if err != nil {
+	qp := &queryPlan{queryID: q.ID, kind: kind, stages: stages, plans: make([]*stagePlan, len(stages))}
+	for i, stage := range stages {
+		if stage.Elems == 0 {
+			continue
+		}
+		if qp.plans[i], err = planStage(cpu, stage, kind); err != nil {
 			return nil, err
+		}
+	}
+	return qp, nil
+}
+
+// time assembles the cell's run from its plans, one cache lookup per stage
+// that processes elements.
+func (qp *queryPlan) time(sim *stageSim, cache *memo.Cache) (*QueryRun, error) {
+	run := &QueryRun{QueryID: qp.queryID, Kind: qp.kind, CPU: sim.cpu}
+	for i, stage := range qp.stages {
+		var res *uarch.Result
+		if pl := qp.plans[i]; pl == nil {
+			res = &uarch.Result{Name: stage.Name, FreqGHz: sim.cpu.Freq.ScalarGHz}
+		} else {
+			var err error
+			if res, err = runStage(sim, stage, pl, cache); err != nil {
+				return nil, err
+			}
 		}
 		sec := res.Seconds()
 		run.Total.Add(res)
@@ -357,4 +377,16 @@ func timeQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float6
 		run.FreqGHz = float64(run.Total.Cycles) / run.Seconds / 1e9
 	}
 	return run, nil
+}
+
+// TimeQuery produces the timing of one query for one engine on one CPU,
+// from the sampled functional stats, extrapolated to nominalSF. Its stages
+// are measured on one simulator, built on the first stage that processes
+// elements.
+func TimeQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float64, kind EngineKind) (*QueryRun, error) {
+	qp, err := planQuery(cpu, q, st, nominalSF, kind)
+	if err != nil {
+		return nil, err
+	}
+	return qp.time(&stageSim{cpu: cpu}, nil)
 }

@@ -14,7 +14,9 @@ import (
 // two-phase pipeline (dedupe, pre-measure, assemble) produces exactly the
 // timings of the legacy per-cell path, at every parallelism, with identical
 // cache counters — and the cache actually hits, since SSB stages recur
-// across queries and engines.
+// across queries and engines. The legacy path (no memo) measures every
+// stage reference on one reused simulator too, so this is not a comparison
+// against fresh simulators; TestReusedSimulatorMatchesFresh is.
 func TestRunFigureMemoMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs are slow")

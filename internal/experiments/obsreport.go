@@ -5,6 +5,7 @@ import (
 
 	"hef/internal/hef"
 	"hef/internal/isa"
+	"hef/internal/memo"
 	"hef/internal/obs"
 	"hef/internal/translator"
 	"hef/internal/uarch"
@@ -116,12 +117,10 @@ func TraceHashRun(cpuName, benchName string, node translator.Node, iters int64) 
 		iters = 64
 	}
 	sim := uarch.NewSim(cpu)
-	if err := sim.Err(); err != nil {
-		return nil, nil, err
-	}
 	log := &uarch.TraceLog{}
 	sim.SetTraceLog(log)
-	res, err := sim.Run(out.Program, iters)
+	plan := memo.Plan{Proto: memo.ProtoStage, Prog: out.Program, Iters: iters}
+	res, err := plan.Measure(sim)
 	if err != nil {
 		return nil, nil, err
 	}

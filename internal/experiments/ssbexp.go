@@ -1,16 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"hef/internal/engine"
 	"hef/internal/isa"
 	"hef/internal/memo"
 	"hef/internal/queries"
-	"hef/internal/sched"
 	"hef/internal/ssb"
 )
 
@@ -53,11 +53,13 @@ type FigureConfig struct {
 	// the figure's distinct measurements are simulated exactly once (stages
 	// recur heavily across queries and engines) and the per-cell assembly is
 	// served from the cache. The timing numbers are identical either way —
-	// a stage measurement is a pure function of its fingerprint.
+	// a stage measurement is a pure function of its fingerprint. Without a
+	// cache every stage reference is simulated, serially, on one simulator.
 	Memo *memo.Cache
 	// Parallel runs the distinct stage measurements on that many concurrent
-	// workers (requires Memo; <= 1 measures serially). The figure — numbers,
-	// ordering, and cache counters — is identical for every setting.
+	// workers, each owning one simulator (requires Memo; <= 1 measures
+	// serially on one simulator). The figure — numbers, ordering, and cache
+	// counters — is identical for every setting.
 	Parallel int
 }
 
@@ -103,64 +105,64 @@ func RunFigure(cfg FigureConfig) (*Figure, error) {
 		fig.Runs[q.ID] = map[EngineKind]*QueryRun{}
 		stats[q.ID] = fres.Stats
 	}
-	if cfg.Memo != nil {
-		if err := premeasureFigure(cpu, qs, stats, cfg.NominalSF, engines, cfg.Memo, cfg.Parallel); err != nil {
-			return nil, err
-		}
-	}
+	// Every cell is translated and fingerprinted once; pre-measuring and
+	// assembly share the plans.
+	var cells []*queryPlan
 	for _, q := range qs {
 		for _, kind := range engines {
-			run, err := timeQuery(cpu, q, stats[q.ID], cfg.NominalSF, kind, cfg.Memo)
+			qp, err := planQuery(cpu, q, stats[q.ID], cfg.NominalSF, kind)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: timing %s/%v: %w", q.ID, kind, err)
 			}
-			fig.Runs[q.ID][kind] = run
+			cells = append(cells, qp)
 		}
+	}
+	if cfg.Memo != nil {
+		if err := premeasureFigure(cpu, cells, cfg.Memo, cfg.Parallel); err != nil {
+			return nil, err
+		}
+	}
+	sim := &stageSim{cpu: cpu}
+	for _, qp := range cells {
+		run, err := qp.time(sim, cfg.Memo)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: timing %s/%v: %w", qp.queryID, qp.kind, err)
+		}
+		fig.Runs[qp.queryID][qp.kind] = run
 	}
 	fig.MemoStats = cfg.Memo.Stats()
 	return fig, nil
 }
 
-// premeasureFigure simulates every distinct stage measurement of the figure
-// exactly once, concurrently when parallel > 1. Deduplicating by fingerprint
-// before dispatch — rather than letting concurrent cells race to measure the
-// same stage — both avoids duplicate simulations and keeps the cache
-// counters independent of the worker count, so a figure report is
-// byte-identical for every Parallel setting.
-func premeasureFigure(cpu *isa.CPU, qs []queries.Query, stats map[string]queries.Stats, nominalSF float64, engines []EngineKind, cache *memo.Cache, parallel int) error {
+// premeasureFigure simulates every distinct stage measurement of the
+// figure's planned cells exactly once, on parallel workers when parallel >
+// 1. Each worker owns one simulator and pulls measurements from a shared
+// counter. Deduplicating by fingerprint before dispatch — rather than
+// letting concurrent cells race to measure the same stage — both avoids
+// duplicate simulations and keeps the cache counters independent of the
+// worker count, so a figure report is byte-identical for every Parallel
+// setting.
+func premeasureFigure(cpu *isa.CPU, cells []*queryPlan, cache *memo.Cache, parallel int) error {
 	type work struct {
 		name string
 		pl   *stagePlan
 	}
 	var todo []work
 	seen := map[memo.Key]bool{}
-	for _, q := range qs {
-		for _, kind := range engines {
-			stages, err := buildStages(q, stats[q.ID], nominalSF, kind)
-			if err != nil {
-				return err
+	for _, qp := range cells {
+		for i, pl := range qp.plans {
+			if pl == nil || seen[pl.key] {
+				continue
 			}
-			for _, st := range stages {
-				if st.Elems == 0 {
-					continue
-				}
-				pl, err := planStage(cpu, st, kind)
-				if err != nil {
-					return err
-				}
-				if seen[pl.key] {
-					continue
-				}
-				seen[pl.key] = true
-				todo = append(todo, work{name: st.Name, pl: pl})
-			}
+			seen[pl.key] = true
+			todo = append(todo, work{name: qp.stages[i].Name, pl: pl})
 		}
 	}
-	measure := func(w work) error {
+	measure := func(sim *stageSim, w work) error {
 		if _, ok := cache.Get(w.pl.key); ok {
 			return nil // pre-populated by the caller (a shared cache)
 		}
-		res, err := measurePlan(cpu, w.name, w.pl)
+		res, err := sim.measure(w.name, w.pl)
 		if err != nil {
 			return err
 		}
@@ -168,27 +170,42 @@ func premeasureFigure(cpu *isa.CPU, qs []queries.Query, stats map[string]queries
 		return nil
 	}
 	if parallel <= 1 || len(todo) < 2 {
+		sim := &stageSim{cpu: cpu}
 		for _, w := range todo {
-			if err := measure(w); err != nil {
+			if err := measure(sim, w); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	runner := sched.New(sched.Config{Workers: parallel, QueueSize: 2 * parallel})
-	defer runner.Stop()
-	errs := make([]error, len(todo))
-	for i, w := range todo {
-		i, w := i, w
-		job := sched.Job{ID: fmt.Sprintf("%d:%s", i, w.name), Run: func(context.Context) (any, error) {
-			errs[i] = measure(w)
-			return nil, nil
-		}}
-		if err := runner.SubmitWait(context.Background(), job); err != nil {
-			return err
-		}
+	// A panic on a worker goroutine would end the process; reported as the
+	// stage's error, it reaches RunFigure's caller like any other failure.
+	safeMeasure := func(sim *stageSim, w work) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("experiments: stage %s panicked: %v", w.name, r)
+			}
+		}()
+		return measure(sim, w)
 	}
-	runner.Drain()
+	errs := make([]error, len(todo))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(parallel, len(todo)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sim := &stageSim{cpu: cpu}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(todo) {
+					return
+				}
+				errs[i] = safeMeasure(sim, todo[i])
+			}
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

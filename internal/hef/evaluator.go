@@ -151,40 +151,30 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	if iters < 1 {
 		iters = 1
 	}
-	warm := e.warmRanges()
-	// The whole measurement protocol below is a pure function of the
-	// fingerprinted inputs, so a cached Result is exact, not approximate.
-	// Links are recorded only past the Err check above: a machine model
-	// whose hierarchy cannot be built never gets a link that would skip it.
+	// The plan's protocol is a pure function of the fingerprinted inputs,
+	// so a cached Result is exact, not approximate. Links are recorded only
+	// past the Err check above: a machine model whose hierarchy cannot be
+	// built never gets a link that would skip it.
+	plan := memo.Plan{Proto: memo.ProtoEvaluator, Prog: out.Program, Iters: iters, Warm: e.warmRanges()}
 	var key memo.Key
 	if useMemo {
-		key = memo.Fingerprint(memo.ProtoEvaluator, e.cpu, e.perturb, out.Program, iters, warm)
+		key = plan.Key(e.cpu, e.perturb)
 		if res, ok := e.memo.Get(key); ok {
 			e.memo.Link(tkey, key)
 			e.Evaluations++
 			return res, nil
 		}
 	}
-	// Every node is measured under identical cache conditions: a reset
-	// hierarchy with LLC-fitting random regions (hash tables, lookup
-	// tables) warmed, then one throwaway run to settle the stream
-	// prefetcher. Without the reset, lines touched by earlier candidates
-	// would stay resident and bias later candidates.
-	hier := sim.Hierarchy()
-	hier.Reset()
-	for _, w := range warm {
-		hier.Warm(w.Base, w.Region)
-	}
-	if _, err := sim.Run(out.Program, iters); err != nil {
+	res, err := plan.Measure(sim)
+	if err != nil {
 		return nil, err
 	}
 	e.Evaluations++
-	res, err := sim.Run(out.Program, iters)
-	if err == nil && useMemo {
+	if useMemo {
 		e.memo.Put(key, res)
 		e.memo.Link(tkey, key)
 	}
-	return res, err
+	return res, nil
 }
 
 // warmRanges lists the regions Run warms before measuring: every

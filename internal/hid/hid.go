@@ -269,6 +269,9 @@ func (t *Template) Validate(knownOps func(string) bool) error {
 			if len(s.Args) == 0 || s.Args[0].Kind != ParamRef {
 				return fmt.Errorf("hid: template %q stmt %d: %s must address a pointer parameter", t.Name, i, s.Op)
 			}
+			if s.Op == "gather" && len(s.Args) != 2 {
+				return fmt.Errorf("hid: template %q stmt %d: gather takes (param, index)", t.Name, i)
+			}
 			if s.Dst == "" {
 				return fmt.Errorf("hid: template %q stmt %d: %s must define a variable", t.Name, i, s.Op)
 			}

@@ -86,6 +86,9 @@ func TestValidateRejections(t *testing.T) {
 			}}},
 		{"load without param", &Template{Name: "t", Elem: U64,
 			Body: []Stmt{{Dst: "x", Op: "load", Args: []Operand{Imm(1)}}}}},
+		{"gather without index", &Template{Name: "t", Elem: U64,
+			Params: []Param{{Name: "tab", Pattern: RandomRegion, Region: 1 << 16}},
+			Body:   []Stmt{{Dst: "x", Op: "gather", Args: []Operand{ParamOp("tab")}}}}},
 		{"compute without dst", &Template{Name: "t", Elem: U64,
 			Params: []Param{{Name: "v", Pattern: ReadStream}},
 			Body: []Stmt{

@@ -8,6 +8,11 @@
 // perturbed machine coincides, and SSB stages sharing an operator across
 // queries and engines.
 //
+// A Plan owns the protocol: the one value both keys a measurement (Key)
+// and runs it (Measure). Measure resets the simulator's hierarchy first, and
+// a reset hierarchy is indistinguishable from a freshly built one, so a
+// caller may reuse one simulator for every measurement it makes.
+//
 // Keys are 128 bits of SHA-256 over a canonical length-prefixed encoding of
 // every semantic input. Nothing is keyed by pointer identity or by name
 // alone: two CPU models with the same name but different geometry (a
@@ -47,7 +52,7 @@ const (
 	// ProtoEvaluator is SimEvaluator.Run: reset the hierarchy, warm the
 	// LLC-resident regions, one throwaway run, one measured run.
 	ProtoEvaluator Protocol = iota + 1
-	// ProtoStage is the experiment harness's stage timing: a fresh
+	// ProtoStage is the experiment harness's stage timing: a reset
 	// hierarchy, warm, and a single measured run.
 	ProtoStage
 )
@@ -147,6 +152,49 @@ func Fingerprint(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, prog *uarch.Pro
 		e.u64(w.Region)
 	}
 	return Key(fpenc.Sum128(e.Buf))
+}
+
+// Plan is one measurement: the protocol, the translated program, its
+// iteration count, and the regions warmed before the runs, in warming order.
+type Plan struct {
+	Proto Protocol
+	Prog  *uarch.Program
+	Iters int64
+	Warm  []WarmRange
+}
+
+// Key fingerprints the plan on the given machine model and perturbation,
+// which must be those of the simulator Measure runs on.
+func (p *Plan) Key(cpu *isa.CPU, perturb *uarch.Perturb) Key {
+	return Fingerprint(p.Proto, cpu, perturb, p.Prog, p.Iters, p.Warm)
+}
+
+// Measure runs the plan's protocol on sim: reset the hierarchy, warm each
+// range, under ProtoEvaluator one throwaway run to settle the stream
+// prefetcher, then the measured run. Without the reset, lines touched by
+// earlier measurements would stay resident and bias later ones; with it,
+// the Result depends on nothing sim measured before, which is what makes a
+// cached Result exact. The settling run shares the returned Result's
+// storage, so a warm simulator allocates only the Result and its PortBusy.
+func (p *Plan) Measure(sim *uarch.Sim) (*uarch.Result, error) {
+	if err := sim.Err(); err != nil {
+		return nil, err
+	}
+	hier := sim.Hierarchy()
+	hier.Reset()
+	for _, w := range p.Warm {
+		hier.Warm(w.Base, w.Region)
+	}
+	res := &uarch.Result{}
+	if p.Proto == ProtoEvaluator {
+		if err := sim.RunInto(res, p.Prog, p.Iters); err != nil {
+			return nil, err
+		}
+	}
+	if err := sim.RunInto(res, p.Prog, p.Iters); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // TranslationKey computes the canonical key of every input from which an
