@@ -12,10 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the error-handling contract (no panic() in non-test library
-# code outside Must*-prefixed functions) and the one-owner rule for the
-# shared sweep flags (only internal/sweepcli declares them).
+# lint enforces gofmt formatting, the error-handling contract (no panic()
+# in non-test library code outside Must*-prefixed functions) and the
+# one-owner rule for the shared sweep flags (only internal/sweepcli
+# declares them).
 lint: vet
+	test -z "$$(gofmt -l .)"
 	sh scripts/nopanic.sh
 	sh scripts/sweepflags.sh
 

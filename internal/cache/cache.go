@@ -12,13 +12,17 @@ import (
 	"hef/internal/isa"
 )
 
-// level is one cache level as an array of LRU sets.
+// level is one cache level as an array of LRU sets, stored flat: set s
+// occupies tags[s*Ways : s*Ways+lens[s]], most recent first. Fill never
+// grows a backing array, so occupancy changes are pure length changes and
+// the simulator's hot loop stays allocation-free even as random-address
+// programs keep touching cold sets; clearing the level is a clear of lens.
 type level struct {
 	geom     isa.CacheGeom
 	setShift uint
 	setMask  uint64
-	// sets[s] holds up to Ways line tags in LRU order, most recent first.
-	sets [][]uint64
+	tags     []uint64
+	lens     []uint8
 
 	hits   uint64
 	misses uint64
@@ -29,9 +33,15 @@ type level struct {
 	gens []uint32
 }
 
+// maxWays is the most ways a level may have: a set's length is a uint8.
+const maxWays = 255
+
 func newLevel(g isa.CacheGeom) (*level, error) {
 	if g.LineBytes <= 0 || g.SizeBytes <= 0 || g.Ways <= 0 {
 		return nil, fmt.Errorf("cache: invalid geometry %+v", g)
+	}
+	if g.Ways > maxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the supported %d", g.Ways, maxWays)
 	}
 	lines := g.SizeBytes / g.LineBytes
 	numSets := lines / g.Ways
@@ -43,27 +53,25 @@ func newLevel(g isa.CacheGeom) (*level, error) {
 	for 1<<shift < g.LineBytes {
 		shift++
 	}
-	lv := &level{
+	return &level{
 		geom:     g,
 		setShift: shift,
 		setMask:  uint64(numSets - 1),
-		sets:     make([][]uint64, numSets),
-	}
-	// Back every set with a slice of one flat arena at full associativity, so
-	// fill never grows a set's backing array: occupancy changes are pure
-	// length changes and the simulator's hot loop stays allocation-free even
-	// as random-address programs keep touching cold sets.
-	arena := make([]uint64, numSets*g.Ways)
-	for i := range lv.sets {
-		lv.sets[i] = arena[i*g.Ways : i*g.Ways : (i+1)*g.Ways]
-	}
-	return lv, nil
+		tags:     make([]uint64, numSets*g.Ways),
+		lens:     make([]uint8, numSets),
+	}, nil
+}
+
+// set returns set s's occupied tags, most recent first.
+func (l *level) set(s uint64) []uint64 {
+	base := int(s) * l.geom.Ways
+	return l.tags[base : base+int(l.lens[s])]
 }
 
 // lookup probes the level; on a hit the line is moved to MRU position.
 func (l *level) lookup(lineAddr uint64) bool {
 	s := lineAddr & l.setMask
-	set := l.sets[s]
+	set := l.set(s)
 	for i, tag := range set {
 		if tag == lineAddr {
 			if i != 0 {
@@ -83,8 +91,7 @@ func (l *level) lookup(lineAddr uint64) bool {
 
 // present probes the level without updating counters or LRU order.
 func (l *level) present(lineAddr uint64) bool {
-	set := l.sets[lineAddr&l.setMask]
-	for _, tag := range set {
+	for _, tag := range l.set(lineAddr & l.setMask) {
 		if tag == lineAddr {
 			return true
 		}
@@ -98,19 +105,19 @@ func (l *level) fill(lineAddr uint64) {
 	if l.jr.open {
 		l.jr.saveSet(l, s)
 	}
-	set := l.sets[s]
-	if len(set) < l.geom.Ways {
-		set = append(set, 0)
+	n := int(l.lens[s])
+	if n < l.geom.Ways {
+		n++
+		l.lens[s] = uint8(n)
 	}
+	base := int(s) * l.geom.Ways
+	set := l.tags[base : base+n]
 	copy(set[1:], set)
 	set[0] = lineAddr
-	l.sets[s] = set
 }
 
 func (l *level) reset() {
-	for i := range l.sets {
-		l.sets[i] = l.sets[i][:0]
-	}
+	clear(l.lens)
 	l.hits, l.misses = 0, 0
 }
 
@@ -181,6 +188,7 @@ type Hierarchy struct {
 	streams  [streamTableSize]stream
 	accessNo uint64
 	jr       journal
+	img      image
 
 	memAccesses     uint64
 	prefetchFills   uint64
@@ -321,6 +329,90 @@ func (h *Hierarchy) Warm(base, size uint64) {
 	h.ResetStats()
 }
 
+// Range is one region [Base, Base+Region) warmed into a hierarchy.
+type Range struct {
+	Base, Region uint64
+}
+
+// image is the hierarchy's state right after ResetWarm warmed ranges: per
+// level, every set's length and the tags of the occupied sets in set
+// order, plus the stream table and the access clock. The counters are zero
+// after a warm, so they need no copy.
+type image struct {
+	ranges   []Range
+	lens     [3][]uint8
+	rows     [3][]uint64
+	streams  [streamTableSize]stream
+	accessNo uint64
+}
+
+// ResetWarm is Reset followed by Warm of each range in order. The
+// hierarchy keeps an image of the state that produces; a later call with
+// an equal range list restores the image in O(sets + warmed lines) instead
+// of re-walking every region line by line. The warmed state depends only
+// on the geometry and the ranges, so a restore is exact.
+func (h *Hierarchy) ResetWarm(ranges []Range) {
+	if len(ranges) > 0 && slices.Equal(ranges, h.img.ranges) {
+		h.restore()
+		return
+	}
+	h.Reset()
+	for _, r := range ranges {
+		h.Warm(r.Base, r.Region)
+	}
+	if len(ranges) > 0 {
+		h.capture(ranges)
+	}
+}
+
+// capture records the current state as the image of ranges, reusing the
+// image's storage when it is large enough. Rows are sized exactly: growing
+// them by appending would allocate about twice the warmed lines on every
+// hierarchy that captures.
+func (h *Hierarchy) capture(ranges []Range) {
+	img := &h.img
+	img.ranges = append(img.ranges[:0], ranges...)
+	for i, l := range h.levels() {
+		img.lens[i] = append(img.lens[i][:0], l.lens...)
+		lines := 0
+		for _, n := range l.lens {
+			lines += int(n)
+		}
+		rows := img.rows[i][:0]
+		if cap(rows) < lines {
+			rows = make([]uint64, 0, lines)
+		}
+		for s, n := range l.lens {
+			if n > 0 {
+				rows = append(rows, l.set(uint64(s))...)
+			}
+		}
+		img.rows[i] = rows
+	}
+	img.streams, img.accessNo = h.streams, h.accessNo
+}
+
+// restore overwrites the hierarchy with its image.
+func (h *Hierarchy) restore() {
+	img := &h.img
+	for i, l := range h.levels() {
+		copy(l.lens, img.lens[i])
+		rows := img.rows[i]
+		for s, n := range l.lens {
+			if n > 0 {
+				base := s * l.geom.Ways
+				copy(l.tags[base:base+int(n)], rows[:n])
+				rows = rows[n:]
+			}
+		}
+	}
+	h.setStats(Stats{})
+	h.streams, h.accessNo = img.streams, img.accessNo
+}
+
+// levels lists the hierarchy's levels from L1 outwards.
+func (h *Hierarchy) levels() [3]*level { return [3]*level{h.l1, h.l2, h.llc} }
+
 // Stats returns a snapshot of the counters.
 func (h *Hierarchy) Stats() Stats {
 	return Stats{
@@ -375,7 +467,7 @@ func (h *Hierarchy) SteadyLines(addrs []uint64, buf []uint64) []uint64 {
 // access counter. Two hierarchies with equal digests behave identically on
 // any access sequence confined to those lines.
 func (h *Hierarchy) AppendSteadyState(buf []byte, lines []uint64) []byte {
-	for _, l := range []*level{h.l1, h.l2, h.llc} {
+	for _, l := range h.levels() {
 		for i, ln := range lines {
 			set := ln & l.setMask
 			dup := false
@@ -388,7 +480,7 @@ func (h *Hierarchy) AppendSteadyState(buf []byte, lines []uint64) []byte {
 			if dup {
 				continue
 			}
-			tags := l.sets[set]
+			tags := l.set(set)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(tags)))
 			for _, tag := range tags {
 				buf = binary.LittleEndian.AppendUint64(buf, tag)
@@ -437,7 +529,8 @@ func (h *Hierarchy) AdvanceSteady(k int64, d Stats, dAccess uint64) {
 }
 
 // Reset clears contents, counters, prefetcher state, and the access clock,
-// leaving the hierarchy indistinguishable from one just built by New.
+// leaving the hierarchy indistinguishable from one just built by New. It
+// keeps ResetWarm's image, which stays exact.
 func (h *Hierarchy) Reset() {
 	h.l1.reset()
 	h.l2.reset()

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,81 @@ func TestResetMatchesNew(t *testing.T) {
 	check("after replayed traffic")
 }
 
+// TestResetWarmMatchesWarm: a hierarchy that ResetWarm restores from its
+// image is indistinguishable from New followed by Warm of the same ranges —
+// equal counters, access clock and steady-state digest over every warmed
+// line, and identical responses to later traffic. Two range lists are used
+// alternately; each is warmed, disturbed by traffic that evicts warmed lines
+// and fills unwarmed sets, then passed again (as a fresh slice with equal
+// contents) so that the second call restores.
+func TestResetWarmMatchesWarm(t *testing.T) {
+	cpu := isa.XeonSilver4110()
+	lists := [][]Range{
+		{{Base: 1 << 32, Region: 256 << 10}, {Base: 2<<32 + 1<<20, Region: 64 << 10}},
+		{{Base: 3 << 32, Region: 384 << 10}},
+	}
+	// traffic streams through lines outside every warmed set of the LLC,
+	// piles lines into set 0 of L2 and LLC (which both lists warm) until the
+	// warmed ones are evicted, and scatters accesses and prefetches.
+	var traffic []uint64
+	for a := uint64(0); a < 192<<10; a += 64 {
+		traffic = append(traffic, 7<<32+640<<10+a)
+	}
+	for k := uint64(1); k <= 24; k++ {
+		traffic = append(traffic, 9<<32+k<<20)
+	}
+	for i := uint64(0); i < 2048; i++ {
+		traffic = append(traffic, (i*0x9e3779b97f4a7c15)%(1<<36))
+	}
+
+	h := mustNew(cpu)
+	check := func(when string, ranges []Range) {
+		t.Helper()
+		want := mustNew(cpu)
+		var addrs []uint64
+		for _, r := range ranges {
+			want.Warm(r.Base, r.Region)
+			for a := r.Base; a < r.Base+r.Region; a += 64 {
+				addrs = append(addrs, a)
+			}
+		}
+		lines := want.SteadyLines(addrs, nil)
+		if got, exp := h.Stats(), want.Stats(); got != exp {
+			t.Errorf("%s: Stats = %+v, want %+v", when, got, exp)
+		}
+		if got, exp := h.AccessNo(), want.AccessNo(); got != exp {
+			t.Errorf("%s: AccessNo = %d, want %d", when, got, exp)
+		}
+		if !bytes.Equal(h.AppendSteadyState(nil, lines), want.AppendSteadyState(nil, lines)) {
+			t.Errorf("%s: steady-state digest over the warmed lines differs from New+Warm", when)
+		}
+		for i, a := range append(traffic, addrs...) {
+			gl, gv := h.Access(a)
+			wl, wv := want.Access(a)
+			if gl != wl || gv != wv {
+				t.Fatalf("%s: access %d (%#x): (%d, %d), New+Warm (%d, %d)", when, i, a, gl, gv, wl, wv)
+			}
+		}
+		if got, exp := h.Stats(), want.Stats(); got != exp {
+			t.Errorf("%s: Stats after later traffic = %+v, want %+v", when, got, exp)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for li, ranges := range lists {
+			h.ResetWarm(ranges)
+			check(fmt.Sprintf("round %d list %d warmed", round, li), ranges)
+			for i, a := range traffic {
+				h.Access(a)
+				if i%3 == 0 {
+					h.Prefetch(a + 4096)
+				}
+			}
+			h.ResetWarm(append([]Range(nil), ranges...))
+			check(fmt.Sprintf("round %d list %d restored", round, li), ranges)
+		}
+	}
+}
+
 func TestInvalidGeometry(t *testing.T) {
 	cpu := isa.XeonSilver4110()
 	cpu.L1D.Ways = 3 // 32KB/64B/3 is not a power-of-two set count
@@ -157,6 +233,11 @@ func TestInvalidGeometry(t *testing.T) {
 	cpu.L2.SizeBytes = 0
 	if _, err := New(cpu); err == nil {
 		t.Error("New should reject zero-size caches")
+	}
+	cpu = isa.XeonSilver4110()
+	cpu.L1D.Ways = 256 // two sets, but a set's length must fit a uint8
+	if _, err := New(cpu); err == nil {
+		t.Error("New should reject more than 255 ways")
 	}
 }
 

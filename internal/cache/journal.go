@@ -39,12 +39,12 @@ type journal struct {
 // Hot path: the generation compare rejects already-saved sets in one load.
 func (j *journal) saveSet(l *level, s uint64) {
 	if l.gens == nil {
-		l.gens = make([]uint32, len(l.sets))
+		l.gens = make([]uint32, len(l.lens))
 	} else if l.gens[s] == j.gen {
 		return
 	}
 	l.gens[s] = j.gen
-	set := l.sets[s]
+	set := l.set(s)
 	j.entries = append(j.entries, journalEntry{lv: l, set: s, off: int32(len(j.tags)), n: int32(len(set))})
 	j.tags = append(j.tags, set...)
 }
@@ -57,7 +57,7 @@ func (h *Hierarchy) BeginJournal() {
 	j.gen++
 	if j.gen == 0 {
 		// Generation counter wrapped: stale stamps could alias, so clear them.
-		for _, l := range []*level{h.l1, h.l2, h.llc} {
+		for _, l := range h.levels() {
 			for i := range l.gens {
 				l.gens[i] = 0
 			}
@@ -87,11 +87,9 @@ func (h *Hierarchy) RollbackJournal() {
 	h.setStats(j.stats)
 	for i := range j.entries {
 		e := &j.entries[i]
-		// Sets only grow inside a window (fill appends, nothing shrinks), so
-		// the live slice is at least as long as the saved one.
-		s := e.lv.sets[e.set][:e.n]
-		copy(s, j.tags[e.off:e.off+e.n])
-		e.lv.sets[e.set] = s
+		base := int(e.set) * e.lv.geom.Ways
+		copy(e.lv.tags[base:base+int(e.n)], j.tags[e.off:e.off+e.n])
+		e.lv.lens[e.set] = uint8(e.n)
 	}
 }
 

@@ -1,24 +1,28 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"hef/internal/engine"
+	"hef/internal/hid"
 	"hef/internal/isa"
 	"hef/internal/memo"
 	"hef/internal/queries"
 	"hef/internal/ssb"
+	"hef/internal/translator"
 	"hef/internal/uarch"
 )
 
 // TestReusedSimulatorMatchesFresh is the naive reference for stage
 // measurements: every distinct stage plan of a small figure (silver, SF10,
-// sample 0.005, all four engines), plus one evaluator-protocol plan so the
-// settling run is covered, measured on one reused simulator — in forward
-// order and then again in reverse — must equal the same plan measured on a
-// fresh simulator of its own. RunFigure's workers and TimeQuery rely on
-// this to reuse one simulator for every stage they measure.
+// sample 0.005, all four engines), plus evaluator-protocol plans so the
+// settling run and warmed-image restores are covered, measured on one
+// reused simulator — in forward order and then again in reverse — must
+// equal the same plan measured on a fresh simulator of its own. RunFigure's
+// workers, TimeQuery and SimEvaluator rely on this to reuse one simulator
+// for every measurement they make.
 func TestReusedSimulatorMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-sized measurement sweep is slow")
@@ -66,6 +70,28 @@ func TestReusedSimulatorMatchesFresh(t *testing.T) {
 	}
 	if len(plans) < 10 || plans[len(plans)-1].Proto != memo.ProtoEvaluator {
 		t.Fatalf("expected a figure's worth of stage plans plus an evaluator plan, got %d", len(plans))
+	}
+	// Evaluator-protocol probe plans at several nodes, adjacent and with
+	// equal warm ranges (as a search's evaluations have): on the reused
+	// simulator all but the first of them restore the warmed image instead
+	// of re-walking the hash table.
+	probe := engine.ProbeTemplate(1 << 20)
+	for _, n := range []translator.Node{{V: 1, S: 1, P: 3}, {V: 0, S: 1, P: 1}, {V: 1, S: 0, P: 2}, {V: 2, S: 1, P: 1}} {
+		out, err := translator.Translate(probe, n, translator.Options{CPU: cpu})
+		if err != nil {
+			t.Fatalf("probe %v: %v", n, err)
+		}
+		pl := memo.Plan{Proto: memo.ProtoEvaluator, Prog: out.Program, Iters: 2048 / int64(out.ElemsPerIter)}
+		for _, p := range probe.Params {
+			if p.Pattern == hid.RandomRegion {
+				pl.Warm = append(pl.Warm, memo.WarmRange{Base: translator.ParamBase(probe, p.Name), Region: p.Region})
+			}
+		}
+		if len(pl.Warm) == 0 {
+			t.Fatal("probe template warms nothing")
+		}
+		plans = append(plans, pl)
+		names = append(names, fmt.Sprintf("probe %v (evaluator protocol)", n))
 	}
 
 	measure := func(sim *uarch.Sim, i int) *uarch.Result {

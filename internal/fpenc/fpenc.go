@@ -6,21 +6,66 @@
 // The encoding is fixed: integers are little-endian uint64 (signed values go
 // through int64 first), floats are their IEEE-754 bit patterns, booleans are
 // one byte, and strings are length-prefixed. Changing any of these would
-// silently invalidate every persisted memo store, so they are pinned by tests
-// in internal/memo.
+// silently invalidate every persisted memo store, so their bytes are pinned
+// by TestFingerprintGolden in internal/memo and TestSkeletonKeyGolden in
+// internal/uarch.
+//
+// An encoding streams: once the buffer passes a few KB, Spill hashes it into
+// a running SHA-256 and empties it, so keying a program of thousands of
+// instructions holds a few KB rather than its whole encoding. Sum gives the
+// same key whether or not the encoding spilled.
 package fpenc
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 )
 
+// spillBytes is the buffer length at which Spill hashes the buffer away.
+const spillBytes = 2 << 10
+
 // E accumulates a canonical encoding. Strings are length-prefixed and slices
 // count-prefixed by callers, so adjacent variable-length fields can never
-// alias each other's bytes.
+// alias each other's bytes. Buf holds the bytes not yet spilled.
 type E struct {
 	Buf []byte
+	// h is the running SHA-256 of the spilled bytes, nil until the first
+	// spill.
+	h hash.Hash
+}
+
+// Spill hashes the buffer into the running digest once it holds spillBytes
+// or more. Encoders call it once per record (per instruction of a program),
+// not per field, so the field appenders stay branch-free.
+func (e *E) Spill() {
+	if len(e.Buf) >= spillBytes {
+		e.spill()
+	}
+}
+
+func (e *E) spill() {
+	if e.h == nil {
+		e.h = sha256.New()
+	}
+	e.h.Write(e.Buf) // a hash.Hash Write never returns an error
+	e.Buf = e.Buf[:0]
+}
+
+// Sum is the 128-bit content key of everything encoded so far: the first
+// half of the SHA-256 of the spilled bytes followed by Buf.
+func (e *E) Sum() (k [16]byte) {
+	if e.h == nil {
+		sum := sha256.Sum256(e.Buf)
+		copy(k[:], sum[:])
+		return k
+	}
+	e.spill()
+	// The emptied buffer has room for the digest, which keeps Sum from
+	// allocating one.
+	copy(k[:], e.h.Sum(e.Buf[:0]))
+	return k
 }
 
 // U64 appends v little-endian.
@@ -47,12 +92,4 @@ func (e *E) Bool(v bool) {
 func (e *E) Str(s string) {
 	e.U64(uint64(len(s)))
 	e.Buf = append(e.Buf, s...)
-}
-
-// Sum128 is the 128-bit content key of buf: the first half of its SHA-256.
-func Sum128(buf []byte) [16]byte {
-	sum := sha256.Sum256(buf)
-	var k [16]byte
-	copy(k[:], sum[:16])
-	return k
 }

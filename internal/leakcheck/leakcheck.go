@@ -97,20 +97,20 @@ func stacks() map[string]string {
 // test and churn freely.
 func boring(stack string) bool {
 	for _, marker := range []string{
-		"runtime.Stack(",             // this snapshot itself
-		"testing.tRunner(",           // sibling tests
-		"testing.(*T).Run(",          // test spawning
-		"testing.runTests(",          // the test main
-		"testing.(*M).",              // test main machinery
-		"os/signal.signal_recv(",     // signal delivery
-		"os/signal.loop(",            // signal delivery
-		"runtime.ensureSigM(",        // signal delivery setup
-		"created by runtime.gc",      // collector helpers
-		"runtime.bgsweep(",           // collector helpers
-		"runtime.bgscavenge(",        // collector helpers
-		"runtime.forcegchelper(",     // collector helpers
-		"runtime.ReadTrace(",         // execution tracer
-		"runtime/pprof.",             // profiler
+		"runtime.Stack(",                         // this snapshot itself
+		"testing.tRunner(",                       // sibling tests
+		"testing.(*T).Run(",                      // test spawning
+		"testing.runTests(",                      // the test main
+		"testing.(*M).",                          // test main machinery
+		"os/signal.signal_recv(",                 // signal delivery
+		"os/signal.loop(",                        // signal delivery
+		"runtime.ensureSigM(",                    // signal delivery setup
+		"created by runtime.gc",                  // collector helpers
+		"runtime.bgsweep(",                       // collector helpers
+		"runtime.bgscavenge(",                    // collector helpers
+		"runtime.forcegchelper(",                 // collector helpers
+		"runtime.ReadTrace(",                     // execution tracer
+		"runtime/pprof.",                         // profiler
 		"net/http.(*connReader).backgroundRead(", // idle keep-alive read, dies with the conn
 	} {
 		if strings.Contains(stack, marker) {

@@ -11,11 +11,15 @@
 // A Plan owns the protocol: the one value both keys a measurement (Key)
 // and runs it (Measure). Measure resets the simulator's hierarchy first, and
 // a reset hierarchy is indistinguishable from a freshly built one, so a
-// caller may reuse one simulator for every measurement it makes.
+// caller may reuse one simulator for every measurement it makes. The reset
+// and the warm are one Hierarchy.ResetWarm: a plan that warms the same
+// ranges as the simulator's previous one — every evaluation of a search —
+// restores the hierarchy's warmed image instead of re-walking the regions.
 //
 // Keys are 128 bits of SHA-256 over a canonical length-prefixed encoding of
-// every semantic input. Nothing is keyed by pointer identity or by name
-// alone: two CPU models with the same name but different geometry (a
+// every semantic input, streamed through internal/fpenc so a large program
+// is hashed a few KB at a time. Nothing is keyed by pointer identity or by
+// name alone: two CPU models with the same name but different geometry (a
 // perturbed clone, say) fingerprint differently, as do programs differing
 // in any instruction, operand, or address-stream field.
 //
@@ -31,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hef/internal/cache"
 	"hef/internal/fpenc"
 	"hef/internal/hid"
 	"hef/internal/isa"
@@ -53,14 +58,13 @@ const (
 	// LLC-resident regions, one throwaway run, one measured run.
 	ProtoEvaluator Protocol = iota + 1
 	// ProtoStage is the experiment harness's stage timing: a reset
-	// hierarchy, warm, and a single measured run.
+	// hierarchy, warm (restored from the warmed image when a worker's
+	// consecutive stages warm the same ranges), and a single measured run.
 	ProtoStage
 )
 
 // WarmRange is one region warmed into the hierarchy before measuring.
-type WarmRange struct {
-	Base, Region uint64
-}
+type WarmRange = cache.Range
 
 // enc is the canonical encoding accumulator shared with the skeleton cache
 // (internal/fpenc); the method aliases keep this package's encoders readable.
@@ -151,7 +155,7 @@ func Fingerprint(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, prog *uarch.Pro
 		e.u64(w.Base)
 		e.u64(w.Region)
 	}
-	return Key(fpenc.Sum128(e.Buf))
+	return Key(e.Sum())
 }
 
 // Plan is one measurement: the protocol, the translated program, its
@@ -174,17 +178,15 @@ func (p *Plan) Key(cpu *isa.CPU, perturb *uarch.Perturb) Key {
 // prefetcher, then the measured run. Without the reset, lines touched by
 // earlier measurements would stay resident and bias later ones; with it,
 // the Result depends on nothing sim measured before, which is what makes a
-// cached Result exact. The settling run shares the returned Result's
-// storage, so a warm simulator allocates only the Result and its PortBusy.
+// cached Result exact. The reset and warm are one Hierarchy.ResetWarm,
+// which restores the warmed image when sim's last plan warmed the same
+// ranges. The settling run shares the returned Result's storage, so a warm
+// simulator allocates only the Result and its PortBusy.
 func (p *Plan) Measure(sim *uarch.Sim) (*uarch.Result, error) {
 	if err := sim.Err(); err != nil {
 		return nil, err
 	}
-	hier := sim.Hierarchy()
-	hier.Reset()
-	for _, w := range p.Warm {
-		hier.Warm(w.Base, w.Region)
-	}
+	sim.Hierarchy().ResetWarm(p.Warm)
 	res := &uarch.Result{}
 	if p.Proto == ProtoEvaluator {
 		if err := sim.RunInto(res, p.Prog, p.Iters); err != nil {
@@ -218,7 +220,7 @@ func TranslationKey(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Te
 	e.i(node.P)
 	e.i(int(width))
 	e.u64(uint64(elems))
-	return Key(fpenc.Sum128(e.Buf))
+	return Key(e.Sum())
 }
 
 func (e *enc) template(t *hid.Template) {

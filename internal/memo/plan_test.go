@@ -45,7 +45,8 @@ func TestPlanKeyIsFingerprint(t *testing.T) {
 // TestPlanMeasureAllocs: on a warm, reused simulator a measurement
 // allocates only its Result and that Result's PortBusy under either
 // protocol — nothing proportional to the cache geometry, which a fresh
-// simulator per measurement would rebuild.
+// simulator per measurement would rebuild, and nothing for the warm: the
+// repeated range list restores the hierarchy's warmed image.
 func TestPlanMeasureAllocs(t *testing.T) {
 	cpu := isa.XeonSilver4110()
 	sim := uarch.NewSim(cpu)

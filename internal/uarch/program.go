@@ -262,6 +262,7 @@ func (p *Program) AppendFingerprint(e *fpenc.E) {
 		e.U64(u.Addr.Offset)
 		e.U64(u.Addr.Seed)
 		e.Int(int(u.Addr.LaneSel))
+		e.Spill()
 	}
 }
 

@@ -110,7 +110,7 @@ func skeletonKey(prog *Program, lj, oj float64, seed uint64) skelKey {
 	e.F64(oj)
 	e.U64(seed)
 	prog.AppendFingerprint(&e)
-	return fpenc.Sum128(e.Buf)
+	return e.Sum()
 }
 
 // The process-wide skeleton cache. Eviction is clear-on-full: skeletons are
@@ -274,8 +274,11 @@ func (s *Sim) bind(prog *Program) error {
 	s.skelProg = prog
 	s.skelLat, s.skelOcc, s.skelSeed = lj, oj, seed
 	if need := regRingSlots * sk.numRegs; cap(s.slab) < need {
-		s.slab = make([]int64, need)
-		s.watchHead = make([]int32, need)
+		// Grow geometrically: a search binds programs of rising register
+		// counts, and an exact fit would reallocate on nearly every one.
+		n := max(need, 2*cap(s.slab))
+		s.slab = make([]int64, need, n)
+		s.watchHead = make([]int32, need, n)
 	} else {
 		s.slab = s.slab[:need]
 		s.watchHead = s.watchHead[:need]

@@ -77,13 +77,13 @@ type steadyState struct {
 	// recording is set while the period after a detected recurrence is
 	// re-simulated slowly with every hierarchy call captured; tryIssue's
 	// memory paths consult it.
-	recording    bool
-	recStartIter int64
+	recording     bool
+	recStartIter  int64
 	recStartCycle int64
-	recP, recD   int64
-	recDigest    []byte
-	recRes       Result
-	recCalls     []recCall
+	recP, recD    int64
+	recDigest     []byte
+	recRes        Result
+	recCalls      []recCall
 
 	// invariantErr records a steadyDeltaCheck violation found while
 	// extrapolating (when self-checks are enabled); RunInto surfaces it as
