@@ -101,9 +101,9 @@ func measure() (*Snapshot, map[string][]Bench, error) {
 	trials := make(map[string][]Bench)
 
 	// The simulator throughput set: the hybrid form of each operator on the
-	// default engine (steady-state skips and replay on) plus the murmur
-	// kernel with them off — the raw cycle-by-cycle walk the fast paths are
-	// quoted against.
+	// default engine (period replay on) plus the murmur kernel with replay
+	// off — the cycle-by-cycle walk replay is quoted against. Idle-cycle
+	// skipping is on in both.
 	node := translator.Node{V: 1, S: 1, P: 2}
 	simBench := func(name, op string, fastPath bool, iters int64) error {
 		tmpl, err := experiments.OpTemplate(op)

@@ -5,7 +5,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -443,90 +442,6 @@ func (h *Hierarchy) LineShift() uint { return h.lineShift }
 // AccessNo returns the demand-access counter that clocks the stream
 // prefetcher's LRU ages.
 func (h *Hierarchy) AccessNo() uint64 { return h.accessNo }
-
-// SteadyLines appends to buf the set of cache lines a program restricted to
-// the given (iteration-invariant) addresses can touch: the addressed lines
-// plus the stream prefetcher's lookahead window behind each one. The result
-// is sorted and deduplicated; it bounds the sets AppendSteadyState must
-// digest.
-func (h *Hierarchy) SteadyLines(addrs []uint64, buf []uint64) []uint64 {
-	for _, a := range addrs {
-		line := a >> h.lineShift
-		for d := uint64(0); d <= streamDepth; d++ {
-			buf = append(buf, line+d)
-		}
-	}
-	slices.Sort(buf)
-	return slices.Compact(buf)
-}
-
-// AppendSteadyState appends a canonical digest of all hierarchy state that
-// can influence future accesses restricted to the given lines: for each
-// level, the contents (tags in LRU order) of every set one of the lines maps
-// to, and the stream-prefetcher table with slot ages taken relative to the
-// access counter. Two hierarchies with equal digests behave identically on
-// any access sequence confined to those lines.
-func (h *Hierarchy) AppendSteadyState(buf []byte, lines []uint64) []byte {
-	for _, l := range h.levels() {
-		for i, ln := range lines {
-			set := ln & l.setMask
-			dup := false
-			for _, prev := range lines[:i] {
-				if prev&l.setMask == set {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			tags := l.set(set)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(tags)))
-			for _, tag := range tags {
-				buf = binary.LittleEndian.AppendUint64(buf, tag)
-			}
-		}
-	}
-	for i := range h.streams {
-		st := &h.streams[i]
-		hits := st.hits
-		if hits > 2 {
-			// The prefetch trigger only distinguishes <2 from >=2.
-			hits = 2
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, st.nextLine)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(hits))
-		buf = binary.LittleEndian.AppendUint64(buf, h.accessNo-st.lastUsed)
-	}
-	return buf
-}
-
-// AdvanceSteady replays k repetitions of a measured steady-state period
-// without touching any cache contents: counters advance by k times the
-// period's deltas and the prefetcher clock (plus every live slot age) moves
-// forward by k times the period's access count, preserving all relative
-// LRU ages. The caller guarantees the hierarchy's contents are periodic with
-// that period (see uarch's steady-state fast path).
-func (h *Hierarchy) AdvanceSteady(k int64, d Stats, dAccess uint64) {
-	kk := uint64(k)
-	h.l1.hits += kk * d.L1Hits
-	h.l1.misses += kk * d.L1Misses
-	h.l2.hits += kk * d.L2Hits
-	h.l2.misses += kk * d.L2Misses
-	h.llc.hits += kk * d.LLCHits
-	h.llc.misses += kk * d.LLCMisses
-	h.memAccesses += kk * d.MemAccesses
-	h.prefetchFills += kk * d.PrefetchFills
-	h.hwPrefetchFills += kk * d.HWPrefetchFills
-	h.hwPrefetchMem += kk * d.HWPrefetchMem
-	h.swPrefetchMem += kk * d.SWPrefetchMem
-	h.accessNo += kk * dAccess
-	for i := range h.streams {
-		if h.streams[i].lastUsed != 0 {
-			h.streams[i].lastUsed += kk * dAccess
-		}
-	}
-}
 
 // Reset clears contents, counters, prefetcher state, and the access clock,
 // leaving the hierarchy indistinguishable from one just built by New. It

@@ -1,8 +1,8 @@
 package cache
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,8 +102,9 @@ func TestResetClearsContents(t *testing.T) {
 
 // TestResetMatchesNew: after traffic that fills every level, confirms
 // prefetch streams and advances the access clock, Reset leaves a hierarchy
-// indistinguishable from a fresh New — equal counters, access clock, and
-// steady-state digest, and identical responses to the same later traffic.
+// indistinguishable from a fresh New — equal counters, access clock, set
+// contents and prefetcher table, and identical responses to the same later
+// traffic.
 // Simulators reuse one hierarchy across measurements on exactly this
 // guarantee.
 func TestResetMatchesNew(t *testing.T) {
@@ -124,7 +125,6 @@ func TestResetMatchesNew(t *testing.T) {
 	fresh := mustNew(cpu)
 
 	addrs := []uint64{0, 1 << 20, 1<<20 + 4096, 1 << 30, 1<<30 + 64<<10, 0x9e3779b97f4a7c15 % (1 << 36)}
-	lines := fresh.SteadyLines(addrs, nil)
 	check := func(when string) {
 		t.Helper()
 		if got, want := used.Stats(), fresh.Stats(); got != want {
@@ -133,8 +133,8 @@ func TestResetMatchesNew(t *testing.T) {
 		if got, want := used.AccessNo(), fresh.AccessNo(); got != want {
 			t.Errorf("%s: AccessNo after Reset = %d, fresh = %d", when, got, want)
 		}
-		if !bytes.Equal(used.AppendSteadyState(nil, lines), fresh.AppendSteadyState(nil, lines)) {
-			t.Errorf("%s: steady-state digest after Reset differs from a fresh hierarchy's", when)
+		if d := stateDiff(used, fresh); d != "" {
+			t.Errorf("%s: state after Reset differs from a fresh hierarchy's: %s", when, d)
 		}
 	}
 	check("after Reset")
@@ -150,8 +150,8 @@ func TestResetMatchesNew(t *testing.T) {
 
 // TestResetWarmMatchesWarm: a hierarchy that ResetWarm restores from its
 // image is indistinguishable from New followed by Warm of the same ranges —
-// equal counters, access clock and steady-state digest over every warmed
-// line, and identical responses to later traffic. Two range lists are used
+// equal counters, access clock, set contents and prefetcher table, and
+// identical responses to later traffic. Two range lists are used
 // alternately; each is warmed, disturbed by traffic that evicts warmed lines
 // and fills unwarmed sets, then passed again (as a fresh slice with equal
 // contents) so that the second call restores.
@@ -186,15 +186,14 @@ func TestResetWarmMatchesWarm(t *testing.T) {
 				addrs = append(addrs, a)
 			}
 		}
-		lines := want.SteadyLines(addrs, nil)
 		if got, exp := h.Stats(), want.Stats(); got != exp {
 			t.Errorf("%s: Stats = %+v, want %+v", when, got, exp)
 		}
 		if got, exp := h.AccessNo(), want.AccessNo(); got != exp {
 			t.Errorf("%s: AccessNo = %d, want %d", when, got, exp)
 		}
-		if !bytes.Equal(h.AppendSteadyState(nil, lines), want.AppendSteadyState(nil, lines)) {
-			t.Errorf("%s: steady-state digest over the warmed lines differs from New+Warm", when)
+		if d := stateDiff(h, want); d != "" {
+			t.Errorf("%s: state differs from New+Warm: %s", when, d)
 		}
 		for i, a := range append(traffic, addrs...) {
 			gl, gv := h.Access(a)
@@ -271,6 +270,26 @@ func TestLLCMissEqualsMemAccess(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// stateDiff describes the first difference between two hierarchies' contents
+// — every set of every level, tags in LRU order — or their raw
+// stream-prefetcher tables, and returns "" when there is none. Hierarchies
+// that also share counters and access clock answer every later access
+// identically.
+func stateDiff(got, want *Hierarchy) string {
+	gl, wl := got.levels(), want.levels()
+	for i := range gl {
+		for s := range gl[i].lens {
+			if g, w := gl[i].set(uint64(s)), wl[i].set(uint64(s)); !slices.Equal(g, w) {
+				return fmt.Sprintf("level %d set %d holds %#x, want %#x", i+1, s, g, w)
+			}
+		}
+	}
+	if got.streams != want.streams {
+		return fmt.Sprintf("stream table %+v, want %+v", got.streams, want.streams)
+	}
+	return ""
 }
 
 // mustNew is the test-side replacement for the removed production MustNew.

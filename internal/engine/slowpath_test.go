@@ -83,6 +83,9 @@ func TestSlowPathRunIntoZeroAllocs(t *testing.T) {
 // model, back-to-back runs with the steady-state machinery enabled must
 // match the cycle-by-cycle walk bit for bit — including the cache
 // hierarchy's access clock, which the second run inherits from the first.
+// Period replay must also skip iterations somewhere among the six
+// templates on every model, so the differential covers the skip and not
+// just the detector.
 func TestSlowPathReplayDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many slow-path simulations")
@@ -94,6 +97,7 @@ func TestSlowPathReplayDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cpu %q: %v", cpuName, err)
 		}
+		var skipped int64
 		for _, tc := range slowPathTemplates() {
 			out, err := translator.Translate(tc.tmpl, node,
 				translator.Options{Width: cpu.NativeWidth(), CPU: cpu})
@@ -120,7 +124,13 @@ func TestSlowPathReplayDifferential(t *testing.T) {
 					t.Errorf("%s/%s run %d: hierarchy access clocks diverged: slow %d fast %d",
 						cpuName, tc.label, run, ss.Hierarchy().AccessNo(), fs.Hierarchy().AccessNo())
 				}
+				fi, _ := fs.FastForwarded()
+				t.Logf("%s/%s run %d: replay skipped %d of %d iterations", cpuName, tc.label, run, fi, iters)
+				skipped += fi
 			}
+		}
+		if skipped == 0 {
+			t.Errorf("%s: replay skipped no iteration of any template", cpuName)
 		}
 	}
 }

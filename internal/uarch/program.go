@@ -124,12 +124,6 @@ type Program struct {
 
 	// prepared dependency info, built lazily by prepare().
 	deps []depInfo
-	// fastEligible (built by prepare) marks a body whose every memory
-	// address is independent of the iteration number, the precondition for
-	// the steady-state fast path: AddrStride streams and region-random
-	// accesses visit new addresses every iteration, so a recurring machine
-	// state does not imply a recurring future for them.
-	fastEligible bool
 }
 
 // depInfo caches, per body uop, where each source operand comes from.
@@ -211,21 +205,6 @@ func (p *Program) prepare() {
 		}
 	}
 	p.deps = deps
-
-	p.fastEligible = true
-	for i := range p.Body {
-		switch a := &p.Body[i].Addr; a.Kind {
-		case AddrNone, AddrStack:
-			// Iteration-invariant: no address, or a fixed spill slot.
-		case AddrRandom:
-			// Region 0 degenerates to the constant Base address.
-			if a.Region != 0 {
-				p.fastEligible = false
-			}
-		default:
-			p.fastEligible = false
-		}
-	}
 }
 
 // AppendFingerprint appends the canonical content encoding of the program to

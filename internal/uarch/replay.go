@@ -2,32 +2,26 @@ package uarch
 
 import "hef/internal/isa"
 
-// Response-verified period replay.
+// Response-verified period replay: the extrapolation half of the fast path
+// whose detector lives in steady.go.
 //
-// The steady-state fast path in steady.go requires iteration-invariant
-// addresses (Program.fastEligible): only then does a recurring machine state
-// imply a recurring future, because the cache sees the same lines every
-// iteration. Real translated operators — columnar scans, hash probes — are
-// never eligible: their streams advance and their probes jump, so the
-// hierarchy state never recurs and every iteration simulates cycle by cycle.
-//
-// Replay mode removes the eligibility requirement by splitting the machine
-// in two. The core half (ROB, scheduler, register ring, port horizons,
-// memory queues) contains no addresses: its relative state digests
-// identically for any program, and between two equal boundary states the
-// core's trajectory is a deterministic function of one external input — the
-// sequence of cache responses feeding loads, gathers, and prefetches. So
-// once the core-only digest recurs with period p, the simulator records one
-// more period slowly, capturing every hierarchy call with its response, and
-// verifies the digest recurs again. From then on it stops simulating the
-// core entirely: each subsequent period issues only the recorded hierarchy
-// calls — with true addresses recomputed for the advancing iteration — and
-// compares the live responses against the recorded ones. While they match,
-// the core must retrace the recorded period exactly (by induction from the
-// boundary state), so its counters extrapolate by exact integer deltas and
-// its state shifts by (p iterations, d cycles) per period, while the
-// hierarchy advances genuinely — contents, counters, prefetcher and all —
-// by servicing the real access sequence. A sequential stream that hits L1
+// Translated operators — columnar scans, hash probes — advance their
+// streams and jump their probes every iteration, so the hierarchy's state
+// never recurs even when the core's does. Replay therefore splits the
+// machine in two. Between two equal core-only boundary states, the core's
+// trajectory is a deterministic function of one external input: the
+// sequence of cache responses feeding loads, gathers and prefetches. Once
+// the digest recurs with period p, the simulator records one more period
+// slowly, capturing every hierarchy call with its response, and verifies
+// the digest recurs again. From then on it stops simulating the core: each
+// later period issues only the recorded hierarchy calls — with true
+// addresses recomputed for the advancing iteration — and compares the live
+// responses against the recorded ones. While they match, the core must
+// retrace the recorded period exactly (by induction from the boundary
+// state), so its counters extrapolate by exact integer deltas and its state
+// shifts by (p iterations, d cycles) per period, while the hierarchy
+// advances genuinely — contents, counters, prefetcher and all — by
+// servicing the real access sequence. A sequential stream that hits L1
 // behind the hardware prefetcher replays for thousands of periods at the
 // cost of a handful of cache probes each.
 //
@@ -36,8 +30,8 @@ import "hef/internal/isa"
 // mutations are rolled back through the cache journal, leaving the machine
 // exactly at the last boundary, and the slow path resumes; detection then
 // re-arms from the snapshot ring. Every path is bit-identical to the slow
-// simulator: the differential suites in steady_test.go exercise both modes
-// and the goldens pin the end-to-end bytes.
+// simulator: the differential suites in steady_test.go and the engine
+// package check it, and the goldens pin the end-to-end bytes.
 
 // recCall is one recorded hierarchy call: which body µop issued it, the
 // iteration offset from the recording boundary, the lane addressed, and the

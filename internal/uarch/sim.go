@@ -277,13 +277,14 @@ type Sim struct {
 	rs []int32 // indices into the ROB arrays, age order, waiting to issue
 
 	// rsCount is the number of dispatched-but-unissued entries (the scheduler
-	// occupancy). In event-scheduler mode the rs slice stays empty and the
-	// waiting set lives in readySet/timeHeap/watcher lists instead.
+	// occupancy). rs holds only the entries of µops the event scheduler does
+	// not track; the tracked ones wait in readySet/timeHeap/watcher lists.
 	rsCount int
 
-	// Event-driven scheduler state, used for skeleton.fastScan bodies. An
-	// entry whose operands are all resolved has a final data-ready cycle
-	// (single-writer bodies: a sampled producer completion can never change):
+	// Event-driven scheduler state, tracked per µop: entries of
+	// skeleton.srcSafe µops use it, the rest are re-sampled on every scan.
+	// An entry whose operands are all resolved has a final data-ready cycle
+	// (a sampled single-writer producer completion can never change):
 	// it waits in timeHeap until that cycle arrives, then moves to readySet,
 	// which holds the data-ready entries in age order — the only entries a
 	// scan must visit. Entries with unissued producers are parked on per-cell
@@ -373,9 +374,10 @@ type Sim struct {
 	// its infallible signature and Run surfaces the error instead.
 	hierErr error
 
-	// steady is the steady-state fast-path detector (see steady.go); its
+	// steady is the fast path: core-only period detection (steady.go) and
+	// response-verified replay of the recorded period (replay.go). Its
 	// scratch buffers persist across runs so hot sweep loops stay
-	// allocation-free. fastOff disables the fast path (SetFastPath).
+	// allocation-free. fastOff disables it (SetFastPath).
 	steady  steadyState
 	fastOff bool
 }
@@ -587,7 +589,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 	var dispatchIdx int
 	var idleSkipped int64
 	traceDone := false
-	s.steady.begin(s, prog)
+	s.steady.begin(s)
 
 	for !traceDone || s.robCount > 0 {
 		// Free memory-queue slots whose operations completed.
@@ -598,9 +600,9 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 
 		// Steady-state fast path: at the first cycle observing each new
 		// dispatch iteration (after the drains, so every queued completion
-		// is in the future), look for an exact recurrence of the machine's
-		// relative state and, on a match, extrapolate whole periods of the
-		// loop at once.
+		// is in the future), look for an exact recurrence of the core's
+		// relative state and, once a recorded period verifies, replay whole
+		// periods of the loop at once.
 		if s.steady.active && !traceDone && dispatchIter > s.steady.lastIter {
 			s.steady.observe(s, res, &cycle, &dispatchIter, dispatchIdx, iters)
 		}

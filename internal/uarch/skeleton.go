@@ -76,7 +76,6 @@ type skeleton struct {
 	numRegs      int
 	bodyLen      int
 	elemsPerIter int
-	fastEligible bool
 	// srcSafe marks body µops whose readiness the event-driven scheduler
 	// tracks exactly: every tracked operand reads a register with exactly one
 	// writer in the body (so the sampled producer completion is final — no
@@ -187,7 +186,6 @@ func buildSkeleton(prog *Program, lj, oj float64, seed uint64) *skeleton {
 		numRegs:      prog.NumRegs,
 		bodyLen:      n,
 		elemsPerIter: prog.ElemsPerIter,
-		fastEligible: prog.fastEligible,
 	}
 	for i := range prog.Body {
 		u := &prog.Body[i]

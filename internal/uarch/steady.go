@@ -5,24 +5,24 @@ import (
 	"encoding/binary"
 	"slices"
 
-	"hef/internal/cache"
 	"hef/internal/check"
-	"hef/internal/isa"
 )
 
-// Steady-state fast path.
+// Steady-state fast path: period detection plus response-verified replay.
 //
-// A loop body whose memory addresses do not depend on the iteration number
-// (Program.fastEligible) drives the machine into a periodic regime: once the
-// pipeline's *relative* state — ROB contents, scheduler order, register
-// readiness, port horizons, memory-queue completions, and the reachable
-// cache/prefetcher state — recurs at an iteration-dispatch boundary, every
-// subsequent period replays the same cycle-by-cycle trajectory shifted by a
-// fixed (iterations, cycles) delta. Run therefore digests the relative state
-// at each boundary; on an exact recurrence it adds k periods' worth of
-// counter deltas, shifts the live state forward by k*(P iterations, D
-// cycles), and resumes the normal loop for the tail. The result is
-// bit-identical to the slow path (see steady_test.go's differential tests).
+// A translated loop settles into a periodic regime even though its addresses
+// advance every iteration: the core half of the machine — ROB contents,
+// scheduler order, register readiness, port horizons, memory-queue
+// completions — holds no addresses, so its state relative to the dispatch
+// front recurs. Run digests that core-only state at each iteration-dispatch
+// boundary and keeps the last steadyRing digests. On an exact recurrence with
+// period p it records one more period slowly, capturing every hierarchy call
+// with the response the core consumed, and replays from there (replay.go):
+// the hierarchy services the real addresses of each later period while the
+// core's counters extrapolate by exact integer deltas and its state shifts
+// by (p iterations, d cycles). The result is bit-identical to the slow path
+// (see steady_test.go and the engine's differential over translated
+// templates).
 //
 // The fast path turns itself off when a trace log is attached (events carry
 // absolute cycles), when Debug printing is on, and when port-fault injection
@@ -39,16 +39,13 @@ const (
 	steadyMaxBoundaries = 512
 )
 
-// steadySnap is one stored boundary snapshot. Its buffers are reused across
-// boundaries and runs.
+// steadySnap is one stored boundary snapshot. Its digest buffer is reused
+// across boundaries and runs.
 type steadySnap struct {
-	valid    bool
-	iter     int64
-	cycle    int64
-	digest   []byte
-	res      Result
-	stats    cache.Stats
-	accessNo uint64
+	valid  bool
+	iter   int64
+	cycle  int64
+	digest []byte
 }
 
 // steadyState is the per-Sim detector; scratch persists across runs so the
@@ -60,8 +57,6 @@ type steadyState struct {
 	ring     [steadyRing]steadySnap
 	next     int
 
-	addrs   []uint64
-	lines   []uint64
 	buf     []byte
 	heapTmp []int64
 	regTmp  []int64
@@ -70,10 +65,6 @@ type steadyState struct {
 	skippedIters  int64
 	skippedCycles int64
 
-	// replayMode marks a non-fastEligible run: the digest covers the core
-	// alone and recurrences are exploited by response-verified period replay
-	// (see replay.go) instead of a wholesale state jump.
-	replayMode bool
 	// recording is set while the period after a detected recurrence is
 	// re-simulated slowly with every hierarchy call captured; tryIssue's
 	// memory paths consult it.
@@ -97,14 +88,13 @@ type steadyState struct {
 func (s *Sim) SetFastPath(on bool) { s.fastOff = !on }
 
 // FastForwarded reports how many iterations and cycles the most recent Run
-// skipped by steady-state extrapolation (both zero when the full path ran).
+// skipped by period replay (both zero when the full path ran).
 func (s *Sim) FastForwarded() (iters, cycles int64) {
 	return s.steady.skippedIters, s.steady.skippedCycles
 }
 
-// begin arms the detector for one Run and precomputes the cache lines the
-// program (and the hardware prefetcher chasing it) can touch.
-func (st *steadyState) begin(s *Sim, prog *Program) {
+// begin arms the detector for one Run.
+func (st *steadyState) begin(s *Sim) {
 	st.skippedIters, st.skippedCycles = 0, 0
 	st.active = false
 	st.recording = false
@@ -116,46 +106,17 @@ func (st *steadyState) begin(s *Sim, prog *Program) {
 		return
 	}
 	st.active = true
-	// Eligibility is read from the bound skeleton: on a skeleton-cache hit
-	// the program's own lazy prepare() never ran, so prog.fastEligible may be
-	// stale-zero while the skeleton carries the prepared value. Ineligible
-	// programs run in replay mode: core-only digests, response-verified
-	// period replay instead of a state jump (see replay.go).
-	st.replayMode = !s.skel.fastEligible
 	st.lastIter = 0
 	st.seen = 0
 	st.next = 0
 	for i := range st.ring {
 		st.ring[i].valid = false
 	}
-	st.addrs = st.addrs[:0]
-	if st.replayMode {
-		st.lines = st.lines[:0]
-		return
-	}
-	for i := range prog.Body {
-		u := &prog.Body[i]
-		if !u.Instr.Class.IsMemory() {
-			continue
-		}
-		// Eligibility makes every address iteration-invariant, so iteration
-		// 0 enumerates the whole footprint.
-		switch u.Instr.Class {
-		case isa.GatherOp:
-			for lane := 0; lane < u.Instr.Lanes; lane++ {
-				st.addrs = append(st.addrs, u.Addr.address(0, lane, prog.ElemsPerIter))
-			}
-		case isa.Store:
-			st.addrs = append(st.addrs, u.Addr.address(0, 0, prog.ElemsPerIter))
-		default: // Load, Prefetch
-			st.addrs = append(st.addrs, u.Addr.address(0, int(u.Addr.LaneSel), prog.ElemsPerIter))
-		}
-	}
-	st.lines = s.hier.SteadyLines(st.addrs, st.lines[:0])
 }
 
-// observe runs at one iteration-dispatch boundary: digest the relative
-// state, extrapolate on a recurrence, or remember the snapshot.
+// observe runs at one iteration-dispatch boundary: digest the relative core
+// state, close or open a recording window on a recurrence, or remember the
+// snapshot.
 func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, dispatchIdx int, iters int64) {
 	st.lastIter = *dispatchIter
 	wasRecording := st.recording
@@ -203,39 +164,14 @@ func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, 
 		if p <= 0 || d <= 0 {
 			continue
 		}
-		// Leave at least one iteration of tail so the loop-exit transition
-		// and the ROB drain are simulated, not extrapolated.
-		k := (iters - 1 - *dispatchIter) / p
-		if st.replayMode {
-			// One period records, so at least one more must remain to
-			// replay.
-			if k < 2 {
-				st.active = false
-				return
-			}
-			st.startRecording(res, digest, p, d, *dispatchIter, *cycle)
-			return
-		}
-		if k <= 0 {
+		// One period records and at least one more must remain to replay,
+		// ahead of the iteration of tail that simulates the loop exit and
+		// the ROB drain.
+		if (iters-1-*dispatchIter)/p < 2 {
 			st.active = false
 			return
 		}
-		if check.Enabled() {
-			// Audit the period's counter delta before multiplying it by k:
-			// the fast path must extrapolate exactly what the slow path
-			// would have accumulated.
-			if err := steadyDeltaCheck(res, &snap.res, d); err != nil {
-				st.invariantErr = err
-			}
-		}
-		addScaledSelfDelta(res, &snap.res, uint64(k))
-		s.hier.AdvanceSteady(k, statsDelta(s.hier.Stats(), snap.stats), s.hier.AccessNo()-snap.accessNo)
-		s.shiftSteady(k*p, k*d, minIter, *dispatchIter, dispatchIdx)
-		*cycle += k * d
-		*dispatchIter += k * p
-		st.skippedIters += k * p
-		st.skippedCycles += k * d
-		st.active = false
+		st.startRecording(res, digest, p, d, *dispatchIter, *cycle)
 		return
 	}
 	snap := &st.ring[st.next]
@@ -243,14 +179,9 @@ func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, 
 	snap.valid = true
 	snap.iter, snap.cycle = *dispatchIter, *cycle
 	snap.digest = append(snap.digest[:0], digest...)
-	pb := snap.res.PortBusy[:0]
-	snap.res = *res
-	snap.res.PortBusy = append(pb, res.PortBusy...)
-	snap.stats = s.hier.Stats()
-	snap.accessNo = s.hier.AccessNo()
 }
 
-// encode canonicalises the machine state relative to (cycle, dispatchIter).
+// encode canonicalises the core's state relative to (cycle, dispatchIter).
 // Completion cycles at or before the current cycle are clamped to zero (all
 // "already available" states behave identically), iteration numbers are
 // taken relative to the dispatch front, and ROB positions relative to the
@@ -337,11 +268,8 @@ func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int
 			}
 		}
 	}
-	// In replay mode the hierarchy is deliberately absent from the digest:
-	// its divergence is caught per access by response verification instead.
-	if !st.replayMode {
-		buf = s.hier.AppendSteadyState(buf, st.lines)
-	}
+	// The hierarchy is deliberately absent from the digest: its divergence
+	// is caught per access by response verification instead.
 	st.buf = buf
 	return buf, minIter, true
 }

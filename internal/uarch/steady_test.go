@@ -21,8 +21,8 @@ func steadyCPUs(t *testing.T) []*isa.CPU {
 	return cpus
 }
 
-// stackSpillProg mixes arithmetic with stack spill traffic — eligible for
-// the fast path, and it exercises the cache/prefetcher state digest.
+// stackSpillProg mixes arithmetic with stack spill traffic: its replayed
+// periods re-issue loads and stores to fixed spill slots.
 func stackSpillProg(name string, n int) *Program {
 	p := &Program{Name: name, NumRegs: int16Max(n+2, 4), ElemsPerIter: n}
 	ld := isa.MustScalar("movq")
@@ -60,11 +60,12 @@ func int16Max(a, b int) int {
 	return b
 }
 
-// eligibleProgs are programs whose addresses are iteration-invariant; the
-// fast path must engage on them and stay bit-identical to the slow path.
+// fixedAddrProgs are programs whose addresses are iteration-invariant, so
+// every recorded period's responses recur; the fast path must engage on them
+// and stay bit-identical to the slow path.
 // 512-bit vector programs are only runnable on CPUs with 512-bit units, so
 // callers filter by model.
-func eligibleProgs(cpu *isa.CPU) []*Program {
+func fixedAddrProgs(cpu *isa.CPU) []*Program {
 	progs := []*Program{
 		indepProg("fp-indep-add", isa.MustScalar("add"), 8),
 		chainProg("fp-chain-mul", isa.MustScalar("imul"), 4),
@@ -95,13 +96,13 @@ func runBoth(t *testing.T, cpu *isa.CPU, prog *Program, iters int64) (slow, fast
 	return slow, fast, fs
 }
 
-// TestFastPathBitIdentical is the core differential: on every eligible
+// TestFastPathBitIdentical is the core differential: on every fixed-address
 // program × CPU model the fast path must produce the identical Result and
 // must actually have skipped work.
 func TestFastPathBitIdentical(t *testing.T) {
 	const iters = 4096
 	for _, cpu := range steadyCPUs(t) {
-		for _, prog := range eligibleProgs(cpu) {
+		for _, prog := range fixedAddrProgs(cpu) {
 			slow, fast, fs := runBoth(t, cpu, prog, iters)
 			if !reflect.DeepEqual(slow, fast) {
 				t.Errorf("%s/%s: fast path diverged\nslow: %+v\nfast: %+v", cpu.Name, prog.Name, slow, fast)
@@ -120,7 +121,7 @@ func TestFastPathBitIdentical(t *testing.T) {
 func TestFastPathBackToBackRuns(t *testing.T) {
 	const iters = 2048
 	for _, cpu := range steadyCPUs(t) {
-		for _, prog := range eligibleProgs(cpu) {
+		for _, prog := range fixedAddrProgs(cpu) {
 			ss := NewSim(cpu)
 			ss.SetFastPath(false)
 			fs := NewSim(cpu)
@@ -139,7 +140,7 @@ func TestFastPathBackToBackRuns(t *testing.T) {
 // leave awkward tails) to pin the exact-tail arithmetic.
 func TestFastPathIrregularIters(t *testing.T) {
 	cpu := isa.XeonSilver4110()
-	for _, prog := range eligibleProgs(cpu) {
+	for _, prog := range fixedAddrProgs(cpu) {
 		for _, iters := range []int64{1, 2, 63, 100, 1000, 1001, 4097} {
 			slow, fast, _ := runBoth(t, cpu, prog, iters)
 			if !reflect.DeepEqual(slow, fast) {
@@ -149,11 +150,11 @@ func TestFastPathIrregularIters(t *testing.T) {
 	}
 }
 
-// TestReplayIterDependentAddresses: streaming and region-random programs are
-// ineligible for the wholesale state jump, but response-verified replay
-// (replay.go) fast-forwards them — and must stay bit-identical to the slow
-// path across back-to-back runs, where the second run inherits the first
-// run's hierarchy state.
+// TestReplayIterDependentAddresses: streaming and region-random programs,
+// the address patterns translated operators emit, touch new addresses every
+// iteration, yet response-verified replay (replay.go) fast-forwards them. It
+// must stay bit-identical to the slow path across back-to-back runs, where
+// the second run inherits the first run's hierarchy state.
 func TestReplayIterDependentAddresses(t *testing.T) {
 	ld := isa.MustScalar("movq")
 	stream := &Program{Name: "stream", NumRegs: 2, ElemsPerIter: 1, Body: []UOp{
@@ -183,7 +184,7 @@ func TestReplayIterDependentAddresses(t *testing.T) {
 			skipped += fi
 		}
 		if skipped == 0 {
-			t.Errorf("%s: replay mode never engaged across 3 runs", prog.Name)
+			t.Errorf("%s: replay never engaged across 3 runs", prog.Name)
 		}
 	}
 }

@@ -19,7 +19,7 @@ var (
 type SimTotals struct {
 	// Instructions retired across every run.
 	Instructions uint64
-	// FastCycles were fast-forwarded through the steady-state detector;
+	// FastCycles were fast-forwarded by period replay (steady.go);
 	// SlowCycles were stepped one at a time. Their sum is total simulated
 	// cycles.
 	FastCycles, SlowCycles uint64
