@@ -134,3 +134,51 @@ func TestSlowPathReplayDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRearmsAfterDeviation pins the detector's recovery from a replay
+// rollback. On silver and gold, crc64's scalar table lookups occasionally
+// come back slower than the recorded period said, so replay deviates and
+// falls back to the slow path. The detector must re-arm on a short period
+// afterwards and keep skipping: a stale pre-replay snapshot must not pose
+// as a period of hundreds of iterations and switch detection off, and
+// frequent short replays must not exhaust the boundary budget.
+func TestReplayRearmsAfterDeviation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow-path simulations")
+	}
+	node := translator.Node{V: 1, S: 1, P: 2}
+	const iters, minSkip = 2048, 900
+	for _, cpuName := range []string{"silver", "gold"} {
+		cpu, err := isa.ByName(cpuName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := translator.Translate(hashes.CRC64Template(), node,
+			translator.Options{Width: cpu.NativeWidth(), CPU: cpu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := uarch.NewSim(cpu)
+		ss.SetFastPath(false)
+		fs := uarch.NewSim(cpu)
+		for run := 0; run < 2; run++ {
+			slow, err := ss.Run(out.Program, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := fs.Run(out.Program, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(slow, fast) {
+				t.Errorf("%s run %d: fast path diverged from the slow path", cpuName, run)
+			}
+			// The warm run is the one an evaluation measures; the cold
+			// first run also deviates on compulsory table misses.
+			if fi, _ := fs.FastForwarded(); run == 1 && fi < minSkip {
+				t.Errorf("%s/crc64 %v run %d: replay skipped %d of %d iterations, want at least %d",
+					cpuName, node, run, fi, iters, minSkip)
+			}
+		}
+	}
+}
