@@ -29,7 +29,7 @@ import "hef/internal/isa"
 // misses where the recorded period hit — the deviating period's hierarchy
 // mutations are rolled back through the cache journal, leaving the machine
 // exactly at the last boundary, and the slow path resumes; detection then
-// re-arms from the snapshot ring. Every path is bit-identical to the slow
+// re-arms from an emptied snapshot ring. Every path is bit-identical to the slow
 // simulator: the differential suites in steady_test.go and the engine
 // package check it, and the goldens pin the end-to-end bytes.
 
@@ -98,6 +98,7 @@ func (st *steadyState) replayRun(s *Sim, res *Result, cycle, dispatchIter *int64
 		st.skippedIters += k * p
 		st.skippedCycles += k * d
 		totalReplayPeriods.Add(uint64(k))
+		st.seen = 0 // the program settles, so the boundary budget restarts
 	}
 	if k == maxK {
 		st.active = false
@@ -105,7 +106,13 @@ func (st *steadyState) replayRun(s *Sim, res *Result, cycle, dispatchIter *int64
 	}
 	// A response deviated: the deviating period was rolled back, the machine
 	// sits exactly at the last good boundary, and the slow path resumes with
-	// detection still armed.
+	// detection still armed. The ring's snapshots predate the recording and
+	// any replayed span; one of them matching later would pose as a period
+	// of hundreds of iterations and switch detection off, so detection
+	// starts over from an empty ring.
+	for i := range st.ring {
+		st.ring[i].valid = false
+	}
 }
 
 // replayPeriod re-issues one period's recorded hierarchy calls with the true

@@ -31,11 +31,14 @@ import (
 // instruction name and is safe.
 
 const (
-	// steadyRing is how many recent boundary snapshots are kept: recurrences
-	// with periods up to steadyRing iterations are detected.
+	// steadyRing is how many recent boundary snapshots are kept: a
+	// recurrence is detected against any of them. Wide dispatch can cross
+	// several iterations between observed boundaries, so a period may span
+	// more than steadyRing iterations.
 	steadyRing = 8
 	// steadyMaxBoundaries bounds the snapshot work on programs that never
-	// settle; past it the detector gives up for the rest of the run.
+	// settle: after that many boundaries without a replayed period the
+	// detector gives up for the rest of the run.
 	steadyMaxBoundaries = 512
 )
 
