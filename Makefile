@@ -33,10 +33,11 @@ test-short:
 bench-test:
 	cd cmd/hefbench && $(GO) test ./...
 
-# chaos runs the seeded fault-injection harness for the supervised job
-# runner: worker panics, slow workers, mid-run kills, and checkpoint/resume
-# byte-equivalence. CHAOS_SEED overrides the seed; CHAOS_ARTIFACT_DIR keeps
-# the checkpoints and reports for post-mortem (CI uploads them on failure).
+# chaos runs the seeded fault-injection harness for the sweep loop under
+# RunSweep: first-attempt task panics, mid-run kills by SIGTERM and by the
+# tasks themselves, and checkpoint/resume byte-equivalence. CHAOS_SEED
+# overrides the seed; CHAOS_ARTIFACT_DIR keeps the checkpoints and reports
+# for post-mortem (CI uploads them on failure).
 chaos:
 	$(GO) test ./internal/sched/ -race -count=1 -run 'Chaos|Drain' -v -timeout 15m
 

@@ -51,7 +51,6 @@ func run() int {
 	memoDir := flag.String("memo-dir", "", "directory of the shared durable measurement memo store (optional)")
 	workers := flag.Int("workers", 2, "jobs run concurrently")
 	queue := flag.Int("queue", 64, "bound on accepted-but-unfinished jobs; beyond it submissions shed with 429")
-	retries := flag.Int("retries", 2, "retry attempts per operator after a failure or panic")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant sustained submission rate in jobs/second (0 disables quotas)")
 	quotaBurst := flag.Float64("quota-burst", 10, "per-tenant submission burst capacity")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive job failures that open a tenant's circuit breaker (0 disables)")
@@ -77,7 +76,7 @@ func run() int {
 		}
 	})
 
-	if err := validate(*dataDir, *workers, *queue, *retries, *quotaRate, *quotaBurst, *breakerThreshold, *breakerCooldown, *drainTimeout); err != nil {
+	if err := validate(*dataDir, *workers, *queue, *quotaRate, *quotaBurst, *breakerThreshold, *breakerCooldown, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "hefd: %v\n\n", err)
 		flag.Usage()
 		return 2
@@ -129,7 +128,6 @@ func run() int {
 		MemoDir:      *memoDir,
 		Workers:      *workers,
 		QueueSize:    *queue,
-		Retries:      *retries,
 		Quota:        hefd.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 		Breaker:      sched.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
 		Retention:    hefd.RetentionConfig{Age: *retainAge, Count: *retainCount},
@@ -218,7 +216,7 @@ func run() int {
 }
 
 // validate rejects bad flag combinations before any side effect, exit 2.
-func validate(dataDir string, workers, queue, retries int, quotaRate, quotaBurst float64, breakerThreshold int, breakerCooldown, drainTimeout time.Duration) error {
+func validate(dataDir string, workers, queue int, quotaRate, quotaBurst float64, breakerThreshold int, breakerCooldown, drainTimeout time.Duration) error {
 	if dataDir == "" {
 		return fmt.Errorf("-data-dir is required")
 	}
@@ -227,9 +225,6 @@ func validate(dataDir string, workers, queue, retries int, quotaRate, quotaBurst
 	}
 	if queue <= 0 {
 		return fmt.Errorf("-queue must be positive, got %d", queue)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", retries)
 	}
 	if quotaRate < 0 {
 		return fmt.Errorf("-quota-rate must be non-negative, got %g", quotaRate)

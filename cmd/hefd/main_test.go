@@ -73,7 +73,6 @@ func TestFlagValidation(t *testing.T) {
 		{"missing data dir", []string{}, "-data-dir is required"},
 		{"zero workers", []string{"-data-dir", "d", "-workers", "0"}, "-workers must be positive"},
 		{"zero queue", []string{"-data-dir", "d", "-queue", "0"}, "-queue must be positive"},
-		{"negative retries", []string{"-data-dir", "d", "-retries", "-1"}, "-retries must be non-negative"},
 		{"negative quota rate", []string{"-data-dir", "d", "-quota-rate", "-1"}, "-quota-rate must be non-negative"},
 		{"negative quota burst", []string{"-data-dir", "d", "-quota-burst", "-2"}, "-quota-burst must be non-negative"},
 		{"negative breaker threshold", []string{"-data-dir", "d", "-breaker-threshold", "-1"}, "-breaker-threshold must be non-negative"},

@@ -3,11 +3,11 @@
 // search, printing the optimal (v, s, p) node, the generated code, and the
 // search trace.
 //
-// -op accepts a comma-separated list; a multi-operator batch runs on a
-// supervised worker pool with retry and checkpoint support, so an
-// interrupted batch (Ctrl-C, SIGTERM, -timeout) drains cleanly, flushes
-// -checkpoint, and a later -resume run re-does only the missing operators —
-// emitting the same report an uninterrupted batch would have.
+// -op accepts a comma-separated list; a multi-operator batch runs on the
+// sweep worker loop with checkpoint support, so an interrupted batch
+// (Ctrl-C, SIGTERM, -timeout) drains cleanly, flushes -checkpoint, and a
+// later -resume run re-does only the missing operators — emitting the same
+// report an uninterrupted batch would have.
 //
 // Usage:
 //
@@ -78,8 +78,7 @@ func main() {
 	for _, name := range ops {
 		name := name
 		tasks = append(tasks, sched.Task[*opResult]{
-			ID:  name,
-			Key: *cpuName,
+			ID: name,
 			Run: func(jctx context.Context) (*opResult, error) {
 				return runOne(jctx, *cpuName, name, *file, *elems, *budget, s.Parallel, *showCode, *trace, *dotOut != "", cache)
 			},

@@ -7,8 +7,8 @@
 //
 // The output is deterministic byte-for-byte for fixed flags: the report
 // carries no timestamps and every perturbation draw hashes from -seed. The
-// (op, cpu) analyses run on a supervised worker pool with retry and
-// checkpoint support, so a long sweep survives interruption: Ctrl-C (or
+// (op, cpu) analyses run on the sweep worker loop with checkpoint
+// support, so a long sweep survives interruption: Ctrl-C (or
 // SIGTERM, or -timeout) drains cleanly, flushes -checkpoint, and a later
 // -resume run re-does only the missing pairs — producing the same bytes an
 // uninterrupted run would have.
@@ -88,8 +88,7 @@ func main() {
 	for _, p := range pairs {
 		p := p
 		tasks = append(tasks, sched.Task[*robust.Sensitivity]{
-			ID:  p.cpuName + "/" + p.opName,
-			Key: p.cpuName,
+			ID: p.cpuName + "/" + p.opName,
 			Run: func(jctx context.Context) (*robust.Sensitivity, error) {
 				tmpl, err := experiments.OpTemplate(p.opName)
 				if err != nil {

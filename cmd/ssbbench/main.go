@@ -2,9 +2,9 @@
 // per-query execution times of Figs. 8-10 and the perf-counter breakdowns
 // of Tables III-V.
 //
-// The -all sweep (six figures: both CPUs at SF 10/20/50) runs on a
-// supervised worker pool with retry and checkpoint support: Ctrl-C, SIGTERM,
-// or -timeout drains cleanly between figures, flushes -checkpoint, and a
+// The -all sweep (six figures: both CPUs at SF 10/20/50) runs on the sweep
+// worker loop with checkpoint support: Ctrl-C, SIGTERM, or -timeout
+// drains cleanly between figures, flushes -checkpoint, and a
 // later -resume run re-computes only the missing figures — emitting output
 // byte-identical to an uninterrupted sweep. Outside -all, -timeout is a
 // watchdog: a figure or table that overruns it exits 1.
@@ -153,8 +153,8 @@ type figCell struct {
 	Report *obs.RunReport `json:"report,omitempty"`
 }
 
-// runAll executes the six-figure sweep on a supervised runner with graceful
-// drain and checkpoint/resume; with a coordinator it leases figure ranges
+// runAll executes the six-figure sweep on the sweep worker loop with
+// graceful drain and checkpoint/resume; with a coordinator it leases figure ranges
 // as a distributed sweep worker instead.
 func runAll(sample float64, seed uint64) {
 	fingerprint := fmt.Sprintf("all sample=%g seed=%d format=%s", sample, seed, outFormat)
@@ -163,8 +163,7 @@ func runAll(sample float64, seed uint64) {
 		for _, sf := range []float64{10, 20, 50} {
 			c, sf := c, sf
 			tasks = append(tasks, sched.Task[*figCell]{
-				ID:  fmt.Sprintf("%s/sf%g", c, sf),
-				Key: c,
+				ID: fmt.Sprintf("%s/sf%g", c, sf),
 				Run: func(context.Context) (*figCell, error) {
 					fig, err := runFigure(c, sf, sample, seed, nil)
 					if err != nil {

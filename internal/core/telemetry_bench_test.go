@@ -9,21 +9,14 @@ import (
 
 	"hef/internal/hashes"
 	"hef/internal/hef"
-	"hef/internal/sched"
 	"hef/internal/telemetry"
 )
 
-// installTelemetry points the process-wide scheduler and search instrument
-// sets at a fresh registry, as mount.Start does; the returned func
-// uninstalls them.
+// installTelemetry points the process-wide search instrument set at a
+// fresh registry, as mount.Start does; the returned func uninstalls it.
 func installTelemetry() func() {
-	reg := telemetry.NewRegistry()
-	sched.SetDefaultMetrics(telemetry.NewSchedMetrics(reg))
-	hef.SetMetrics(telemetry.NewSearchMetrics(reg))
-	return func() {
-		sched.SetDefaultMetrics(nil)
-		hef.SetMetrics(nil)
-	}
+	hef.SetMetrics(telemetry.NewSearchMetrics(telemetry.NewRegistry()))
+	return func() { hef.SetMetrics(nil) }
 }
 
 // BenchmarkOptimizeOperatorTelemetry mirrors BenchmarkOptimizeOperator/cold

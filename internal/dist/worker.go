@@ -31,11 +31,9 @@ type WorkerConfig struct {
 	Tool        string
 	Fingerprint string
 
-	// Workers sizes the local pool a leased range runs on (<= 0 selects 1).
+	// Workers is how many tasks of a leased range run at once (<= 0
+	// selects 1).
 	Workers int
-	// Retries caps local per-task retries before the range is reported
-	// failed.
-	Retries int
 
 	// Client is the HTTP client (nil selects a 30s-timeout default).
 	Client *http.Client
@@ -49,11 +47,9 @@ type WorkerConfig struct {
 	LogW io.Writer
 
 	// Metrics and Tracer flow into the local sweep runs, so a worker's
-	// /metrics shows the same sweep series a single-process run would;
-	// RunnerMetrics instruments the local pool.
-	Metrics       *telemetry.SweepMetrics
-	Tracer        *telemetry.Tracer
-	RunnerMetrics *telemetry.SchedMetrics
+	// /metrics shows the same sweep series a single-process run would.
+	Metrics *telemetry.SweepMetrics
+	Tracer  *telemetry.Tracer
 }
 
 // GoneAfterPolls scales PollMax into the bound after which a worker stops
@@ -186,7 +182,7 @@ type worker[T any] struct {
 // RunWorker participates in a distributed sweep until it is complete: it
 // registers the plan derived from its own flags (so a misconfigured worker
 // is refused, not mixed in), then leases ranges, runs them on a local
-// sched.RunSweep pool, heartbeats while computing, and commits marshalled
+// sched.RunSweep loop, heartbeats while computing, and commits marshalled
 // results. Transport errors back off and retry — commits are idempotent on
 // the coordinator, so at-least-once delivery is safe. It returns nil when a
 // commit or lease response reports the sweep done, and an error when the
@@ -406,11 +402,7 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) (done bool,
 	}()
 
 	res, runErr := sched.RunSweep(ctx, sched.SweepConfig{
-		Tool: w.cfg.Tool, Fingerprint: w.cfg.Fingerprint,
-		Runner: sched.Config{
-			Workers: w.cfg.Workers, MaxRetries: w.cfg.Retries,
-			Clock: w.cfg.Clock, Metrics: w.cfg.RunnerMetrics,
-		},
+		Tool: w.cfg.Tool, Fingerprint: w.cfg.Fingerprint, Workers: w.cfg.Workers,
 		Metrics: w.cfg.Metrics, Tracer: w.cfg.Tracer,
 	}, sub)
 	hbStop()
@@ -420,16 +412,14 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) (done bool,
 	}
 
 	if runErr != nil {
-		// Local failure after retries: report it so the range re-dispatches
-		// immediately, and let the coordinator's failure budget decide
-		// whether the sweep survives.
+		// Local failure: report it so the range re-dispatches immediately,
+		// and let the coordinator's failure budget decide whether the sweep
+		// survives.
 		w.stats.Failures++
 		fails := map[string]string{}
 		if res != nil {
-			for _, o := range res.Failed {
-				if o.Err != nil {
-					fails[o.ID] = o.Err.Error()
-				}
+			for _, f := range res.Failed {
+				fails[f.ID] = f.Err.Error()
 			}
 		}
 		var fr FailResponse

@@ -116,17 +116,16 @@ func runMatrixSweep(t *testing.T, dir, cpPath, resumePath string, stopAfter int)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// The interruption is task-side and counted at task start, not raced
-	// against the shutdown watcher: exactly stopAfter tasks compute, the
-	// next one cancels the sweep and blocks until its job context closes —
-	// deterministic however loaded the machine is.
+	// The interruption is task-side and counted at task start: exactly
+	// stopAfter tasks compute, and the next one cancels the sweep and
+	// returns the cancellation — deterministic however loaded the machine
+	// is.
 	var ran atomic.Int64
 	var tasks []sched.Task[*matrixRow]
 	for i := 0; i < matrixJobs; i++ {
 		i := i
 		tasks = append(tasks, sched.Task[*matrixRow]{
-			ID:  fmt.Sprintf("job-%02d", i),
-			Key: "k",
+			ID: fmt.Sprintf("job-%02d", i),
 			Run: func(jctx context.Context) (*matrixRow, error) {
 				if stopAfter > 0 && ran.Add(1) > int64(stopAfter) {
 					cancel()
@@ -151,7 +150,7 @@ func runMatrixSweep(t *testing.T, dir, cpPath, resumePath string, stopAfter int)
 	cfg := sched.SweepConfig{
 		Tool: "corrupt-matrix", Fingerprint: "seeded",
 		CheckpointPath: cpPath, ResumePath: resumePath,
-		Runner: sched.Config{Workers: 1},
+		Workers: 1,
 	}
 	res, err := sched.RunSweep(ctx, cfg, tasks)
 	if stopAfter == 0 && err != nil {

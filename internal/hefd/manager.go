@@ -40,8 +40,6 @@ type Config struct {
 	// QueueSize bounds accepted-but-unfinished jobs (queued + running);
 	// beyond it submissions shed with 429 (<= 0 selects 64).
 	QueueSize int
-	// Retries caps per-operator re-executions inside a job (< 0 selects 0).
-	Retries int
 	// Quota configures the per-tenant token buckets (zero disables).
 	Quota QuotaConfig
 	// Breaker configures the per-tenant admission breaker (zero disables;
@@ -149,9 +147,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = sched.RealClock{}
@@ -688,10 +683,15 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 	for _, op := range spec.Ops {
 		op := op
 		tasks = append(tasks, sched.Task[*obs.RunReport]{
-			ID:  op,
-			Key: spec.CPU,
+			ID: op,
 			Run: func(jctx context.Context) (*obs.RunReport, error) {
-				return m.runOp(jctx, spec, op)
+				rep, err := m.runOp(jctx, spec, op)
+				if err == nil {
+					m.mu.Lock()
+					j.done++
+					m.mu.Unlock()
+				}
+				return rep, err
 			},
 		})
 	}
@@ -710,19 +710,8 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 			CheckpointPath: ckpt,
 			ResumePath:     resume,
 			FS:             m.fs,
-			Runner: sched.Config{
-				Workers:    1,
-				MaxRetries: m.cfg.Retries,
-				OnOutcome: func(o sched.Outcome) {
-					if o.State == sched.StateDone {
-						m.mu.Lock()
-						j.done++
-						m.mu.Unlock()
-					}
-				},
-			},
-			Metrics: m.cfg.SweepMetrics,
-			Tracer:  m.cfg.Tracer,
+			Metrics:        m.cfg.SweepMetrics,
+			Tracer:         m.cfg.Tracer,
 		}, tasks)
 	}
 

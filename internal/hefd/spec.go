@@ -19,7 +19,7 @@
 //     next start picks them back up.
 //
 // The package composes the existing robustness libraries — internal/sched
-// (supervised pool, retries, checkpoint/resume), internal/store (durable
+// (sweep loop, checkpoint/resume, tenant breakers), internal/store (durable
 // record logs), internal/telemetry (health, metrics) — behind cmd/hefd.
 // DESIGN.md §11 specifies the API schemas and the job lifecycle state
 // machine.

@@ -117,12 +117,12 @@ func TestTelemetryFromRegistry(t *testing.T) {
 		t.Fatal("nil registry produced a telemetry block")
 	}
 	reg := telemetry.NewRegistry()
-	reg.Gauge(telemetry.MetricQueueDepth, "").Set(4)
+	reg.Gauge(telemetry.MetricSweepTasks, "").Set(4)
 	tr := telemetry.NewTracer()
 	tr.Begin("sweep", "all")()
 	tr.Begin("checkpoint", "flush")()
 	ts := TelemetryFromRegistry(reg, tr, 2.5)
-	if ts.Series[telemetry.MetricQueueDepth] != 4 || ts.Spans != 2 || ts.UptimeSeconds != 2.5 {
+	if ts.Series[telemetry.MetricSweepTasks] != 4 || ts.Spans != 2 || ts.UptimeSeconds != 2.5 {
 		t.Fatalf("telemetry block = %+v", ts)
 	}
 	if len(ts.SpanTracks) != 2 || ts.SpanTracks[0] != "checkpoint" || ts.SpanTracks[1] != "sweep" {

@@ -11,8 +11,8 @@ type BreakerConfig struct {
 	// circuit open (<= 0 disables the breaker entirely).
 	Threshold int
 	// Cooldown is how long an open circuit denies its key before
-	// half-opening to admit a single probe. Each owner picks its default
-	// for <= 0: 1s for a Runner, 30s for hefd's tenant admission.
+	// half-opening to admit a single probe. The owner picks the default
+	// for <= 0 (hefd's tenant admission selects 30s).
 	Cooldown time.Duration
 }
 

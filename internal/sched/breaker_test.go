@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -145,61 +143,5 @@ func TestBreakerRules(t *testing.T) {
 				t.Fatal("an untouched key was denied")
 			}
 		})
-	}
-}
-
-// A probe that panics is a failed probe: the recovered panic must count
-// against the breaker exactly like an error return, re-opening the circuit
-// so the next attempt is denied with ErrCircuitOpen rather than running
-// against a key whose probe just blew up.
-func TestBreakerReopensAfterProbePanic(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	r := New(Config{
-		Workers:     1,
-		QueueSize:   8,
-		MaxRetries:  0,
-		BaseBackoff: time.Microsecond,
-		Breaker:     BreakerConfig{Threshold: 1, Cooldown: time.Minute},
-		Clock:       clk,
-	})
-	defer r.Stop()
-
-	run := func(id string, fn func(context.Context) (any, error)) Outcome {
-		t.Helper()
-		if err := r.SubmitWait(context.Background(), Job{ID: id, Key: "silver", Run: fn}); err != nil {
-			t.Fatal(err)
-		}
-		outs := r.Drain()
-		return outs[len(outs)-1]
-	}
-
-	// Trip the breaker, wait out the cooldown, then panic inside the probe.
-	run("trip", func(context.Context) (any, error) { return nil, errors.New("model broken") })
-	clk.Advance(2 * time.Minute)
-	o := run("probe", func(context.Context) (any, error) { panic("probe exploded") })
-	if o.State != StateFailed || !o.Panicked {
-		t.Fatalf("panicking probe outcome: %+v", o)
-	}
-	var pe *PanicError
-	if !errors.As(o.Err, &pe) {
-		t.Fatalf("probe error is not a PanicError: %v", o.Err)
-	}
-
-	// The panic re-opened the circuit: within the fresh cooldown nothing
-	// runs under this key.
-	o = run("denied", func(context.Context) (any, error) {
-		t.Error("job ran under a breaker re-opened by a panicking probe")
-		return nil, nil
-	})
-	if o.State != StateFailed || !errors.Is(o.Err, ErrCircuitOpen) {
-		t.Fatalf("outcome after probe panic: %+v", o)
-	}
-
-	// And the re-open started a full cooldown from the panic, not a stale
-	// timestamp: a later probe is admitted and can close the circuit.
-	clk.Advance(2 * time.Minute)
-	o = run("recover", func(context.Context) (any, error) { return "ok", nil })
-	if o.State != StateDone {
-		t.Fatalf("recovery probe after panic cooldown: %+v", o)
 	}
 }

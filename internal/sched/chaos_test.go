@@ -1,10 +1,10 @@
-// Chaos harness: deterministic fault injection against the supervised
-// runner and the checkpoint/resume sweep. Seeded worker panics, slow
-// workers, and mid-run cancellations are injected into real HEF workloads
-// (sensitivity analyses, SSB figure runs), and the tests assert the
-// supervision contract: zero lost or duplicated jobs, every retry bounded
-// by the configured maximum, and a killed-and-resumed sweep producing a
-// report byte-identical to an uninterrupted run.
+// Chaos harness: deterministic fault injection against the checkpoint/resume
+// sweep. Seeded first-attempt panics and mid-run cancellations are injected
+// into real HEF workloads (sensitivity analyses, SSB figure runs), and the
+// tests assert the sweep contract: a panic is a *PanicError failure that
+// never reaches the checkpoint, the resume runs exactly the failed and
+// unstarted tasks, and the killed-and-resumed sweep produces a report
+// byte-identical to an uninterrupted run.
 //
 // `make chaos` runs this file (plus the drain tests) with -race; the
 // CHAOS_SEED environment variable reseeds the injected faults, and
@@ -15,14 +15,13 @@ package sched_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"hef/internal/experiments"
 	"hef/internal/isa"
@@ -58,8 +57,8 @@ func artifactDir(t *testing.T) string {
 	return t.TempDir()
 }
 
-// chaosRand is the same splitmix64 draw the backoff jitter uses, so the
-// fault plan is a pure function of the seed.
+// chaosRand is a splitmix64 draw, so the fault plan is a pure function of
+// the seed.
 func chaosRand(seed uint64, k int) uint64 {
 	x := seed + 0x9e3779b97f4a7c15*uint64(k+1)
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -67,99 +66,115 @@ func chaosRand(seed uint64, k int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// TestChaosSupervisedPool floods a small pool with jobs whose first
-// attempts panic or stall per a seeded plan and asserts the supervision
-// invariants: every job reaches exactly one terminal outcome, every job
-// eventually succeeds within the retry bound, and the retry count matches
-// the injected-fault plan exactly.
-func TestChaosSupervisedPool(t *testing.T) {
-	leakcheck.Check(t)
-	const jobs = 60
-	const maxRetries = 2
-	seed := chaosSeed(t)
-
-	// Fault plan: panicsFor[i] first attempts of job i panic; slow jobs
-	// stall a worker for a few hundred microseconds before succeeding.
-	panicsFor := make([]int, jobs)
-	slow := make([]time.Duration, jobs)
-	wantRetries := 0
-	for i := range panicsFor {
-		panicsFor[i] = int(chaosRand(seed, i) % (maxRetries + 1)) // 0..2
-		wantRetries += panicsFor[i]
-		slow[i] = time.Duration(chaosRand(seed, i+jobs)%300) * time.Microsecond
+// killAndResume runs tasks twice on a checkpoint. The killed run injects
+// the seeded first-attempt panics and is cancelled by its own task after
+// killAfter completions; the resume runs without faults. It asserts the
+// contract between the two and returns the resumed results:
+//
+//   - every injected panic that ran is a *PanicError failure, and the
+//     killed run's checkpoint holds exactly its completed results;
+//   - the resume runs exactly the tasks the killed run failed or never
+//     started, once each, so a checkpointed task never runs again.
+func killAndResume[T any](t *testing.T, tool string, tasks []sched.Task[T], workers, killAfter int, seed uint64) map[string]T {
+	t.Helper()
+	panics := make([]bool, len(tasks))
+	completable := 0
+	for i := range tasks {
+		panics[i] = chaosRand(seed, 1000+i)%2 == 0
+		if !panics[i] {
+			completable++
+		}
+	}
+	if completable < killAfter {
+		t.Skipf("seed %d injects a panic into all but %d of %d tasks; no kill after %d completions", seed, completable, len(tasks), killAfter)
 	}
 
-	r := sched.New(sched.Config{
-		Workers:     8,
-		QueueSize:   4, // force backpressure through SubmitWait
-		MaxRetries:  maxRetries,
-		BaseBackoff: 50 * time.Microsecond,
-		MaxBackoff:  500 * time.Microsecond,
-		JitterSeed:  seed,
-	})
-	defer r.Stop()
-
-	attempts := make([]atomic.Int32, jobs)
-	for i := 0; i < jobs; i++ {
-		i := i
-		err := r.SubmitWait(context.Background(), sched.Job{
-			ID: fmt.Sprintf("chaos-%02d", i),
-			Run: func(context.Context) (any, error) {
-				n := int(attempts[i].Add(1))
-				time.Sleep(slow[i])
-				if n <= panicsFor[i] {
-					panic(fmt.Sprintf("chaos panic %d/%d", n, panicsFor[i]))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	var done int
+	wrap := func(calls map[string]int, inject bool) []sched.Task[T] {
+		out := make([]sched.Task[T], len(tasks))
+		for i, task := range tasks {
+			out[i] = sched.Task[T]{ID: task.ID, Run: func(ctx context.Context) (T, error) {
+				mu.Lock()
+				calls[task.ID]++
+				mu.Unlock()
+				if inject && panics[i] {
+					panic("chaos: injected evaluator panic in " + task.ID)
 				}
-				return i * i, nil
-			},
-		})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+				v, err := task.Run(ctx)
+				if inject && err == nil {
+					mu.Lock()
+					if done++; done == killAfter {
+						cancel()
+					}
+					mu.Unlock()
+				}
+				return v, err
+			}}
 		}
+		return out
 	}
 
-	outs := r.Drain()
-	if len(outs) != jobs {
-		t.Fatalf("lost jobs: %d outcomes, want %d", len(outs), jobs)
+	cp := filepath.Join(artifactDir(t), tool+".checkpoint.json")
+	killedCalls := map[string]int{}
+	killed, err := sched.RunSweep(ctx, sched.SweepConfig{
+		Tool: tool, Fingerprint: "chaos", CheckpointPath: cp, Workers: workers,
+	}, wrap(killedCalls, true))
+	if err == nil || !killed.Interrupted {
+		t.Fatalf("killed run: err=%v interrupted=%v, want interrupted", err, killed.Interrupted)
 	}
-	seen := map[string]bool{}
-	for _, o := range outs {
-		if seen[o.ID] {
-			t.Errorf("%s: duplicate outcome", o.ID)
-		}
-		seen[o.ID] = true
-		if o.State != sched.StateDone {
-			t.Errorf("%s: %v (err %v), want done within the retry budget", o.ID, o.State, o.Err)
-		}
-		if o.Attempts > 1+maxRetries {
-			t.Errorf("%s: %d attempts, exceeds bound %d", o.ID, o.Attempts, 1+maxRetries)
-		}
+	if len(killed.Results) == 0 || len(killed.Results) == len(tasks) {
+		t.Fatalf("killed run completed %d/%d tasks; the kill should land mid-run", len(killed.Results), len(tasks))
 	}
-	st := r.Stats()
-	if st.Retries != wantRetries {
-		t.Errorf("retries = %d, want %d from the seeded fault plan", st.Retries, wantRetries)
+	failed := map[string]error{}
+	for _, f := range killed.Failed {
+		failed[f.ID] = f.Err
 	}
-	if st.Done != jobs || st.Failed != 0 || st.Shed != 0 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-// chaosify wraps a sweep task so its first attempt panics when the seeded
-// plan selects it, counting invocations per job in calls.
-func chaosify[T any](tasks []sched.Task[T], seed uint64, calls *sync.Map) []sched.Task[T] {
-	out := make([]sched.Task[T], len(tasks))
 	for i, task := range tasks {
-		i, task := i, task
-		shouldPanic := chaosRand(seed, 1000+i)%2 == 0
-		out[i] = sched.Task[T]{ID: task.ID, Key: task.Key, Run: func(ctx context.Context) (T, error) {
-			c, _ := calls.LoadOrStore(task.ID, new(atomic.Int32))
-			if n := c.(*atomic.Int32).Add(1); n == 1 && shouldPanic {
-				panic("chaos: injected evaluator panic in " + task.ID)
-			}
-			return task.Run(ctx)
-		}}
+		if killedCalls[task.ID] == 0 || !panics[i] {
+			continue
+		}
+		var pe *sched.PanicError
+		if !errors.As(failed[task.ID], &pe) {
+			t.Errorf("%s: injected panic surfaced as %v, want a *PanicError failure", task.ID, failed[task.ID])
+		}
 	}
-	return out
+	saved, err := sched.LoadCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved.Done) != len(killed.Results) {
+		t.Errorf("killed checkpoint holds %d tasks, the run completed %d", len(saved.Done), len(killed.Results))
+	}
+	for id := range saved.Done {
+		if _, ok := killed.Results[id]; !ok {
+			t.Errorf("killed checkpoint holds %s, which did not complete", id)
+		}
+	}
+
+	resumeCalls := map[string]int{}
+	resumed, err := sched.RunSweep(context.Background(), sched.SweepConfig{
+		Tool: tool, Fingerprint: "chaos", CheckpointPath: cp, ResumePath: cp, Workers: workers,
+	}, wrap(resumeCalls, false))
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if resumed.Resumed != len(killed.Results) || resumed.Resumed+resumed.Executed != len(tasks) {
+		t.Errorf("resume: %d resumed + %d executed, want %d + %d",
+			resumed.Resumed, resumed.Executed, len(killed.Results), len(tasks)-len(killed.Results))
+	}
+	for _, task := range tasks {
+		want := 1
+		if _, wasDone := killed.Results[task.ID]; wasDone {
+			want = 0
+		}
+		if resumeCalls[task.ID] != want {
+			t.Errorf("%s ran %d times in the resume, want %d", task.ID, resumeCalls[task.ID], want)
+		}
+	}
+	return resumed.Results
 }
 
 // hefsensTasks builds the same (cpu, op) sensitivity jobs cmd/hefsens
@@ -181,8 +196,7 @@ func hefsensTasks(t *testing.T, cpus, ops []string, seed uint64) []sched.Task[*r
 				Elems: 256, Seed: seed, Trials: 2, Jitter: 0.05, Budget: 3,
 			}
 			tasks = append(tasks, sched.Task[*robust.Sensitivity]{
-				ID:  cpuName + "/" + opName,
-				Key: cpuName,
+				ID: cpuName + "/" + opName,
 				Run: func(ctx context.Context) (*robust.Sensitivity, error) {
 					return robust.Analyze(ctx, cfg)
 				},
@@ -210,10 +224,9 @@ func hefsensReport(t *testing.T, tasks []sched.Task[*robust.Sensitivity], result
 	return data
 }
 
-// TestChaosKillResumeHefsens runs a sensitivity sweep three ways — clean,
-// and killed-mid-run-then-resumed with injected first-attempt panics — and
-// asserts the resumed run's final report is byte-identical to the clean
-// run's, with no job executed twice after checkpointing.
+// TestChaosKillResumeHefsens runs a sensitivity sweep clean, then killed
+// mid-run with injected first-attempt panics and resumed, and asserts the
+// resumed run's final report is byte-identical to the clean run's.
 func TestChaosKillResumeHefsens(t *testing.T) {
 	leakcheck.Check(t)
 	if testing.Short() {
@@ -223,75 +236,16 @@ func TestChaosKillResumeHefsens(t *testing.T) {
 	cpus, ops := []string{"silver", "gold"}, []string{"murmur", "probe"}
 	tasks := hefsensTasks(t, cpus, ops, seed)
 
-	// Uninterrupted baseline, no supervision chaos.
 	base, err := sched.RunSweep(context.Background(), sched.SweepConfig{
-		Tool: "hefsens", Fingerprint: "chaos", Runner: sched.Config{Workers: 2},
+		Tool: "hefsens", Fingerprint: "chaos", Workers: 2,
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := hefsensReport(t, tasks, base.Results, seed)
 
-	// Chaotic run: first attempts panic per the seeded plan, and the run
-	// is cancelled after two completions (a mid-run kill).
-	cp := filepath.Join(artifactDir(t), "hefsens.checkpoint.json")
-	var calls sync.Map
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var done atomic.Int32
-	killed, err := sched.RunSweep(ctx, sched.SweepConfig{
-		Tool: "hefsens", Fingerprint: "chaos",
-		CheckpointPath: cp,
-		Runner: sched.Config{
-			Workers: 2, MaxRetries: 2,
-			BaseBackoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
-			JitterSeed: seed,
-			OnOutcome: func(o sched.Outcome) {
-				if o.State == sched.StateDone && done.Add(1) == 2 {
-					cancel()
-				}
-			},
-		},
-	}, chaosify(tasks, seed, &calls))
-	if err == nil || !killed.Interrupted {
-		t.Fatalf("killed run: err=%v interrupted=%v, want interrupted", err, killed.Interrupted)
-	}
-	if len(killed.Results) == 0 || len(killed.Results) == len(tasks) {
-		t.Fatalf("killed run completed %d/%d jobs; the kill should land mid-run", len(killed.Results), len(tasks))
-	}
-
-	// Resume continues exactly where the kill stopped.
-	resumed, err := sched.RunSweep(context.Background(), sched.SweepConfig{
-		Tool: "hefsens", Fingerprint: "chaos",
-		CheckpointPath: cp, ResumePath: cp,
-		Runner: sched.Config{
-			Workers: 2, MaxRetries: 2,
-			BaseBackoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
-			JitterSeed: seed,
-		},
-	}, chaosify(tasks, seed, &calls))
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if resumed.Resumed != len(killed.Results) {
-		t.Errorf("resumed %d jobs from checkpoint, want %d", resumed.Resumed, len(killed.Results))
-	}
-	if resumed.Resumed+resumed.Executed != len(tasks) {
-		t.Errorf("resumed %d + executed %d != %d tasks", resumed.Resumed, resumed.Executed, len(tasks))
-	}
-	// No duplicated work: a job checkpointed before the kill never ran in
-	// the resume (its call count stays at what the killed run recorded,
-	// and every count respects the retry bound).
-	calls.Range(func(k, v any) bool {
-		id, n := k.(string), v.(*atomic.Int32).Load()
-		if _, wasDone := killed.Results[id]; wasDone && n > 1+2 {
-			t.Errorf("%s: %d attempts across both runs, exceeds one run's retry bound — duplicated work", id, n)
-		}
-		return true
-	})
-
-	got := hefsensReport(t, tasks, resumed.Results, seed)
-	if !bytes.Equal(want, got) {
+	results := killAndResume(t, "hefsens", tasks, 2, 1, seed)
+	if got := hefsensReport(t, tasks, results, seed); !bytes.Equal(want, got) {
 		t.Errorf("resumed report differs from uninterrupted baseline:\nbaseline %d bytes, resumed %d bytes", len(want), len(got))
 	}
 }
@@ -312,8 +266,7 @@ func ssbTasks(t *testing.T) []sched.Task[*obs.RunReport] {
 				Engines: []experiments.EngineKind{experiments.KindScalar, experiments.KindHybrid},
 			}
 			tasks = append(tasks, sched.Task[*obs.RunReport]{
-				ID:  fmt.Sprintf("%s/sf%g", cpu, sf),
-				Key: cpu,
+				ID: fmt.Sprintf("%s/sf%g", cpu, sf),
 				Run: func(ctx context.Context) (*obs.RunReport, error) {
 					fig, err := experiments.RunFigure(cfg)
 					if err != nil {
@@ -346,8 +299,9 @@ func ssbReport(t *testing.T, tasks []sched.Task[*obs.RunReport], results map[str
 }
 
 // TestChaosKillResumeSSB is the SSB-figure analogue of the hefsens
-// equivalence test: kill after the first completed figure, resume, and
-// require the merged -all report to match the uninterrupted run's bytes.
+// equivalence test: one worker, killed after the first completed figure,
+// resumed, and the merged -all report must match the uninterrupted run's
+// bytes.
 func TestChaosKillResumeSSB(t *testing.T) {
 	leakcheck.Check(t)
 	if testing.Short() {
@@ -357,56 +311,15 @@ func TestChaosKillResumeSSB(t *testing.T) {
 
 	tasks := ssbTasks(t)
 	base, err := sched.RunSweep(context.Background(), sched.SweepConfig{
-		Tool: "ssbbench", Fingerprint: "chaos", Runner: sched.Config{Workers: 1},
+		Tool: "ssbbench", Fingerprint: "chaos", Workers: 1,
 	}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ssbReport(t, tasks, base.Results)
 
-	cp := filepath.Join(artifactDir(t), "ssbbench.checkpoint.json")
-	var calls sync.Map
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var done atomic.Int32
-	killed, err := sched.RunSweep(ctx, sched.SweepConfig{
-		Tool: "ssbbench", Fingerprint: "chaos",
-		CheckpointPath: cp,
-		Runner: sched.Config{
-			Workers: 1, MaxRetries: 1,
-			BaseBackoff: 50 * time.Microsecond,
-			JitterSeed:  seed,
-			OnOutcome: func(o sched.Outcome) {
-				if o.State == sched.StateDone && done.Add(1) == 1 {
-					cancel()
-				}
-			},
-		},
-	}, chaosify(tasks, seed, &calls))
-	if err == nil || !killed.Interrupted {
-		t.Fatalf("killed run: err=%v interrupted=%v", err, killed.Interrupted)
-	}
-	if len(killed.Results) == 0 || len(killed.Results) == len(tasks) {
-		t.Fatalf("killed run completed %d/%d figures; the kill should land mid-run", len(killed.Results), len(tasks))
-	}
-
-	resumed, err := sched.RunSweep(context.Background(), sched.SweepConfig{
-		Tool: "ssbbench", Fingerprint: "chaos",
-		CheckpointPath: cp, ResumePath: cp,
-		Runner: sched.Config{
-			Workers: 1, MaxRetries: 1,
-			BaseBackoff: 50 * time.Microsecond,
-			JitterSeed:  seed,
-		},
-	}, chaosify(tasks, seed, &calls))
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if resumed.Resumed != len(killed.Results) {
-		t.Errorf("resumed %d, want %d", resumed.Resumed, len(killed.Results))
-	}
-	got := ssbReport(t, tasks, resumed.Results)
-	if !bytes.Equal(want, got) {
+	results := killAndResume(t, "ssbbench", tasks, 1, 1, seed)
+	if got := ssbReport(t, tasks, results); !bytes.Equal(want, got) {
 		t.Errorf("resumed -all report differs from uninterrupted baseline (%d vs %d bytes)", len(got), len(want))
 	}
 }

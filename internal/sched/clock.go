@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time so the runner's backoff timers and breaker cooldowns
-// are testable without real sleeps. The zero Config selects RealClock.
+// Clock abstracts time so hefd's retention and breaker cooldowns and the
+// dist worker's polling are testable without real sleeps.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time
@@ -76,12 +76,4 @@ func (c *FakeClock) Advance(d time.Duration) {
 		}
 	}
 	c.timers = keep
-}
-
-// Waiting reports how many timers are pending, so tests can synchronize
-// with a goroutine that is about to block on After.
-func (c *FakeClock) Waiting() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.timers)
 }

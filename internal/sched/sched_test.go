@@ -4,398 +4,143 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fastConfig keeps retry delays far below test timeouts.
-func fastConfig() Config {
-	return Config{
-		Workers:     4,
-		QueueSize:   8,
-		MaxRetries:  2,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  time.Millisecond,
-		JitterSeed:  1,
-	}
-}
-
-func TestRunnerRunsJobs(t *testing.T) {
-	r := New(fastConfig())
-	defer r.Stop()
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("job-%d", i)
-		if err := r.SubmitWait(context.Background(), Job{ID: id, Run: func(context.Context) (any, error) {
-			return id + "-value", nil
-		}}); err != nil {
-			t.Fatalf("SubmitWait(%s): %v", id, err)
+// TestSweepRunsEveryTaskOnce: at every worker count each task runs exactly
+// once and its value lands under its ID.
+func TestSweepRunsEveryTaskOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 16} {
+		var calls sync.Map
+		var tasks []Task[string]
+		for i := 0; i < 10; i++ {
+			id := fmt.Sprintf("task-%d", i)
+			tasks = append(tasks, Task[string]{ID: id, Run: func(context.Context) (string, error) {
+				n, _ := calls.LoadOrStore(id, new(atomic.Int32))
+				n.(*atomic.Int32).Add(1)
+				return id + "-value", nil
+			}})
 		}
-	}
-	outs := r.Drain()
-	if len(outs) != 10 {
-		t.Fatalf("got %d outcomes, want 10", len(outs))
-	}
-	for _, o := range outs {
-		if o.State != StateDone {
-			t.Errorf("%s: state %v err %v, want done", o.ID, o.State, o.Err)
+		res, err := RunSweep(context.Background(), SweepConfig{Workers: workers}, tasks)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if o.Value != o.ID+"-value" {
-			t.Errorf("%s: value %v", o.ID, o.Value)
+		if res.Executed != 10 || len(res.Results) != 10 || len(res.Failed) != 0 {
+			t.Fatalf("workers=%d: executed %d, %d results, %d failed", workers, res.Executed, len(res.Results), len(res.Failed))
 		}
-		if o.Attempts != 1 {
-			t.Errorf("%s: %d attempts, want 1", o.ID, o.Attempts)
+		for _, task := range tasks {
+			if v := res.Results[task.ID]; v != task.ID+"-value" {
+				t.Errorf("workers=%d: %s = %q", workers, task.ID, v)
+			}
+			if n, _ := calls.Load(task.ID); n.(*atomic.Int32).Load() != 1 {
+				t.Errorf("workers=%d: %s ran %d times, want 1", workers, task.ID, n.(*atomic.Int32).Load())
+			}
 		}
-	}
-	st := r.Stats()
-	if st.Done != 10 || st.Failed != 0 || st.Submitted != 10 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestRetryBoundedAndSucceeds(t *testing.T) {
-	r := New(fastConfig()) // MaxRetries=2 → up to 3 attempts
-	defer r.Stop()
-	var calls atomic.Int32
-	if err := r.SubmitWait(context.Background(), Job{ID: "flaky", Run: func(context.Context) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, errors.New("transient")
-		}
-		return "ok", nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	outs := r.Drain()
-	if outs[0].State != StateDone || outs[0].Attempts != 3 {
-		t.Fatalf("outcome %+v, want done after 3 attempts", outs[0])
-	}
-	if got := r.Stats().Retries; got != 2 {
-		t.Errorf("retries = %d, want 2", got)
-	}
-}
-
-func TestRetryExhaustionFails(t *testing.T) {
-	r := New(fastConfig())
-	defer r.Stop()
-	sentinel := errors.New("permanent")
-	var calls atomic.Int32
-	if err := r.SubmitWait(context.Background(), Job{ID: "doomed", Run: func(context.Context) (any, error) {
-		calls.Add(1)
-		return nil, sentinel
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	outs := r.Drain()
-	o := outs[0]
-	if o.State != StateFailed || !errors.Is(o.Err, sentinel) {
-		t.Fatalf("outcome %+v, want failed with sentinel", o)
-	}
-	if o.Attempts != 3 || calls.Load() != 3 {
-		t.Errorf("attempts=%d calls=%d, want 3 (1 + MaxRetries)", o.Attempts, calls.Load())
 	}
 }
 
 func TestPanicIsolation(t *testing.T) {
-	cfg := fastConfig()
-	cfg.MaxRetries = 0
-	r := New(cfg)
-	defer r.Stop()
-	if err := r.SubmitWait(context.Background(), Job{ID: "boom", Run: func(context.Context) (any, error) {
-		panic("kaboom")
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	// The pool survives the panic and keeps executing jobs.
-	if err := r.SubmitWait(context.Background(), Job{ID: "after", Run: func(context.Context) (any, error) {
-		return 42, nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	outs := r.Drain()
-	byID := map[string]Outcome{}
-	for _, o := range outs {
-		byID[o.ID] = o
-	}
-	boom := byID["boom"]
-	var pe *PanicError
-	if boom.State != StateFailed || !errors.As(boom.Err, &pe) || !boom.Panicked {
-		t.Fatalf("boom outcome %+v, want failed *PanicError", boom)
-	}
-	if pe.JobID != "boom" || pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Errorf("PanicError %+v", pe)
-	}
-	if byID["after"].State != StateDone {
-		t.Errorf("pool did not survive the panic: %+v", byID["after"])
+	for _, workers := range []int{1, 2} {
+		tasks := []Task[int]{
+			{ID: "boom", Run: func(context.Context) (int, error) { panic("kaboom") }},
+			{ID: "after", Run: func(context.Context) (int, error) { return 42, nil }},
+		}
+		res, err := RunSweep(context.Background(), SweepConfig{Workers: workers}, tasks)
+		if !errors.Is(err, ErrJobsFailed) {
+			t.Fatalf("workers=%d: err %v, want ErrJobsFailed", workers, err)
+		}
+		var pe *PanicError
+		if len(res.Failed) != 1 || res.Failed[0].ID != "boom" || !errors.As(res.Failed[0].Err, &pe) {
+			t.Fatalf("workers=%d: failed %+v, want boom as a *PanicError", workers, res.Failed)
+		}
+		if pe.TaskID != "boom" || pe.Value != "kaboom" || len(pe.Stack) == 0 {
+			t.Errorf("PanicError %+v", pe)
+		}
+		// The loop survives the panic and keeps running tasks.
+		if res.Results["after"] != 42 {
+			t.Errorf("workers=%d: the sweep did not survive the panic: %v", workers, res.Results)
+		}
 	}
 }
 
 func TestPanicErrorUnwraps(t *testing.T) {
 	cause := errors.New("root cause")
-	pe := &PanicError{JobID: "x", Value: cause}
+	pe := &PanicError{TaskID: "x", Value: cause}
 	if !errors.Is(pe, cause) {
 		t.Error("PanicError should unwrap an error panic value")
 	}
 }
 
-func TestQueueFullSheds(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Workers = 1
-	cfg.QueueSize = 1
-	r := New(cfg)
-	defer r.Stop()
-
-	block := make(chan struct{})
-	// Occupy the single worker, then fill the single queue slot.
-	if err := r.Submit(Job{ID: "running", Run: func(context.Context) (any, error) {
-		<-block
-		return nil, nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	// The worker may not have picked the job up yet; wait until it has.
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Stats().Running == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never started the blocking job")
+// TestCancelStopsNewTasks: once ctx is done no new task starts, the running
+// task sees the cancellation through the ctx it was handed, and the tasks
+// that never started are in neither Results nor Failed.
+func TestCancelStopsNewTasks(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int32
+		tasks := []Task[int]{{ID: "inflight", Run: func(tctx context.Context) (int, error) {
+			started.Add(1)
+			cancel()
+			<-tctx.Done()
+			return 0, tctx.Err()
+		}}}
+		// A second worker may pick up one later task before the first task
+		// cancels, and holds it until then; no task starts after.
+		for i := 0; i < 3; i++ {
+			tasks = append(tasks, Task[int]{ID: fmt.Sprintf("later-%d", i), Run: func(context.Context) (int, error) {
+				started.Add(1)
+				<-ctx.Done()
+				return 1, nil
+			}})
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := r.Submit(Job{ID: "queued", Run: func(context.Context) (any, error) { return nil, nil }}); err != nil {
-		t.Fatal(err)
-	}
-	err := r.Submit(Job{ID: "shed", Run: func(context.Context) (any, error) { return nil, nil }})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit on full queue: %v, want ErrQueueFull", err)
-	}
-	if got := r.Stats().Shed; got != 1 {
-		t.Errorf("shed count = %d, want 1", got)
-	}
-	close(block)
-	outs := r.Drain()
-	if len(outs) != 2 {
-		t.Errorf("%d outcomes, want 2 (shed job records none)", len(outs))
+		res, err := RunSweep(ctx, SweepConfig{Workers: workers}, tasks)
+		if !errors.Is(err, context.Canceled) || !res.Interrupted {
+			t.Fatalf("workers=%d: err=%v interrupted=%v", workers, err, res.Interrupted)
+		}
+		if len(res.Failed) != 1 || res.Failed[0].ID != "inflight" || !errors.Is(res.Failed[0].Err, context.Canceled) {
+			t.Errorf("workers=%d: failed %+v, want the in-flight task cancelled", workers, res.Failed)
+		}
+		if got := int(started.Load()); got > workers || len(res.Results) != got-1 {
+			t.Errorf("workers=%d: %d tasks started and %d completed, want at most %d started and all but one completed",
+				workers, got, len(res.Results), workers)
+		}
 	}
 }
 
-func TestPerJobDeadline(t *testing.T) {
-	cfg := fastConfig()
-	cfg.MaxRetries = 1
-	cfg.JobTimeout = 2 * time.Millisecond
-	r := New(cfg)
-	defer r.Stop()
-	if err := r.SubmitWait(context.Background(), Job{ID: "slow", Run: func(ctx context.Context) (any, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(5 * time.Second):
-			return "too late", nil
-		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	outs := r.Drain()
-	o := outs[0]
-	if o.State != StateFailed || !errors.Is(o.Err, context.DeadlineExceeded) {
-		t.Fatalf("outcome %+v, want failed with DeadlineExceeded", o)
-	}
-	if o.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (deadline failures retry)", o.Attempts)
-	}
-}
-
-func TestStopInterruptsInFlightAndQueued(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Workers = 1
-	cfg.QueueSize = 4
-	r := New(cfg)
-
-	started := make(chan struct{})
-	if err := r.Submit(Job{ID: "inflight", Run: func(ctx context.Context) (any, error) {
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := r.Submit(Job{ID: fmt.Sprintf("queued-%d", i), Run: func(context.Context) (any, error) {
-			return nil, nil
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-started
-	r.Stop()
-	outs := r.Drain()
-	if len(outs) != 4 {
-		t.Fatalf("%d outcomes, want 4 — no accepted job may be lost on Stop", len(outs))
-	}
-	for _, o := range outs {
-		if o.State != StateFailed || !errors.Is(o.Err, ErrInterrupted) {
-			t.Errorf("%s: %v / %v, want interrupted failure", o.ID, o.State, o.Err)
-		}
-	}
-	if err := r.Submit(Job{ID: "late", Run: func(context.Context) (any, error) { return nil, nil }}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Stop: %v, want ErrClosed", err)
-	}
-	if err := r.SubmitWait(context.Background(), Job{ID: "late2"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitWait after Stop: %v, want ErrClosed", err)
-	}
-}
-
-func TestSubmitWaitBackpressure(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Workers = 1
-	cfg.QueueSize = 1
-	r := New(cfg)
-	defer r.Stop()
-	// 20 jobs through a queue of 1: SubmitWait must block, not shed.
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 20; i++ {
-			if err := r.SubmitWait(context.Background(), Job{ID: fmt.Sprintf("bp-%d", i), Run: func(context.Context) (any, error) {
-				return nil, nil
-			}}); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	outs := r.Drain()
-	if len(outs) != 20 {
-		t.Fatalf("%d outcomes, want 20", len(outs))
-	}
-	if shed := r.Stats().Shed; shed != 0 {
-		t.Errorf("SubmitWait shed %d jobs", shed)
-	}
-}
-
-func TestSubmitWaitHonoursCallerContext(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Workers = 1
-	cfg.QueueSize = 1
-	r := New(cfg)
-	defer r.Stop()
-	block := make(chan struct{})
-	defer close(block)
-	r.Submit(Job{ID: "a", Run: func(context.Context) (any, error) { <-block; return nil, nil }})
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Stats().Running == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never started")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	r.Submit(Job{ID: "b", Run: func(context.Context) (any, error) { return nil, nil }})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		errc <- r.SubmitWait(ctx, Job{ID: "c", Run: func(context.Context) (any, error) { return nil, nil }})
-	}()
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitWait under cancelled ctx: %v", err)
-	}
-}
-
+// TestBreakerTripsAndRecovers: consecutive failures trip a key's circuit,
+// other keys are unaffected, and after the cooldown one probe's success
+// closes the circuit again.
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	cfg := Config{
-		Workers:     1,
-		QueueSize:   8,
-		MaxRetries:  0,
-		BaseBackoff: time.Microsecond,
-		Breaker:     BreakerConfig{Threshold: 2, Cooldown: time.Minute},
-		Clock:       clk,
-	}
-	r := New(cfg)
-	defer r.Stop()
-
-	failing := func(context.Context) (any, error) { return nil, errors.New("model broken") }
-	run := func(id string, fn func(context.Context) (any, error)) Outcome {
-		if err := r.SubmitWait(context.Background(), Job{ID: id, Key: "silver", Run: fn}); err != nil {
-			t.Fatal(err)
-		}
-		outs := r.Drain()
-		return outs[len(outs)-1]
+	b := NewBreakers(BreakerConfig{Threshold: 2, Cooldown: time.Minute})
+	allow := func(key string) bool {
+		ok, _ := b.Allow(key, clk.Now())
+		return ok
 	}
 
-	// Two consecutive failures trip the breaker...
-	run("f1", failing)
-	run("f2", failing)
-	// ...so the next attempt is denied without running.
-	var ran atomic.Bool
-	o := run("denied", func(context.Context) (any, error) { ran.Store(true); return nil, nil })
-	if o.State != StateFailed || !errors.Is(o.Err, ErrCircuitOpen) {
-		t.Fatalf("outcome under open breaker: %+v", o)
+	b.Failure("silver", clk.Now())
+	if !allow("silver") {
+		t.Fatal("one failure below the threshold denied the key")
 	}
-	if ran.Load() {
-		t.Error("job ran under an open breaker")
+	b.Failure("silver", clk.Now())
+	if allow("silver") {
+		t.Fatal("two consecutive failures did not trip the breaker")
 	}
-	// Another key is unaffected.
-	if err := r.SubmitWait(context.Background(), Job{ID: "other", Key: "gold", Run: func(context.Context) (any, error) {
-		return nil, nil
-	}}); err != nil {
-		t.Fatal(err)
+	if !allow("gold") {
+		t.Fatal("an open circuit on silver denied gold")
 	}
-	outs := r.Drain()
-	if o := outs[len(outs)-1]; o.State != StateDone {
-		t.Fatalf("other-key outcome %+v", o)
-	}
-	// After the cooldown the breaker half-opens: the probe runs, and its
-	// success closes the circuit again.
 	clk.Advance(2 * time.Minute)
-	o = run("probe", func(context.Context) (any, error) { return "recovered", nil })
-	if o.State != StateDone {
-		t.Fatalf("half-open probe: %+v", o)
+	if !allow("silver") {
+		t.Fatal("the half-open breaker denied its probe")
 	}
-	o = run("closed", func(context.Context) (any, error) { return nil, nil })
-	if o.State != StateDone {
-		t.Fatalf("after recovery: %+v", o)
+	if allow("silver") {
+		t.Fatal("the half-open breaker admitted a second attempt beside the probe")
 	}
-}
-
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	base, max := 10*time.Millisecond, 200*time.Millisecond
-	var a, b backoffState
-	var prevA []time.Duration
-	for attempt := 1; attempt <= 6; attempt++ {
-		da := a.next(base, max, 42, "job", attempt)
-		db := b.next(base, max, 42, "job", attempt)
-		if da != db {
-			t.Fatalf("attempt %d: %v != %v — backoff must be deterministic", attempt, da, db)
-		}
-		if da < base || da > max {
-			t.Fatalf("attempt %d: %v outside [%v, %v]", attempt, da, base, max)
-		}
-		prevA = append(prevA, da)
-	}
-	// A different job ID draws a different schedule (jitter decorrelates).
-	var c backoffState
-	same := true
-	for attempt := 1; attempt <= 6; attempt++ {
-		if c.next(base, max, 42, "other-job", attempt) != prevA[attempt-1] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("two jobs drew identical backoff schedules; jitter is not decorrelating")
-	}
-}
-
-func TestStateString(t *testing.T) {
-	want := map[State]string{
-		StateQueued: "queued", StateRunning: "running", StateRetrying: "retrying",
-		StateDone: "done", StateFailed: "failed", StateShed: "shed",
-	}
-	for s, w := range want {
-		if s.String() != w {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), w)
-		}
+	b.Success("silver")
+	if !allow("silver") || !allow("silver") {
+		t.Fatal("a successful probe did not close the circuit")
 	}
 }

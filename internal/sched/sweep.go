@@ -4,26 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hef/internal/store"
 	"hef/internal/telemetry"
 )
 
-// ErrJobsFailed marks a sweep that completed its drain but left jobs in
-// StateFailed after exhausting their retries.
+// ErrJobsFailed marks a sweep that ran to the end of its task list but left
+// tasks failed.
 var ErrJobsFailed = errors.New("sched: sweep jobs failed")
 
-// Task is one typed unit of a sweep. ID must be unique within the sweep
-// and deterministic across runs (it keys the checkpoint); Key selects the
-// circuit breaker; Run must be deterministic for checkpoint/resume to
-// reproduce an uninterrupted run byte-for-byte.
+// Task is one typed unit of a sweep. ID must be unique within the sweep and
+// deterministic across runs (it keys the checkpoint); Run must be
+// deterministic for checkpoint/resume to reproduce an uninterrupted run
+// byte-for-byte.
 type Task[T any] struct {
 	ID  string
-	Key string
 	Run func(ctx context.Context) (T, error)
 }
 
@@ -33,90 +34,87 @@ type SweepConfig struct {
 	// checkpoint must carry the same pair.
 	Tool        string
 	Fingerprint string
-	// CheckpointPath enables periodic and final checkpointing ("" disables).
+	// CheckpointPath enables checkpointing after every completed task and
+	// once more before returning ("" disables).
 	CheckpointPath string
-	// ResumePath loads a prior checkpoint and skips its completed jobs
+	// ResumePath loads a prior checkpoint and skips its completed tasks
 	// ("" starts fresh).
 	ResumePath string
-	// CheckpointEvery flushes the checkpoint after every N completions
-	// (<= 0 selects 1, i.e. after every job).
-	CheckpointEvery int
+	// Workers is how many tasks run at once (<= 0 selects 1, which runs
+	// the tasks inline in list order).
+	Workers int
 	// FS is the filesystem checkpoints are written to; nil selects the real
 	// one (store.OS). Tests inject failing filesystems here.
 	FS store.FS
-	// Runner tunes the worker pool; its OnOutcome is invoked after the
-	// sweep's own bookkeeping.
-	Runner Config
 	// Metrics receives sweep progress events (task totals, completions,
 	// checkpoint flushes). Nil-safe; never read back into sweep decisions,
 	// so checkpoints and results are identical with or without it.
 	Metrics *telemetry.SweepMetrics
-	// Tracer records sweep-lifecycle spans (submit, checkpoint flushes, the
-	// sweep itself) and is handed to the runner for per-job queue/run spans
-	// when the Runner config has none of its own.
+	// Tracer records the sweep span, a run span per task and a span per
+	// checkpoint flush.
 	Tracer *telemetry.Tracer
+}
+
+// Failure is a task that ran and did not complete: its error, a recovered
+// *PanicError, or the cancellation it returned after ctx was done.
+type Failure struct {
+	ID  string
+	Err error
 }
 
 // SweepResult is the outcome of RunSweep.
 type SweepResult[T any] struct {
-	// Results holds every completed job's value, resumed or executed.
+	// Results holds every completed task's value, resumed or executed.
 	Results map[string]T
-	// Resumed counts jobs satisfied from the resume checkpoint; Executed
-	// counts jobs that ran (to completion) in this process.
+	// Resumed counts tasks satisfied from the resume checkpoint; Executed
+	// counts tasks that ran to completion in this process.
 	Resumed  int
 	Executed int
-	// Failed lists terminal failures (retries exhausted), and, after an
-	// interrupted drain, jobs cut short by the shutdown.
-	Failed []Outcome
-	// Interrupted is true when ctx was cancelled before the sweep
-	// completed; the checkpoint (if configured) was still flushed.
+	// Failed lists the tasks that ran and failed, sorted by ID. Tasks that
+	// never started because ctx was done are in neither Results nor Failed.
+	Failed []Failure
+	// Interrupted is true when ctx was done before the sweep returned; the
+	// checkpoint (if configured) was still flushed.
 	Interrupted bool
 	// RestoredFromBackup is true when the resume checkpoint's primary file
-	// was unusable and the ".bak" rotation served the load (up to one flush
-	// interval of prior progress was lost and will be re-executed).
+	// was unusable and the ".bak" rotation served the load (the last
+	// completed task may be lost and will be re-executed).
 	RestoredFromBackup bool
 	// PersistWarning is non-empty when checkpoint persistence failed
 	// mid-sweep (disk full, read-only volume). The sweep completed anyway —
 	// results are returned in memory — but further flushes were disabled;
 	// this string carries the first failure for the tool's single warning.
 	PersistWarning string
-	// Stats snapshots the runner's counters at the end of the sweep.
-	Stats Stats
 }
 
-// RunSweep executes tasks on a supervised runner with crash-safe
-// checkpoint/resume and graceful drain:
+// RunSweep runs tasks on a worker loop with crash-safe checkpoint/resume:
 //
-//   - With cfg.ResumePath, completed jobs are loaded from the checkpoint
-//     and not re-submitted — no job runs twice.
-//   - With cfg.CheckpointPath, the set of completed results is persisted
-//     after every CheckpointEvery completions and once more before
-//     returning, whatever the reason for returning.
-//   - When ctx is cancelled mid-sweep (deadline, SIGINT/SIGTERM via
-//     signal.NotifyContext), submission stops, in-flight jobs are
-//     cancelled, queued jobs resolve as interrupted failures, the
-//     checkpoint is flushed, and the result reports Interrupted — so a
-//     later -resume run continues exactly where this one stopped.
+//   - With cfg.ResumePath, completed tasks are loaded from the checkpoint
+//     and not run again.
+//   - One worker runs the remaining tasks inline, in list order; more pull
+//     the next index from a shared counter. Each task gets ctx itself, and
+//     a panic inside it becomes a *PanicError failure.
+//   - With cfg.CheckpointPath, every completion is recorded and flushed
+//     under one lock, and the checkpoint is flushed once more on return.
+//   - Once ctx is done (deadline, SIGINT/SIGTERM via signal.NotifyContext)
+//     no new task starts; running tasks see the cancellation through ctx,
+//     and the result reports Interrupted, so a later resume runs exactly
+//     the failed and unstarted tasks.
 //
 // Tasks must be deterministic: a resumed sweep's Results map is then
 // value-identical to an uninterrupted run's, and a report assembled from
 // it in task order is byte-identical. RunSweep returns the result plus
-// ctx.Err() when interrupted, an ErrJobsFailed wrap when jobs failed
-// terminally, or nil when every task completed.
+// ctx.Err() when interrupted, an ErrJobsFailed wrap when tasks failed, or
+// nil when every task completed.
 func RunSweep[T any](ctx context.Context, cfg SweepConfig, tasks []Task[T]) (*SweepResult[T], error) {
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
-	}
 	if cfg.FS == nil {
 		cfg.FS = store.OS
 	}
 	defer cfg.Tracer.Begin("sweep", cfg.Tool)()
 	res := &SweepResult[T]{Results: make(map[string]T, len(tasks))}
 
-	// skip records the jobs satisfied from the resume checkpoint; the
-	// submit loop consults it (not Results, which workers mutate).
-	skip := make(map[string]bool, len(tasks))
 	cp := NewCheckpoint(cfg.Tool, cfg.Fingerprint)
+	todo := tasks
 	if cfg.ResumePath != "" {
 		// A missing or unloadable resume file is fatal, not degraded:
 		// silently starting fresh would throw away the progress the caller
@@ -129,34 +127,33 @@ func RunSweep[T any](ctx context.Context, cfg SweepConfig, tasks []Task[T]) (*Sw
 		if err := prior.Match(cfg.Tool, cfg.Fingerprint); err != nil {
 			return nil, err
 		}
+		todo = nil
 		for _, t := range tasks {
 			var v T
 			ok, err := prior.Get(t.ID, &v)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				res.Results[t.ID] = v
-				if err := cp.Put(t.ID, v); err != nil {
-					return nil, err
-				}
-				skip[t.ID] = true
-				res.Resumed++
+			if !ok {
+				todo = append(todo, t)
+				continue
 			}
+			res.Results[t.ID] = v
+			if err := cp.Put(t.ID, v); err != nil {
+				return nil, err
+			}
+			res.Resumed++
 		}
 	}
+	cfg.Metrics.OnPlan(len(tasks), res.Resumed)
+	defer context.AfterFunc(ctx, cfg.Metrics.OnInterrupt)()
 
-	// The sweep's bookkeeping hooks every outcome; results are recorded
-	// and checkpointed as they complete so an abrupt kill -9 loses at most
-	// CheckpointEvery-1 finished jobs.
-	var (
-		mu         sync.Mutex
-		sinceFlush int
-	)
 	// A flush failure (disk full, volume gone read-only) must not fail the
 	// sweep: the results are all still in memory and perfectly good. The
 	// first failure disables further checkpointing and is surfaced once via
-	// PersistWarning; only durability degrades.
+	// PersistWarning; only durability degrades. Workers flush under mu; the
+	// final flush runs after they have all returned.
+	var mu sync.Mutex
 	flush := func() {
 		if cfg.CheckpointPath == "" || res.PersistWarning != "" {
 			return
@@ -168,88 +165,74 @@ func RunSweep[T any](ctx context.Context, cfg SweepConfig, tasks []Task[T]) (*Sw
 		dur := time.Since(start)
 		cfg.Metrics.OnFlush(dur.Seconds())
 		cfg.Tracer.Record("checkpoint", "flush", start, dur)
-		sinceFlush = 0
 	}
-	userHook := cfg.Runner.OnOutcome
-	rcfg := cfg.Runner
-	rcfg.OnOutcome = func(o Outcome) {
-		if o.State == StateDone {
-			cfg.Metrics.OnTaskDone()
-			mu.Lock()
-			res.Results[o.ID] = o.Value.(T)
-			res.Executed++
-			if err := cp.Put(o.ID, o.Value); err != nil && res.PersistWarning == "" {
-				res.PersistWarning = fmt.Sprintf("checkpointing disabled: %v", err)
-			}
-			sinceFlush++
-			if sinceFlush >= cfg.CheckpointEvery {
-				flush()
-			}
-			mu.Unlock()
-		}
-		if userHook != nil {
-			userHook(o)
-		}
-	}
-
-	cfg.Metrics.OnPlan(len(tasks), res.Resumed)
-	if rcfg.Tracer == nil {
-		rcfg.Tracer = cfg.Tracer
-	}
-	r := New(rcfg)
-	// A cancelled context stops the runner: in-flight attempts see their
-	// job context close, queued and retrying work resolves as interrupted.
-	stopOnce := sync.OnceFunc(r.Stop)
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			cfg.Metrics.OnInterrupt()
-			stopOnce()
-		case <-watchDone:
-		}
-	}()
-
-	endSubmit := cfg.Tracer.Begin("sweep", "submit")
-	for _, t := range tasks {
-		if skip[t.ID] {
-			continue
-		}
-		t := t
-		err := r.SubmitWait(ctx, Job{ID: t.ID, Key: t.Key, Run: func(jctx context.Context) (any, error) {
-			return t.Run(jctx)
-		}})
+	run := func(t Task[T]) {
+		start := time.Now()
+		v, err := runTask(ctx, t)
+		cfg.Tracer.Record("run", t.ID, start, time.Since(start))
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil {
-			break // cancelled or runner stopped; drain below
+			res.Failed = append(res.Failed, Failure{ID: t.ID, Err: err})
+			return
 		}
-	}
-	endSubmit()
-
-	outcomes := r.Drain()
-	close(watchDone)
-	stopOnce()
-
-	res.Interrupted = ctx.Err() != nil
-	res.Stats = r.Stats()
-	for _, o := range outcomes {
-		if o.State != StateDone {
-			res.Failed = append(res.Failed, o)
+		cfg.Metrics.OnTaskDone()
+		res.Results[t.ID] = v
+		res.Executed++
+		if err := cp.Put(t.ID, v); err != nil && res.PersistWarning == "" {
+			res.PersistWarning = fmt.Sprintf("checkpointing disabled: %v", err)
 		}
+		flush()
 	}
-	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].ID < res.Failed[j].ID })
 
-	mu.Lock()
+	if workers := min(cfg.Workers, len(todo)); workers <= 1 {
+		for _, t := range todo {
+			if ctx.Err() != nil {
+				break
+			}
+			run(t)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= len(todo) {
+						return
+					}
+					run(todo[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
 	flush()
-	mu.Unlock()
+	res.Interrupted = ctx.Err() != nil
+	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].ID < res.Failed[j].ID })
 	if res.Interrupted {
 		return res, ctx.Err()
 	}
 	if len(res.Failed) > 0 {
 		ids := make([]string, len(res.Failed))
-		for i, o := range res.Failed {
-			ids[i] = o.ID
+		for i, f := range res.Failed {
+			ids[i] = f.ID
 		}
 		return res, fmt.Errorf("%w: %s", ErrJobsFailed, strings.Join(ids, ", "))
 	}
 	return res, nil
+}
+
+// runTask runs one task, recovering a panic into a *PanicError.
+func runTask[T any](ctx context.Context, t Task[T]) (v T, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = &PanicError{TaskID: t.ID, Value: rec, Stack: debug.Stack()}
+		}
+	}()
+	return t.Run(ctx)
 }

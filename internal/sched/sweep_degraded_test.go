@@ -25,7 +25,6 @@ func degradedTasks(n int) []Task[int] {
 		i := i
 		tasks[i] = Task[int]{
 			ID:  fmt.Sprintf("job-%02d", i),
-			Key: "k",
 			Run: func(context.Context) (int, error) { return i * i, nil },
 		}
 	}
@@ -41,7 +40,7 @@ func TestSweepCompletesWithoutPersistence(t *testing.T) {
 		Tool: "tool", Fingerprint: "fp",
 		CheckpointPath: cp,
 		FS:             enospcFS{store.OS},
-		Runner:         Config{Workers: 2},
+		Workers:        2,
 	}, degradedTasks(8))
 	if err != nil {
 		t.Fatalf("degraded sweep failed: %v", err)
@@ -73,7 +72,6 @@ func TestSweepResumeLoadFailureIsFatal(t *testing.T) {
 	_, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp",
 		ResumePath: bad,
-		Runner:     Config{Workers: 1},
 	}, degradedTasks(2))
 	if !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("corrupt resume file: err=%v, want ErrCorrupt", err)
@@ -89,7 +87,6 @@ func TestSweepResumesFromBackupGeneration(t *testing.T) {
 	res1, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp",
 		CheckpointPath: cp,
-		Runner:         Config{Workers: 1},
 	}, tasks)
 	if err != nil || len(res1.Results) != 4 {
 		t.Fatalf("seed sweep: %v (%d results)", err, len(res1.Results))
@@ -102,7 +99,6 @@ func TestSweepResumesFromBackupGeneration(t *testing.T) {
 	res2, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp",
 		CheckpointPath: cp, ResumePath: cp,
-		Runner: Config{Workers: 1},
 	}, tasks)
 	if err != nil {
 		t.Fatalf("resume sweep: %v", err)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,88 +9,6 @@ import (
 
 	"hef/internal/telemetry"
 )
-
-// TestRunnerMetrics checks the runner's lifecycle events reach the
-// instrument set and every gauge settles back to zero once the pool is
-// idle, whatever mix of successes, retries, and failures ran.
-func TestRunnerMetrics(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer()
-	r := New(Config{
-		Workers: 2, MaxRetries: 1,
-		Metrics: telemetry.NewSchedMetrics(reg),
-		Tracer:  tr,
-	})
-	flaky := 0
-	jobs := []Job{
-		{ID: "ok", Run: func(context.Context) (any, error) { return 1, nil }},
-		{ID: "flaky", Run: func(context.Context) (any, error) {
-			if flaky++; flaky == 1 {
-				return nil, errors.New("transient")
-			}
-			return 2, nil
-		}},
-		{ID: "doomed", Run: func(context.Context) (any, error) { return nil, errors.New("always") }},
-	}
-	for _, j := range jobs {
-		if err := r.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.Drain()
-	r.Stop()
-
-	vals := reg.Values()
-	want := map[string]float64{
-		telemetry.MetricSubmitted:    3,
-		telemetry.MetricJobsDone:     2,
-		telemetry.MetricJobsFailed:   1,
-		telemetry.MetricRetries:      2, // one for flaky, one for doomed
-		telemetry.MetricQueueDepth:   0,
-		telemetry.MetricInflight:     0,
-		telemetry.MetricRetryingJobs: 0,
-		// 5 attempts total: ok, flaky ×2, doomed ×2.
-		telemetry.MetricJobSeconds + "_count": 5,
-	}
-	for name, w := range want {
-		if got := vals[name]; got != w {
-			t.Errorf("%s = %g, want %g (all: %v)", name, got, w, vals)
-		}
-	}
-
-	// Every attempt leaves one queue-wait span and one run span.
-	queueSpans, runSpans := 0, 0
-	for _, s := range tr.Spans() {
-		switch s.Track {
-		case "queue":
-			queueSpans++
-		case "run":
-			runSpans++
-		}
-	}
-	if queueSpans != 5 || runSpans != 5 {
-		t.Errorf("spans queue=%d run=%d, want 5 each", queueSpans, runSpans)
-	}
-}
-
-// TestDefaultMetricsAdopted: a runner whose config leaves Metrics nil picks
-// up the process default, so inner pools (wave search, premeasure) land on
-// the same gauges the tools install at startup.
-func TestDefaultMetricsAdopted(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	SetDefaultMetrics(telemetry.NewSchedMetrics(reg))
-	defer SetDefaultMetrics(nil)
-
-	r := New(Config{Workers: 1})
-	if err := r.Submit(Job{ID: "j", Run: func(context.Context) (any, error) { return nil, nil }}); err != nil {
-		t.Fatal(err)
-	}
-	r.Drain()
-	r.Stop()
-	if got, _ := reg.Value(telemetry.MetricJobsDone); got != 1 {
-		t.Fatalf("default-metrics runner recorded done=%g, want 1", got)
-	}
-}
 
 // TestSweepTelemetryByteInvariance is the determinism contract in test
 // form: the same sweep run instrumented (metrics + tracer + heartbeat-ready
@@ -114,7 +31,6 @@ func TestSweepTelemetryByteInvariance(t *testing.T) {
 	plain := filepath.Join(dir, "plain.json")
 	if _, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp", CheckpointPath: plain,
-		Runner: Config{Workers: 1},
 	}, mkTasks()); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +40,7 @@ func TestSweepTelemetryByteInvariance(t *testing.T) {
 	instr := filepath.Join(dir, "instr.json")
 	res, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp", CheckpointPath: instr,
-		Runner:  Config{Workers: 8, Metrics: telemetry.NewSchedMetrics(reg)},
+		Workers: 8,
 		Metrics: telemetry.NewSweepMetrics(reg),
 		Tracer:  tr,
 	}, mkTasks())
@@ -151,8 +67,14 @@ func TestSweepTelemetryByteInvariance(t *testing.T) {
 	if vals[telemetry.MetricSweepFlushes] < 1 {
 		t.Error("no checkpoint flush recorded")
 	}
-	if tr.Len() == 0 {
-		t.Error("no spans recorded")
+	runSpans := 0
+	for _, s := range tr.Spans() {
+		if s.Track == "run" {
+			runSpans++
+		}
+	}
+	if runSpans != 12 {
+		t.Errorf("%d run spans, want one per task", runSpans)
 	}
 	if res.Executed != 12 {
 		t.Errorf("executed = %d, want 12", res.Executed)

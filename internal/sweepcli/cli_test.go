@@ -116,9 +116,9 @@ func TestSweepCLIContract(t *testing.T) {
 			bin := filepath.Join(dir, tl.name)
 			tmp := t.TempDir()
 
-			// The deadline has passed before the sweep starts, but a worker
-			// may already hold a task when the runner stops, and an ssbbench
-			// figure does not poll its context, so D/N is D < N, not 0/N.
+			// The deadline passes as the sweep starts, so at most the tasks
+			// already picked up run, and an ssbbench figure does not poll
+			// its context: D/N is D < N, not necessarily 0/N.
 			ckpt := filepath.Join(tmp, "interrupted.ckpt")
 			code, _, stderr := run(t, bin, with(tl.args, "-timeout", "1ns", "-checkpoint", ckpt)...)
 			if code != 1 {

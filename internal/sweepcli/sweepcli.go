@@ -1,8 +1,8 @@
 // Package sweepcli is the shared command-line harness of the three sweep
-// tools (hefopt, hefsens, ssbbench). It owns the fifteen flags every sweep
-// takes — checkpoint, resume, workers, retries, parallel, timeout,
-// coordinator, coordinator-key, worker-name, memo-dir, selfcheck,
-// metrics-addr, heartbeat, cpuprofile and memprofile — together with their
+// tools (hefopt, hefsens, ssbbench). It owns the fourteen flags every sweep
+// takes — checkpoint, resume, workers, parallel, timeout, coordinator,
+// coordinator-key, worker-name, memo-dir, selfcheck, metrics-addr,
+// heartbeat, cpuprofile and memprofile — together with their
 // validation, the telemetry/profile/memo-store lifecycle, and the run of a
 // task list: locally on sched.RunSweep, or as a dist worker under
 // -coordinator.
@@ -16,8 +16,8 @@
 //   - an interrupted sweep (signal or -timeout) prints "TOOL: interrupted
 //     with D/N NOUN done (ERR)" plus "; resume with -resume PATH" under
 //     -checkpoint, exit 1;
-//   - failed tasks print "TOOL: ID failed after K attempts: ERR" each, then
-//     the sweep error, exit 1;
+//   - failed tasks print "TOOL: ID failed: ERR" each, then the sweep error,
+//     exit 1;
 //   - a worker prints "TOOL: worker done: R ranges, T NOUN run here (D
 //     deduped)", exit 0, or "TOOL: worker interrupted; ..." with exit 1;
 //   - -memo-dir prints "TOOL: memo store DIR: SUMMARY" when the store closes.
@@ -48,7 +48,7 @@ import (
 // Flags holds the shared sweep flags of one tool, filled in by fs.Parse.
 type Flags struct {
 	Checkpoint, Resume          string
-	Workers, Retries, Parallel  int
+	Workers, Parallel           int
 	Timeout                     time.Duration
 	Coordinator, CoordinatorKey string
 	WorkerName                  string
@@ -75,7 +75,6 @@ func Register(fs *flag.FlagSet, tool, noun, sweep string) *Flags {
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", fmt.Sprintf("persist completed %s to this file as the %s progresses", noun, sweep))
 	fs.StringVar(&f.Resume, "resume", "", fmt.Sprintf("load a prior -checkpoint file and skip its completed %s", noun))
 	fs.IntVar(&f.Workers, "workers", 1, fmt.Sprintf("concurrent %s (1 keeps the classic sequential run)", noun))
-	fs.IntVar(&f.Retries, "retries", 2, "retry attempts per task after a failure or panic")
 	fs.IntVar(&f.Parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent simulations within a task; output is byte-identical for every setting")
 	fs.DurationVar(&f.Timeout, "timeout", 0, fmt.Sprintf("overall deadline; the %s drains cleanly when exceeded (0 disables)", sweep))
 	fs.StringVar(&f.Coordinator, "coordinator", "", fmt.Sprintf("hefsweep coordinator URL; run as a distributed sweep worker leasing ranges of %s instead of running the whole %s", noun, sweep))
@@ -106,9 +105,6 @@ func (f *Flags) validate() error {
 	}
 	if f.Workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d", f.Workers)
-	}
-	if f.Retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", f.Retries)
 	}
 	heartbeatSet := false
 	f.fs.Visit(func(fl *flag.Flag) {
@@ -259,7 +255,7 @@ func Run[T any](s *Session, fingerprint string, tasks []sched.Task[T]) map[strin
 		stats, err := dist.RunWorker(ctx, dist.WorkerConfig{
 			Coordinator: s.Coordinator, APIKey: s.CoordinatorKey, Name: workerIdentity(s.WorkerName),
 			Tool: s.tool, Fingerprint: fingerprint,
-			Workers: s.Workers, Retries: s.Retries,
+			Workers: s.Workers,
 			LogW:    os.Stderr,
 			Metrics: s.Tel.SweepMetrics(), Tracer: s.Tel.Tracer(),
 		}, tasks)
@@ -281,7 +277,7 @@ func Run[T any](s *Session, fingerprint string, tasks []sched.Task[T]) map[strin
 		Fingerprint:    fingerprint,
 		CheckpointPath: s.Checkpoint,
 		ResumePath:     s.Resume,
-		Runner:         sched.Config{Workers: s.Workers, MaxRetries: s.Retries},
+		Workers:        s.Workers,
 		Metrics:        s.Tel.SweepMetrics(),
 		Tracer:         s.Tel.Tracer(),
 	}, tasks)
@@ -296,8 +292,8 @@ func Run[T any](s *Session, fingerprint string, tasks []sched.Task[T]) map[strin
 			s.exit(1)
 		}
 		if errors.Is(err, sched.ErrJobsFailed) {
-			for _, o := range res.Failed {
-				fmt.Fprintf(os.Stderr, "%s: %s failed after %d attempts: %v\n", s.tool, o.ID, o.Attempts, o.Err)
+			for _, f := range res.Failed {
+				fmt.Fprintf(os.Stderr, "%s: %s failed: %v\n", s.tool, f.ID, f.Err)
 			}
 		}
 		s.Fail(err)

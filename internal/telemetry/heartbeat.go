@@ -111,11 +111,6 @@ func (h *Heartbeat) emit(final bool) {
 	if hits, misses := vals[MetricMemoHits], vals[MetricMemoMisses]; hits+misses > 0 {
 		attrs = append(attrs, slog.String("memo_hit_rate", fmt.Sprintf("%.2f", hits/(hits+misses))))
 	}
-	attrs = append(attrs,
-		slog.Int("queued", int(vals[MetricQueueDepth])),
-		slog.Int("running", int(vals[MetricInflight])),
-		slog.Int("retrying", int(vals[MetricRetryingJobs])),
-	)
 	// Windowed simulator throughput: instructions retired since the last
 	// beat over the wall time between beats.
 	if dt := now.Sub(prevAt).Seconds(); dt > 0 {

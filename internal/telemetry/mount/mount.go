@@ -1,9 +1,9 @@
 // Package mount wires the telemetry substrate into a running tool in one
 // call: it builds the registry and tracer, registers the polled series that
 // bridge the dependency-free hot packages (memo, uarch, store) into the
-// registry, installs the process-wide instrument sets for the scheduler and
-// the HEF search, starts the /metrics server and the heartbeat, and tears
-// everything down in order on Close.
+// registry, installs the process-wide instrument set for the HEF search,
+// starts the /metrics server and the heartbeat, and tears everything down in
+// order on Close.
 //
 // The package exists so the three command-line tools stay thin: each parses
 // -metrics-addr/-heartbeat, calls Start, and threads the returned session's
@@ -22,7 +22,6 @@ import (
 	"hef/internal/hef"
 	"hef/internal/memo"
 	"hef/internal/obs"
-	"hef/internal/sched"
 	"hef/internal/store"
 	"hef/internal/telemetry"
 	"hef/internal/uarch"
@@ -65,8 +64,8 @@ type Session struct {
 
 // Start mounts telemetry per opts. With neither a metrics address nor a
 // heartbeat interval it returns (nil, nil): disabled. On success the
-// process-wide scheduler and search instrument sets are installed, so every
-// runner and search created afterwards reports into the session's registry.
+// process-wide search instrument set is installed, so every search started
+// afterwards reports into the session's registry.
 func Start(opts Options) (*Session, error) {
 	if opts.MetricsAddr == "" && opts.Heartbeat <= 0 && !opts.Trace && !opts.Embedded {
 		return nil, nil
@@ -133,7 +132,6 @@ func Start(opts Options) (*Session, error) {
 		return time.Since(s.start).Seconds()
 	})
 
-	sched.SetDefaultMetrics(telemetry.NewSchedMetrics(s.reg))
 	hef.SetMetrics(telemetry.NewSearchMetrics(s.reg))
 
 	if opts.Embedded {
@@ -141,7 +139,6 @@ func Start(opts Options) (*Session, error) {
 	} else if opts.MetricsAddr != "" {
 		srv, err := telemetry.Serve(opts.MetricsAddr, opts.Tool, s.reg, s.tracer)
 		if err != nil {
-			sched.SetDefaultMetrics(nil)
 			hef.SetMetrics(nil)
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
@@ -266,7 +263,7 @@ func (s *Session) Spans() []telemetry.Span {
 }
 
 // Close stops the heartbeat (emitting its final line), shuts the server
-// down, and uninstalls the process-wide instrument sets.
+// down, and uninstalls the process-wide search instrument set.
 func (s *Session) Close() {
 	if s == nil {
 		return
@@ -277,6 +274,5 @@ func (s *Session) Close() {
 			fmt.Fprintf(s.logW, "telemetry: server close: %v\n", err)
 		}
 	}
-	sched.SetDefaultMetrics(nil)
 	hef.SetMetrics(nil)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hef/internal/hef"
 	"hef/internal/memo"
 	"hef/internal/obs"
 	"hef/internal/sched"
@@ -47,19 +48,17 @@ func TestMountedSession(t *testing.T) {
 	}
 	addr := strings.TrimSpace(strings.TrimPrefix(log.String(), "mount-test: telemetry serving on "))
 
-	// Drive the bridged sources: a memo miss/hit pair and a scheduler job
-	// through the installed process default.
+	// Drive the bridged sources (a memo miss/hit pair) and a one-task sweep
+	// on the session's sweep instruments.
 	c := memo.NewCache()
 	k := memo.Key{1}
 	c.Get(k)
 	c.Put(k, &uarch.Result{Cycles: 1})
 	c.Get(k)
-	r := sched.New(sched.Config{Workers: 1})
-	if err := r.Submit(sched.Job{ID: "j", Run: func(context.Context) (any, error) { return nil, nil }}); err != nil {
+	if _, err := sched.RunSweep(context.Background(), sched.SweepConfig{Metrics: s.SweepMetrics()},
+		[]sched.Task[int]{{ID: "j", Run: func(context.Context) (int, error) { return 1, nil }}}); err != nil {
 		t.Fatal(err)
 	}
-	r.Drain()
-	r.Stop()
 
 	s.SetReady()
 	resp, err := http.Get("http://" + addr + "/metrics")
@@ -72,7 +71,8 @@ func TestMountedSession(t *testing.T) {
 		telemetry.MetricMemoHits + " 1",
 		telemetry.MetricMemoMisses + " 1",
 		telemetry.MetricMemoHitRate + " 0.5",
-		telemetry.MetricJobsDone + " 1",
+		telemetry.MetricSweepTasks + " 1",
+		telemetry.MetricSweepDone + " 1",
 		telemetry.MetricUptime,
 		telemetry.MetricSimInstr,
 		telemetry.MetricSimIdleSkipped,
@@ -87,7 +87,7 @@ func TestMountedSession(t *testing.T) {
 
 	rep := obs.NewReport("mount-test")
 	s.AttachReport(rep)
-	if rep.Telemetry == nil || rep.Telemetry.Series[telemetry.MetricJobsDone] != 1 {
+	if rep.Telemetry == nil || rep.Telemetry.Series[telemetry.MetricSweepDone] != 1 {
 		t.Fatalf("report telemetry block = %+v", rep.Telemetry)
 	}
 	if rep.Telemetry.UptimeSeconds <= 0 {
@@ -124,8 +124,13 @@ func TestWriteTrace(t *testing.T) {
 	}
 }
 
-// TestCloseUninstallsDefaults: after Close, new runners and searches are
-// uninstrumented again — sessions don't leak into later test code.
+// constEval prices every node the same, so a search over it is instant.
+type constEval struct{}
+
+func (constEval) Evaluate(hef.Node) (float64, error) { return 1e-9, nil }
+
+// TestCloseUninstallsDefaults: after Close, new searches are uninstrumented
+// again — sessions don't leak into later test code.
 func TestCloseUninstallsDefaults(t *testing.T) {
 	s, err := Start(Options{Tool: "t", Heartbeat: time.Hour, LogW: io.Discard})
 	if err != nil {
@@ -134,15 +139,20 @@ func TestCloseUninstallsDefaults(t *testing.T) {
 	if s == nil {
 		t.Fatal("heartbeat-only session should be live")
 	}
-	s.Close()
-
-	r := sched.New(sched.Config{Workers: 1})
-	if err := r.Submit(sched.Job{ID: "j", Run: func(context.Context) (any, error) { return nil, nil }}); err != nil {
-		t.Fatal(err)
+	search := func() float64 {
+		t.Helper()
+		if _, err := hef.Search(constEval{}, hef.Node{V: 1, S: 1, P: 1}, hef.DefaultBounds); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.Registry().Value(telemetry.MetricEvaluated)
+		return got
 	}
-	r.Drain()
-	r.Stop()
-	if got, _ := s.Registry().Value(telemetry.MetricJobsDone); got != 0 {
-		t.Fatalf("closed session still collecting: done=%g", got)
+	open := search()
+	if open == 0 {
+		t.Fatal("the open session recorded no search evaluations")
+	}
+	s.Close()
+	if got := search(); got != open {
+		t.Fatalf("closed session still collecting: evaluated %g, then %g", open, got)
 	}
 }

@@ -50,16 +50,6 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer recorded")
 	}
-	var sm *SchedMetrics
-	sm.OnSubmit()
-	sm.OnStart()
-	sm.OnAttemptEnd(0.1)
-	sm.OnOutcome(true)
-	sm.OnRetry()
-	sm.OnRetryResolved(true)
-	sm.OnShed()
-	sm.OnBreakerDenial()
-	sm.SetBreakersOpen(1)
 	var wm *SweepMetrics
 	wm.OnPlan(10, 2)
 	wm.OnTaskDone()
@@ -70,7 +60,7 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	xm.OnEvaluated(true)
 	xm.OnBest(1.23)
 	xm.OnSearchEnd()
-	if NewSchedMetrics(nil) != nil || NewSweepMetrics(nil) != nil || NewSearchMetrics(nil) != nil {
+	if NewSweepMetrics(nil) != nil || NewSearchMetrics(nil) != nil {
 		t.Fatal("nil registry produced a metric set")
 	}
 }

@@ -29,7 +29,7 @@ func get(t *testing.T, s *Server, path string) (int, string) {
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MetricSimInstr, "instructions").Add(42)
-	reg.Gauge(MetricQueueDepth, "queue").Set(3)
+	reg.Gauge(MetricSweepTasks, "tasks").Set(3)
 	tr := NewTracer()
 	tr.Begin("sweep", "all")()
 
@@ -65,7 +65,7 @@ func TestServerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE " + MetricSimInstr + " counter",
 		MetricSimInstr + " 42",
-		MetricQueueDepth + " 3",
+		MetricSweepTasks + " 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
@@ -181,7 +181,7 @@ func TestHeartbeat(t *testing.T) {
 	NewSweepMetrics(reg).OnPlan(6, 2)
 	reg.Counter(MetricMemoHits, "").Add(81)
 	reg.Counter(MetricMemoMisses, "").Add(19)
-	reg.Gauge(MetricInflight, "").Set(2)
+	reg.Gauge(MetricFrontierSize, "").Set(2)
 	reg.Counter(MetricSimInstr, "").Add(5_000_000)
 
 	var buf syncBuffer
@@ -201,7 +201,7 @@ func TestHeartbeat(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"msg=heartbeat", "tool=testtool", "done=2", "total=6",
-		"memo_hit_rate=0.81", "running=2", "final=true",
+		"memo_hit_rate=0.81", "frontier=2", "final=true",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("heartbeat missing %q in:\n%s", want, out)

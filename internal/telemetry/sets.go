@@ -3,21 +3,6 @@ package telemetry
 // Canonical series names. The heartbeat and the smoke tests read these, so
 // they live here rather than being retyped at every wiring site.
 const (
-	// Scheduler (internal/sched) — shared by every runner in the process:
-	// the sweep pool, the wave-search evaluator pools, and the per-figure
-	// stage premeasure pools all Add/Sub the same gauges.
-	MetricQueueDepth     = "hef_sched_queue_depth"
-	MetricInflight       = "hef_sched_inflight_jobs"
-	MetricRetryingJobs   = "hef_sched_retrying_jobs"
-	MetricSubmitted      = "hef_sched_jobs_submitted_total"
-	MetricJobsDone       = "hef_sched_jobs_done_total"
-	MetricJobsFailed     = "hef_sched_jobs_failed_total"
-	MetricJobsShed       = "hef_sched_jobs_shed_total"
-	MetricRetries        = "hef_sched_retries_total"
-	MetricBreakerDenials = "hef_sched_breaker_denials_total"
-	MetricBreakersOpen   = "hef_sched_breakers_open"
-	MetricJobSeconds     = "hef_sched_job_seconds"
-
 	// Sweep driver (sched.RunSweep).
 	MetricSweepTasks       = "hef_sweep_tasks"
 	MetricSweepDone        = "hef_sweep_tasks_done_total"
@@ -83,119 +68,6 @@ const (
 	MetricDistFailures    = "hef_dist_range_failures_total"
 	MetricDistViolations  = "hef_dist_determinism_violations_total"
 )
-
-// SchedMetrics is the instrument set a sched.Runner bumps. Every method is
-// nil-receiver-safe, so an uninstrumented runner pays one branch per event.
-type SchedMetrics struct {
-	QueueDepth, Inflight, Retrying, BreakersOpen *Gauge
-	Submitted, Done, Failed, Shed, RetriesTotal  *Counter
-	BreakerDenials                               *Counter
-	JobSeconds                                   *Histogram
-}
-
-// NewSchedMetrics registers the scheduler series on r (nil r → nil set).
-func NewSchedMetrics(r *Registry) *SchedMetrics {
-	if r == nil {
-		return nil
-	}
-	return &SchedMetrics{
-		QueueDepth:     r.Gauge(MetricQueueDepth, "jobs admitted but not yet running, across every runner"),
-		Inflight:       r.Gauge(MetricInflight, "jobs currently executing"),
-		Retrying:       r.Gauge(MetricRetryingJobs, "jobs waiting out a retry backoff"),
-		BreakersOpen:   r.Gauge(MetricBreakersOpen, "circuit breakers currently open"),
-		Submitted:      r.Counter(MetricSubmitted, "jobs accepted by admission control"),
-		Done:           r.Counter(MetricJobsDone, "jobs that reached a successful terminal state"),
-		Failed:         r.Counter(MetricJobsFailed, "jobs that failed terminally (retries exhausted or interrupted)"),
-		Shed:           r.Counter(MetricJobsShed, "jobs rejected because the bounded queue was full"),
-		RetriesTotal:   r.Counter(MetricRetries, "retry re-queues across all jobs"),
-		BreakerDenials: r.Counter(MetricBreakerDenials, "attempts denied by an open circuit breaker"),
-		JobSeconds:     r.Histogram(MetricJobSeconds, "job attempt latency in seconds", nil),
-	}
-}
-
-// OnSubmit records an accepted job entering the queue.
-func (m *SchedMetrics) OnSubmit() {
-	if m == nil {
-		return
-	}
-	m.Submitted.Inc()
-	m.QueueDepth.Add(1)
-}
-
-// OnShed records an admission-control rejection.
-func (m *SchedMetrics) OnShed() {
-	if m == nil {
-		return
-	}
-	m.Shed.Inc()
-}
-
-// OnStart records a job leaving the queue for a worker.
-func (m *SchedMetrics) OnStart() {
-	if m == nil {
-		return
-	}
-	m.QueueDepth.Add(-1)
-	m.Inflight.Add(1)
-}
-
-// OnAttemptEnd records an attempt finishing after sec seconds.
-func (m *SchedMetrics) OnAttemptEnd(sec float64) {
-	if m == nil {
-		return
-	}
-	m.Inflight.Add(-1)
-	m.JobSeconds.Observe(sec)
-}
-
-// OnOutcome records a terminal state.
-func (m *SchedMetrics) OnOutcome(done bool) {
-	if m == nil {
-		return
-	}
-	if done {
-		m.Done.Inc()
-	} else {
-		m.Failed.Inc()
-	}
-}
-
-// OnRetry records a job entering its backoff wait.
-func (m *SchedMetrics) OnRetry() {
-	if m == nil {
-		return
-	}
-	m.RetriesTotal.Inc()
-	m.Retrying.Add(1)
-}
-
-// OnRetryResolved records the backoff wait ending; requeued reports whether
-// the job re-entered the queue (as opposed to being interrupted).
-func (m *SchedMetrics) OnRetryResolved(requeued bool) {
-	if m == nil {
-		return
-	}
-	m.Retrying.Add(-1)
-	if requeued {
-		m.QueueDepth.Add(1)
-	}
-}
-
-// OnBreakerDenial records an attempt denied by an open breaker.
-func (m *SchedMetrics) OnBreakerDenial() {
-	if m == nil {
-		return
-	}
-	m.BreakerDenials.Inc()
-}
-
-// SetBreakersOpen publishes the current open-breaker count.
-func (m *SchedMetrics) SetBreakersOpen(n int) {
-	if m == nil {
-		return
-	}
-	m.BreakersOpen.Set(int64(n))
-}
 
 // SweepMetrics is the instrument set sched.RunSweep bumps.
 type SweepMetrics struct {

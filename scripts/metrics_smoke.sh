@@ -5,8 +5,9 @@
 # discovers the ephemeral port from the "telemetry serving on" stderr line,
 # and then, mid-run:
 #   1. waits for /readyz to flip starting -> ready,
-#   2. scrapes /metrics twice and asserts the progress counters are present
-#      and monotone non-decreasing,
+#   2. scrapes /metrics twice and asserts the progress series are present,
+#      the sweep's task total is positive, and its completion counter moves
+#      off zero and never goes backwards,
 #   3. checks the JSON /status snapshot names the tool,
 #   4. sends SIGTERM and asserts /healthz flips to draining (503) while
 #      /metrics keeps serving, the heartbeat emitted its final line, and the
@@ -67,19 +68,22 @@ done
 curl -fsS "http://$ADDR/readyz" >/dev/null || die "/readyz never returned 200"
 
 # 2. two scrapes; the live series must be present and progress monotone.
-# The second scrape polls until the search and simulator series have moved
-# off zero, so the check is robust to how the sweep orders its figures.
+# The first scrape already carries the sweep's task total. The second polls
+# until the simulator has retired instructions and the sweep has completed
+# a task, so the check is robust to how the sweep orders its figures.
 curl -fsS "http://$ADDR/metrics" >"$WORK/scrape1" || die "first /metrics scrape"
 val() {
     awk -v s="$1" '$1 == s { print $2 }' "$2"
 }
+tasks=$(val hef_sweep_tasks "$WORK/scrape1")
+awk -v t="${tasks:-0}" 'BEGIN { exit !(t > 0) }' || die "hef_sweep_tasks absent or zero: '${tasks}'"
 i=0
-while [ $i -lt 240 ]; do
+while [ $i -lt 480 ]; do
     sleep 0.5
     curl -fsS "http://$ADDR/metrics" >"$WORK/scrape2" || die "mid-run /metrics scrape"
     instr=$(val hef_uarch_instructions_total "$WORK/scrape2")
-    jobs=$(val hef_sched_jobs_submitted_total "$WORK/scrape2")
-    if awk -v a="${instr:-0}" -v b="${jobs:-0}" 'BEGIN { exit !(a > 0 && b > 0) }'; then
+    done_=$(val hef_sweep_tasks_done_total "$WORK/scrape2")
+    if awk -v a="${instr:-0}" -v b="${done_:-0}" 'BEGIN { exit !(a > 0 && b > 0) }'; then
         break
     fi
     kill -0 "$PID" 2>/dev/null || die "ssbbench exited before the progress series moved"
@@ -87,8 +91,7 @@ while [ $i -lt 240 ]; do
 done
 
 for series in \
-    hef_sched_queue_depth \
-    hef_sched_jobs_submitted_total \
+    hef_sweep_tasks_done_total \
     hef_memo_hit_rate \
     hef_search_frontier_size \
     hef_search_candidates_evaluated_total \
@@ -111,8 +114,14 @@ mono() {
         || die "series $1 still zero mid-run"
 }
 mono hef_uarch_instructions_total
-mono hef_sched_jobs_submitted_total
 mono hef_uptime_seconds
+# The first scrape may precede the first completed figure, so the done
+# counter only has to be monotone there; the poll above saw it move.
+a=$(val hef_sweep_tasks_done_total "$WORK/scrape1")
+b=$(val hef_sweep_tasks_done_total "$WORK/scrape2")
+[ -n "$a" ] && [ -n "$b" ] || die "series hef_sweep_tasks_done_total absent from a scrape"
+awk -v a="$a" -v b="$b" 'BEGIN { exit !(b >= a && b > 0) }' \
+    || die "hef_sweep_tasks_done_total did not move forward: $a -> $b"
 
 # 3. the JSON snapshot names the tool and its health state.
 curl -fsS "http://$ADDR/status" | grep -q '"tool": *"ssbbench"' \
