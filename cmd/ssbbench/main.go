@@ -154,8 +154,8 @@ type figCell struct {
 }
 
 // runAll executes the six-figure sweep on the sweep worker loop with
-// graceful drain and checkpoint/resume; with a coordinator it leases figure ranges
-// as a distributed sweep worker instead.
+// graceful drain and checkpoint/resume; with a coordinator it leases figure
+// ranges as a distributed sweep worker instead.
 func runAll(sample float64, seed uint64) {
 	fingerprint := fmt.Sprintf("all sample=%g seed=%d format=%s", sample, seed, outFormat)
 	var tasks []sched.Task[*figCell]
