@@ -19,6 +19,8 @@ const stackBase = uint64(0xF) << 40
 // eviction policy.
 func insertSpills(em *emitter, scalarBudget, vectorBudget int) (out []absOp, stores, loads int) {
 	ops := em.ops
+	// Spill code comes on top of ops; a node that spills grows out once.
+	out = make([]absOp, 0, len(ops))
 
 	// Collect use positions per value.
 	uses := make([][]int32, em.numVals)
