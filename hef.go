@@ -44,7 +44,9 @@ import (
 	"hef/internal/uarch"
 )
 
-// Framework is a configured HEF instance for one target processor.
+// Framework is a configured HEF instance for one target processor. It keeps
+// the simulators its calls run on for later calls, and is safe for
+// concurrent use.
 type Framework = core.Framework
 
 // Optimized is the outcome of optimizing one operator.

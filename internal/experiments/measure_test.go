@@ -22,7 +22,9 @@ import (
 // reused simulator — in forward order and then again in reverse — must
 // equal the same plan measured on a fresh simulator of its own. RunFigure's
 // workers, TimeQuery and SimEvaluator rely on this to reuse one simulator
-// for every measurement they make.
+// for every measurement they make. TestFrameworkReuseMatchesFresh
+// (internal/core) extends it to whole searches on the simulators one
+// core.Framework lends across operators and concurrent calls.
 func TestReusedSimulatorMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-sized measurement sweep is slow")
