@@ -74,13 +74,19 @@ func main() {
 	if cache == nil {
 		cache = memo.NewCache()
 	}
+	// One framework for the whole batch too: its simulators serve every
+	// operator's search and re-measurements, whichever worker runs them.
+	fw, err := core.New(*cpuName, core.WithTestElems(*elems))
+	if err != nil {
+		s.Fail(err)
+	}
 	var tasks []sched.Task[*opResult]
 	for _, name := range ops {
 		name := name
 		tasks = append(tasks, sched.Task[*opResult]{
 			ID: name,
 			Run: func(jctx context.Context) (*opResult, error) {
-				return runOne(jctx, *cpuName, name, *file, *elems, *budget, s.Parallel, *showCode, *trace, *dotOut != "", cache)
+				return runOne(jctx, fw, name, *file, *budget, s.Parallel, *showCode, *trace, *dotOut != "", cache)
 			},
 		})
 	}
@@ -157,12 +163,8 @@ type opResult struct {
 // runOne optimizes a single operator and renders every output form. A
 // budget stop degrades gracefully to a deterministic best-so-far partial
 // result; a cancellation fails the job so a resumed run re-does it in full.
-func runOne(ctx context.Context, cpuName, opName, file string, elems int64, budget, parallel int, showCode, trace, wantDot bool, cache *memo.Cache) (*opResult, error) {
+func runOne(ctx context.Context, fw *core.Framework, opName, file string, budget, parallel int, showCode, trace, wantDot bool, cache *memo.Cache) (*opResult, error) {
 	tmpl, err := selectTemplate(opName, file)
-	if err != nil {
-		return nil, err
-	}
-	fw, err := core.New(cpuName, core.WithTestElems(elems))
 	if err != nil {
 		return nil, err
 	}
