@@ -33,7 +33,7 @@ func TestLinkedRunBuildsNoSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.sim != nil {
+	if ev.sims.Pop() != nil {
 		t.Fatal("a linked memo hit built a simulator")
 	}
 	if !reflect.DeepEqual(want, got) || ev.Evaluations != 1 {
@@ -54,7 +54,7 @@ func TestLinkedRunBuildsNoSimulator(t *testing.T) {
 	}
 	linked := NewSimEvaluator(cpu, tmpl, 0, elems)
 	linked.SetMemo(loaded)
-	if _, err := linked.Run(node); err != nil || linked.sim != nil {
+	if _, err := linked.Run(node); err != nil || linked.sims.Pop() != nil {
 		t.Fatalf("the measurement-key hit left no link (err %v)", err)
 	}
 	if st := loaded.Stats(); st.Hits != 2 || st.Misses != 0 {
