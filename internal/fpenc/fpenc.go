@@ -1,14 +1,13 @@
-// Package fpenc holds the canonical byte-encoding primitives shared by every
-// content fingerprint in the tree: the measurement memo keys in internal/memo
-// and the schedule-skeleton cache keys in internal/uarch. It is dependency-free
+// Package fpenc holds the canonical byte-encoding primitives of the
+// measurement memo keys in internal/memo, whose program component
+// internal/uarch encodes (Program.AppendFingerprint). It is dependency-free
 // so the hot packages can use it without import cycles.
 //
 // The encoding is fixed: integers are little-endian uint64 (signed values go
 // through int64 first), floats are their IEEE-754 bit patterns, booleans are
 // one byte, and strings are length-prefixed. Changing any of these would
 // silently invalidate every persisted memo store, so their bytes are pinned
-// by TestFingerprintGolden in internal/memo and TestSkeletonKeyGolden in
-// internal/uarch.
+// by TestFingerprintGolden in internal/memo.
 //
 // An encoding streams: once the buffer passes a few KB, Spill hashes it into
 // a running SHA-256 and empties it, so keying a program of thousands of

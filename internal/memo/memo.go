@@ -66,8 +66,9 @@ const (
 // WarmRange is one region warmed into the hierarchy before measuring.
 type WarmRange = cache.Range
 
-// enc is the canonical encoding accumulator shared with the skeleton cache
-// (internal/fpenc); the method aliases keep this package's encoders readable.
+// enc is the canonical encoding accumulator (internal/fpenc) that
+// Program.AppendFingerprint also writes to; the method aliases keep this
+// package's encoders readable.
 type enc struct {
 	fpenc.E
 }
@@ -140,8 +141,7 @@ func (e *enc) perturb(p *uarch.Perturb) {
 
 // Fingerprint computes the content key of one measurement under the given
 // protocol. warm lists the regions warmed before the runs, in warming
-// order. The program component is encoded by Program.AppendFingerprint, the
-// same encoding the simulator's skeleton cache keys on.
+// order. The program component is encoded by Program.AppendFingerprint.
 func Fingerprint(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, prog *uarch.Program, iters int64, warm []WarmRange) Key {
 	var e enc
 	e.Buf = make([]byte, 0, 512)

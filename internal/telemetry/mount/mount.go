@@ -119,10 +119,10 @@ func Start(opts Options) (*Session, error) {
 	s.reg.GaugeFunc(telemetry.MetricSimIdleSkipped, "slow-path cycles jumped by the event-driven idle skip", func() float64 {
 		return float64(uarch.Totals().IdleSkipped)
 	})
-	s.reg.GaugeFunc(telemetry.MetricSimSkelHits, "schedule-skeleton cache hits", func() float64 {
+	s.reg.GaugeFunc(telemetry.MetricSimSkelHits, "schedule-skeleton binds served by the simulator's bound skeleton", func() float64 {
 		return float64(uarch.Totals().SkeletonHits)
 	})
-	s.reg.GaugeFunc(telemetry.MetricSimSkelMisses, "schedule-skeleton cache misses (skeleton builds)", func() float64 {
+	s.reg.GaugeFunc(telemetry.MetricSimSkelMisses, "schedule-skeleton builds", func() float64 {
 		return float64(uarch.Totals().SkeletonMisses)
 	})
 	s.reg.GaugeFunc(telemetry.MetricSimReplayPeriods, "loop periods fast-forwarded by response-verified replay", func() float64 {

@@ -121,20 +121,6 @@ type Program struct {
 	VectorStatements int
 	// VectorWidth is the SIMD width used (0 if scalar-only).
 	VectorWidth isa.Width
-
-	// prepared dependency info, built lazily by prepare().
-	deps []depInfo
-}
-
-// depInfo caches, per body uop, where each source operand comes from.
-type depInfo struct {
-	// producer[k] is the body index of the uop producing source k in the
-	// same iteration, or -1.
-	producer [3]int32
-	// carried[k] is the body index of the last writer of source k (previous
-	// iteration), or -1 when the register is loop-invariant. Only consulted
-	// when producer[k] < 0.
-	carried [3]int32
 }
 
 // Validate checks internal consistency: register indices in range and
@@ -166,52 +152,10 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// prepare resolves the static dependence structure of the body.
-func (p *Program) prepare() {
-	if p.deps != nil {
-		return
-	}
-	lastWriter := make([]int32, p.NumRegs)
-	for i := range lastWriter {
-		lastWriter[i] = -1
-	}
-	for i := range p.Body {
-		if d := p.Body[i].Dst; d != NoReg {
-			lastWriter[d] = int32(i)
-		}
-	}
-	deps := make([]depInfo, len(p.Body))
-	writtenSoFar := make([]int32, p.NumRegs)
-	for i := range writtenSoFar {
-		writtenSoFar[i] = -1
-	}
-	for i := range p.Body {
-		u := &p.Body[i]
-		for k, s := range u.Srcs {
-			if s == NoReg {
-				deps[i].producer[k] = -1
-				deps[i].carried[k] = -1
-				continue
-			}
-			deps[i].producer[k] = writtenSoFar[s]
-			if writtenSoFar[s] < 0 {
-				deps[i].carried[k] = lastWriter[s]
-			} else {
-				deps[i].carried[k] = -1
-			}
-		}
-		if u.Dst != NoReg {
-			writtenSoFar[u.Dst] = int32(i)
-		}
-	}
-	p.deps = deps
-}
-
 // AppendFingerprint appends the canonical content encoding of the program to
 // e: every semantic field of every instruction, operand, and address stream.
-// It is the program component of the memo fingerprint (internal/memo) and of
-// the schedule-skeleton cache key, so its byte layout is pinned — changing it
-// invalidates every persisted memo store.
+// It is the program component of the memo fingerprint (internal/memo), so its
+// byte layout is pinned — changing it invalidates every persisted memo store.
 func (p *Program) AppendFingerprint(e *fpenc.E) {
 	e.Str(p.Name)
 	e.Int(p.NumRegs)

@@ -120,7 +120,7 @@ func (st *steadyState) replayRun(s *Sim, res *Result, cycle, dispatchIter *int64
 // core would consume against the recording. It reports whether the whole
 // period matched; on a mismatch the caller rolls back its mutations.
 func (st *steadyState) replayPeriod(s *Sim, baseIter int64) bool {
-	sk := s.skel
+	sk := &s.skel
 	epi := sk.elemsPerIter
 	for i := range st.recCalls {
 		c := &st.recCalls[i]

@@ -353,13 +353,9 @@ type Sim struct {
 	robOccLUT     []uint8
 	loadQOccLUT   []uint8
 
-	// skel is the schedule skeleton bound by the last Run (see skeleton.go);
-	// skelProg/skelLat/skelOcc/skelSeed identify it for the pointer-equality
-	// fast path in bind.
-	skel             *skeleton
-	skelProg         *Program
-	skelLat, skelOcc float64
-	skelSeed         uint64
+	// skel is the schedule skeleton of the program bound by the last Run
+	// (see skeleton.go), rebuilt in place when a Run binds another.
+	skel skeleton
 
 	// trace is the optional lifecycle recorder (SetTraceLog).
 	trace *TraceLog
@@ -564,7 +560,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 	if err := s.bind(prog); err != nil {
 		return err
 	}
-	sk := s.skel
+	sk := &s.skel
 	s.reset()
 	statsBefore := s.hier.Stats()
 
@@ -625,7 +621,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 			res.Instructions++
 			res.Uops += uint64(uops)
 			if s.trace != nil {
-				s.trace.add(TraceEvent{Kind: TraceRetire, Cycle: cycle, Iter: s.robIter[h], Body: b, Name: sk.body[b].Instr.Name, Port: -1})
+				s.trace.add(TraceEvent{Kind: TraceRetire, Cycle: cycle, Iter: s.robIter[h], Body: b, Name: prog.Body[b].Instr.Name, Port: -1})
 			}
 			s.uopsInROB -= uops
 			h++
@@ -781,8 +777,8 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 								}
 								s.inflight.push(comp)
 								if s.trace != nil {
-									s.trace.add(TraceEvent{Kind: TraceIssue, Cycle: cycle, Dur: int64(lat), Iter: s.robIter[ei], Body: b, Name: sk.body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
-									s.trace.add(TraceEvent{Kind: TraceComplete, Cycle: comp, Iter: s.robIter[ei], Body: b, Name: sk.body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
+									s.trace.add(TraceEvent{Kind: TraceIssue, Cycle: cycle, Dur: int64(lat), Iter: s.robIter[ei], Body: b, Name: prog.Body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
+									s.trace.add(TraceEvent{Kind: TraceComplete, Cycle: comp, Iter: s.robIter[ei], Body: b, Name: prog.Body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
 								}
 								issuedUops += int(sk.uops[b])
 								issuedInstrs++
@@ -938,7 +934,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 			}
 			s.rsCount++
 			if s.trace != nil {
-				s.trace.add(TraceEvent{Kind: TraceDispatch, Cycle: cycle, Iter: dispatchIter, Body: int32(b), Name: sk.body[b].Instr.Name, Port: -1})
+				s.trace.add(TraceEvent{Kind: TraceDispatch, Cycle: cycle, Iter: dispatchIter, Body: int32(b), Name: prog.Body[b].Instr.Name, Port: -1})
 			}
 			t++
 			if t == len(s.robBody) {
@@ -1058,7 +1054,7 @@ func (s *Sim) reset() {
 // failing conditions could clear — exact while nothing issues, since ports
 // and queues only change at issues and at their own already-known horizons.
 func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
-	sk := s.skel
+	sk := &s.skel
 	baseLat := int(sk.lat[b])
 	occ := int64(sk.occ[b])
 	s.lastPort, s.lastLevel = -1, 0
@@ -1242,7 +1238,7 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 // issue512 places a 512-bit vector µop on one of the 512-bit unit ports.
 // Shuffles run on the (always 512-bit-capable) shuffle unit instead.
 func (s *Sim) issue512(b int32, cycle int64) (int, bool) {
-	sk := s.skel
+	sk := &s.skel
 	lat := int(sk.lat[b])
 	occ := int64(sk.occ[b])
 	if sk.class[b] == isa.VecShuffle {

@@ -1,10 +1,8 @@
 package uarch
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"hef/internal/fpenc"
 	"hef/internal/isa"
 )
 
@@ -19,15 +17,14 @@ import (
 // parallel slices instead of chasing Body → UOp → Instr pointers and
 // re-hashing instruction names per issue under a perturbed model.
 //
-// Skeletons are immutable once built and shared process-wide through a
-// content-addressed cache keyed by the program fingerprint (the same
-// canonical encoding internal/memo keys measurements by) plus the normalized
-// timing perturbation. Re-simulating one translated program under K
-// perturbed CPU models — a hefsens sweep, robust.Analyze trials — decodes
-// and binds it once per distinct (program, LatJitter, OccJitter, Seed)
-// triple instead of once per run. Port-fault, cache, and frequency jitter do
-// not enter the key: they act through dynamic per-cycle checks or through a
-// cloned CPU model, never through the skeleton's tables.
+// Each simulator owns one skeleton and rebuilds it in place whenever it binds
+// a different program or timing perturbation; re-running the bound program is
+// a pointer comparison. The skeleton is never shared, so nothing is keyed,
+// locked or evicted: a search simulates each freshly translated program about
+// once (the memo serves repeats), and hashing a program for a cache key cost
+// more than rebuilding its tables. Port-fault, cache, and frequency jitter do
+// not enter the skeleton: they act through dynamic per-cycle checks or through
+// a cloned CPU model, never through its tables.
 
 // srcKind classifies where one source operand's value comes from.
 const (
@@ -40,11 +37,12 @@ const (
 // timing perturbation. All per-µop slices are indexed by body position;
 // src-operand slices are flattened 3-wide.
 type skeleton struct {
-	// body aliases the Body of the program the skeleton was built from;
-	// cold paths (trace events, debug printing) read instruction names and
-	// comments through it. Two programs with identical content share a
-	// skeleton, and identical content implies identical names.
-	body []UOp
+	// prog is the program the skeleton was built from and lj/oj/seed the
+	// normalized timing perturbation (normalizePerturb) it resolves; bind's
+	// fast path compares them.
+	prog   *Program
+	lj, oj float64
+	seed   uint64
 
 	class []isa.Class
 	// lat and occ are the result latency and port occupancy with the
@@ -69,6 +67,7 @@ type skeleton struct {
 	// the dependence kind, the architectural register read (equal to the
 	// producer's Dst for same-iteration and carried operands), and whether
 	// the producer is a memory-class instruction (for stall attribution).
+	// All three are zero for srcNone operands.
 	srcKind []uint8
 	srcReg  []int16
 	srcMem  []bool
@@ -85,16 +84,24 @@ type skeleton struct {
 	// redefine their pinned register every unrolled pack — are instead
 	// re-sampled exhaustively on every scan.
 	srcSafe []bool
+
+	// Build scratch, one entry per register: the body index of the last
+	// writer of each register (-1 if none), of its most recent writer so far
+	// in the body walk, and its number of writers.
+	lastWriter, writtenSoFar, writerCnt []int32
 }
 
-// skelKey identifies a skeleton: program content × normalized timing
-// perturbation.
-type skelKey [16]byte
+// Process-wide skeleton counters, read through Totals: skelHits counts binds
+// served by the simulator's bound skeleton, skelMisses counts skeleton builds.
+var (
+	skelHits   atomic.Uint64
+	skelMisses atomic.Uint64
+)
 
 // normalizePerturb reduces a perturbation to the triple that affects the
 // skeleton's tables. With both timing jitters zero the seed is irrelevant
 // (factor(·, 0) == 1), so all such runs — including pure port-fault or
-// cache/frequency jitter configurations — share the unperturbed skeleton.
+// cache/frequency jitter configurations — bind the unperturbed skeleton.
 func normalizePerturb(p *Perturb) (lj, oj float64, seed uint64) {
 	if p == nil || (p.LatJitter == 0 && p.OccJitter == 0) {
 		return 0, 0, 0
@@ -102,91 +109,61 @@ func normalizePerturb(p *Perturb) (lj, oj float64, seed uint64) {
 	return p.LatJitter, p.OccJitter, p.Seed
 }
 
-func skeletonKey(prog *Program, lj, oj float64, seed uint64) skelKey {
-	var e fpenc.E
-	e.Buf = make([]byte, 0, 512)
-	e.F64(lj)
-	e.F64(oj)
-	e.U64(seed)
-	prog.AppendFingerprint(&e)
-	return e.Sum()
-}
-
-// The process-wide skeleton cache. Eviction is clear-on-full: skeletons are
-// content-addressed and rebuild identically, so dropping the whole map on
-// overflow is safe and keeps the policy trivial.
-const skelCacheCap = 4096
-
-var (
-	skelMu    sync.RWMutex
-	skelCache = make(map[skelKey]*skeleton)
-
-	skelHits   atomic.Uint64
-	skelMisses atomic.Uint64
-)
-
-// SkeletonCacheLen reports the number of cached skeletons. Test-only.
-func SkeletonCacheLen() int {
-	skelMu.RLock()
-	defer skelMu.RUnlock()
-	return len(skelCache)
-}
-
-// lookupSkeleton returns the shared skeleton for (prog, lj, oj, seed),
-// building and caching it on first use.
-func lookupSkeleton(prog *Program, lj, oj float64, seed uint64) *skeleton {
-	key := skeletonKey(prog, lj, oj, seed)
-	skelMu.RLock()
-	sk := skelCache[key]
-	skelMu.RUnlock()
-	if sk != nil {
-		skelHits.Add(1)
-		return sk
+// grow returns col with length n, keeping its backing array when it is large
+// enough and otherwise reallocating with capacity max(n, 2×cap): a search
+// binds programs of rising sizes, and an exact fit would reallocate on nearly
+// every one. Elements kept from the old slice keep their values.
+func grow[T any](col []T, n int) []T {
+	if cap(col) < n {
+		return make([]T, n, max(n, 2*cap(col)))
 	}
-	skelMisses.Add(1)
-	sk = buildSkeleton(prog, lj, oj, seed)
-	skelMu.Lock()
-	if have, ok := skelCache[key]; ok {
-		sk = have // lost a build race; share the first one in
-	} else {
-		if len(skelCache) >= skelCacheCap {
-			skelCache = make(map[skelKey]*skeleton)
-		}
-		skelCache[key] = sk
-	}
-	skelMu.Unlock()
-	return sk
+	return col[:n]
 }
 
-// buildSkeleton flattens prog into SoA form with the timing perturbation
-// resolved. It runs once per distinct (program, perturbation) and is the only
-// place instruction names are hashed.
-func buildSkeleton(prog *Program, lj, oj float64, seed uint64) *skeleton {
-	prog.prepare()
+// column is grow with every element zeroed.
+func column[T any](col []T, n int) []T {
+	col = grow(col, n)
+	clear(col)
+	return col
+}
+
+// build flattens prog into the skeleton's SoA columns with the timing
+// perturbation (lj, oj, seed) resolved, reusing the columns' storage. It is
+// the only place instruction names are hashed, and it never writes to prog.
+func (sk *skeleton) build(prog *Program, lj, oj float64, seed uint64) {
 	var p *Perturb
 	if lj != 0 || oj != 0 {
 		p = &Perturb{Seed: seed, LatJitter: lj, OccJitter: oj}
 	}
-	n := len(prog.Body)
-	sk := &skeleton{
-		body:         prog.Body,
-		class:        make([]isa.Class, n),
-		lat:          make([]int32, n),
-		occ:          make([]int32, n),
-		uops:         make([]int32, n),
-		lqSlots:      make([]int32, n),
-		lanes:        make([]int32, n),
-		isStream:     make([]bool, n),
-		w512:         make([]bool, n),
-		addr:         make([]AddrSpec, n),
-		dst:          make([]int16, n),
-		srcKind:      make([]uint8, 3*n),
-		srcReg:       make([]int16, 3*n),
-		srcMem:       make([]bool, 3*n),
-		numRegs:      prog.NumRegs,
-		bodyLen:      n,
-		elemsPerIter: prog.ElemsPerIter,
+	n, nr := len(prog.Body), prog.NumRegs
+	sk.numRegs, sk.bodyLen, sk.elemsPerIter = nr, n, prog.ElemsPerIter
+	sk.class = column(sk.class, n)
+	sk.lat = column(sk.lat, n)
+	sk.occ = column(sk.occ, n)
+	sk.uops = column(sk.uops, n)
+	sk.lqSlots = column(sk.lqSlots, n)
+	sk.lanes = column(sk.lanes, n)
+	sk.isStream = column(sk.isStream, n)
+	sk.w512 = column(sk.w512, n)
+	sk.addr = column(sk.addr, n)
+	sk.dst = column(sk.dst, n)
+	sk.srcKind = column(sk.srcKind, 3*n)
+	sk.srcReg = column(sk.srcReg, 3*n)
+	sk.srcMem = column(sk.srcMem, 3*n)
+	sk.srcSafe = column(sk.srcSafe, n)
+	sk.lastWriter = grow(sk.lastWriter, nr)
+	sk.writtenSoFar = grow(sk.writtenSoFar, nr)
+	sk.writerCnt = column(sk.writerCnt, nr)
+	for r := 0; r < nr; r++ {
+		sk.lastWriter[r], sk.writtenSoFar[r] = -1, -1
 	}
+	for i := range prog.Body {
+		if d := prog.Body[i].Dst; d != NoReg {
+			sk.lastWriter[d] = int32(i)
+			sk.writerCnt[d]++
+		}
+	}
+
 	for i := range prog.Body {
 		u := &prog.Body[i]
 		in := u.Instr
@@ -201,92 +178,73 @@ func buildSkeleton(prog *Program, lj, oj float64, seed uint64) *skeleton {
 		sk.uops[i] = int32(in.Uops)
 		sk.lanes[i] = int32(in.Lanes)
 		if in.Class == isa.GatherOp {
-			lq := int32(in.Lanes / 2)
-			if lq < 1 {
-				lq = 1
-			}
-			sk.lqSlots[i] = lq
+			sk.lqSlots[i] = int32(max(in.Lanes/2, 1))
 		}
 		sk.isStream[i] = in.Class == isa.Prefetch && u.Addr.Kind == AddrStride
 		sk.w512[i] = in.Width == isa.W512 && in.Class.IsVector()
 		sk.addr[i] = u.Addr
 		sk.dst[i] = u.Dst
-		d := &prog.deps[i]
-		for k := 0; k < 3; k++ {
-			var prod int32
-			switch {
-			case d.producer[k] >= 0:
-				sk.srcKind[i*3+k] = srcSame
-				prod = d.producer[k]
-			case d.carried[k] >= 0:
-				sk.srcKind[i*3+k] = srcCarried
-				prod = d.carried[k]
-			default:
-				sk.srcKind[i*3+k] = srcNone
+		// A source written earlier in this iteration reads that write;
+		// otherwise it reads the previous iteration's last write, or a
+		// loop-invariant value when the body never writes it.
+		for k, r := range u.Srcs {
+			if r == NoReg {
 				continue
 			}
-			sk.srcReg[i*3+k] = prog.Body[prod].Dst
-			sk.srcMem[i*3+k] = prog.Body[prod].Instr.Class.IsMemory()
+			j := i*3 + k
+			prod := sk.writtenSoFar[r]
+			if prod >= 0 {
+				sk.srcKind[j] = srcSame
+			} else if prod = sk.lastWriter[r]; prod >= 0 {
+				sk.srcKind[j] = srcCarried
+			} else {
+				continue
+			}
+			sk.srcReg[j] = r
+			sk.srcMem[j] = prog.Body[prod].Instr.Class.IsMemory()
+		}
+		if u.Dst != NoReg {
+			sk.writtenSoFar[u.Dst] = int32(i)
 		}
 	}
-	writerCnt := make([]int32, prog.NumRegs)
-	writerLat := make([]int32, prog.NumRegs)
-	for i := range prog.Body {
-		if d := prog.Body[i].Dst; d != NoReg {
-			writerCnt[d]++
-			writerLat[d] = sk.lat[i]
-		}
-	}
-	sk.srcSafe = make([]bool, n)
+
 	for i := 0; i < n; i++ {
 		safe := true
-		for k := 0; k < 3; k++ {
-			if sk.srcKind[i*3+k] == srcNone {
+		for j := i * 3; j < i*3+3; j++ {
+			if sk.srcKind[j] == srcNone {
 				continue
 			}
-			if r := sk.srcReg[i*3+k]; writerCnt[r] != 1 || writerLat[r] < 1 {
+			if r := sk.srcReg[j]; sk.writerCnt[r] != 1 || sk.lat[sk.lastWriter[r]] < 1 {
 				safe = false
 				break
 			}
 		}
 		sk.srcSafe[i] = safe
 	}
-	return sk
+	sk.prog, sk.lj, sk.oj, sk.seed = prog, lj, oj, seed
 }
 
-// bind attaches the skeleton for (prog, perturb) to the simulator and sizes
-// the register slab for its register count. The common case — re-running the
+// bind makes the simulator's skeleton describe (prog, perturb) and sizes the
+// register slab for its register count. The common case — re-running the
 // program bound last time under the same timing perturbation — is a pointer
-// comparison: no validation, no hashing, no allocation.
+// comparison: no validation, no rebuild, no allocation. Any other bind
+// validates prog and rebuilds the skeleton in place.
 func (s *Sim) bind(prog *Program) error {
 	lj, oj, seed := normalizePerturb(s.perturb)
-	if s.skel != nil && s.skelProg == prog && s.skelLat == lj && s.skelOcc == oj && s.skelSeed == seed {
+	sk := &s.skel
+	if sk.prog != nil && sk.prog == prog && sk.lj == lj && sk.oj == oj && sk.seed == seed {
 		skelHits.Add(1)
 		return nil
 	}
 	if err := prog.Validate(); err != nil {
 		return err
 	}
-	sk := lookupSkeleton(prog, lj, oj, seed)
-	s.skel = sk
-	s.skelProg = prog
-	s.skelLat, s.skelOcc, s.skelSeed = lj, oj, seed
-	if need := regRingSlots * sk.numRegs; cap(s.slab) < need {
-		// Grow geometrically: a search binds programs of rising register
-		// counts, and an exact fit would reallocate on nearly every one.
-		n := max(need, 2*cap(s.slab))
-		s.slab = make([]int64, need, n)
-		s.watchHead = make([]int32, need, n)
-	} else {
-		s.slab = s.slab[:need]
-		s.watchHead = s.watchHead[:need]
-	}
-	if n := sk.bodyLen; cap(s.blockedGen) < n {
-		s.blockedGen = make([]int64, n)
-		s.blockedRetry = make([]int64, n)
-	} else {
-		s.blockedGen = s.blockedGen[:n]
-		s.blockedRetry = s.blockedRetry[:n]
-	}
+	skelMisses.Add(1)
+	sk.build(prog, lj, oj, seed)
+	need := regRingSlots * sk.numRegs
+	s.slab = grow(s.slab, need)
+	s.watchHead = grow(s.watchHead, need)
+	s.blockedGen = grow(s.blockedGen, sk.bodyLen)
+	s.blockedRetry = grow(s.blockedRetry, sk.bodyLen)
 	return nil
 }

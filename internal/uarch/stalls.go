@@ -154,7 +154,7 @@ func (s *Sim) classifyStall(cycle int64) stallKind {
 	if s.robCount == 0 {
 		return stallFrontend
 	}
-	sk := s.skel
+	sk := &s.skel
 	h := s.robHead
 	b := s.robBody[h]
 	if s.robIssued[h] {

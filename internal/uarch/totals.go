@@ -29,9 +29,10 @@ type SimTotals struct {
 	// fast-forward jumped over (they are accounted in SlowCycles: the jump
 	// produces the identical counters a cycle-by-cycle walk would).
 	IdleSkipped uint64
-	// SkeletonHits and SkeletonMisses count schedule-skeleton cache lookups:
-	// a hit binds a program without re-validating, re-deriving dependencies,
-	// or re-resolving the perturbation; a miss builds the skeleton.
+	// SkeletonHits and SkeletonMisses count schedule-skeleton binds: a hit
+	// re-runs the program and timing perturbation the simulator bound last,
+	// without re-validating or rebuilding; a miss rebuilds the simulator's
+	// skeleton.
 	SkeletonHits, SkeletonMisses uint64
 	// ReplayPeriods counts loop periods fast-forwarded by response-verified
 	// replay (replay.go): the core was extrapolated while the cache hierarchy
