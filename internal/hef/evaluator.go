@@ -44,6 +44,10 @@ type SimEvaluator struct {
 	elems   int64
 	perturb *uarch.Perturb
 	memo    *memo.Cache
+	// keyer computes Run's translation keys, hashing the inputs shared by
+	// every node only when they change. It is scratch state: each fork
+	// starts with a zero keyer of its own.
+	keyer memo.TranslationKeyer
 
 	// sims holds the idle simulators the evaluator, its forks and any
 	// evaluator given the same stack (SetSims) measure on. A simulator is
@@ -145,7 +149,7 @@ func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) { e.perturb = p }
 // simulators the others have finished with. Each run resets the cache
 // hierarchy before measuring, so any simulator for the CPU times nodes
 // exactly like a fresh one. The memo is shared; the fork's Evaluations
-// counter starts at zero.
+// counter starts at zero and its translation keyer is empty.
 func (e *SimEvaluator) Fork() Evaluator {
 	return &SimEvaluator{cpu: e.cpu, tmpl: e.tmpl, width: e.width, elems: e.elems,
 		perturb: e.perturb, memo: e.memo, sims: e.sims}
@@ -168,11 +172,13 @@ func (e *SimEvaluator) Evaluate(n Node) (float64, error) {
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	// The translation key is computed on every call, not once per
 	// evaluator, so a template edited between runs (SetRegion) gets a fresh
-	// key rather than a stale link.
+	// key rather than a stale link. The keyer re-encodes the template,
+	// machine model and perturbation each time but re-hashes them only when
+	// their bytes changed since its last call.
 	var tkey memo.Key
 	useMemo := e.memo != nil
 	if useMemo {
-		tkey = memo.TranslationKey(memo.ProtoEvaluator, e.cpu, e.perturb, e.tmpl, n, e.width, e.elems)
+		tkey = e.keyer.Key(memo.ProtoEvaluator, e.cpu, e.perturb, e.tmpl, n, e.width, e.elems)
 		if res, ok := e.memo.GetLinked(tkey); ok {
 			e.Evaluations++
 			return res, nil

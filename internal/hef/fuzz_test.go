@@ -20,6 +20,9 @@ var linkedKeys = map[memo.Key]memo.Key{}
 // perturbations. Run must link each evaluation's translation key to exactly
 // Fingerprint(Translate(...)) — the key a link-free evaluation would look
 // up — and no two inputs sharing a translation key may fingerprint apart.
+// One evaluator runs three evaluations: a node, a second node on the same
+// inputs (its keyer reuses the hashed prefix), and the second node again
+// after a SetRegion edit and a SetPerturb change (the prefix must re-hash).
 func FuzzTranslationKey(f *testing.F) {
 	// load, mul(c, v0), gather(tab, v1), store; load, load, select, store;
 	// load, srl, store — each translatable, so the seeds reach the check.
@@ -47,34 +50,56 @@ func FuzzTranslationKey(f *testing.F) {
 		if variant&16 != 0 {
 			perturb = &uarch.Perturb{Seed: c, LatJitter: 0.1}
 		}
-		node := Node{V: int(v % 4), S: int(s % 4), P: int(p%4) + 1}
 		ev := NewSimEvaluator(cpu, tmpl, widths[variant/4%4], int64(elems))
 		ev.SetPerturb(perturb)
+		cache := memo.NewCache()
+		ev.SetMemo(cache)
 
-		out, err := translator.Translate(tmpl, node, translator.Options{Width: ev.width, CPU: cpu})
-		if err != nil {
+		// check seeds the measurement of node under the evaluator's current
+		// inputs, so Run hits on it without simulating and records the link
+		// under test, then requires the link and the Result to be that
+		// measurement's. It reports false when the node does not translate.
+		check := func(step string, node Node) bool {
+			out, err := translator.Translate(tmpl, node, translator.Options{Width: ev.width, CPU: cpu})
+			if err != nil {
+				return false
+			}
+			iters := ev.elems / int64(out.ElemsPerIter)
+			if iters < 1 {
+				iters = 1
+			}
+			mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, ev.perturb, out.Program, iters, ev.warmRanges())
+			cache.Put(mk, &uarch.Result{Name: step})
+			res, err := ev.Run(node)
+			if err != nil {
+				t.Fatalf("%s: Run(%v): %v", step, node, err)
+			}
+			if res.Name != step {
+				t.Fatalf("%s: %s@%v: Run returned the measurement seeded by %q", step, tmpl.Name, node, res.Name)
+			}
+			tk := memo.TranslationKey(memo.ProtoEvaluator, cpu, ev.perturb, tmpl, node, ev.width, ev.elems)
+			if r, ok := cache.GetLinked(tk); !ok || r.Name != step {
+				t.Fatalf("%s: %s@%v: translation key not linked to Fingerprint(Translate(...))", step, tmpl.Name, node)
+			}
+			if prev, ok := linkedKeys[tk]; ok && prev != mk {
+				t.Fatalf("%s: %s@%v: one translation key, two measurement keys", step, tmpl.Name, node)
+			}
+			linkedKeys[tk] = mk
+			return true
+		}
+		node := Node{V: int(v % 4), S: int(s % 4), P: int(p%4) + 1}
+		swapped := Node{V: node.S, S: node.V, P: int(p/4%4) + 1}
+		if !check("first", node) || !check("same prefix", swapped) {
 			return
 		}
-		iters := ev.elems / int64(out.ElemsPerIter)
-		if iters < 1 {
-			iters = 1
+		if err := tmpl.SetRegion("tab", uint64(region)<<1|1<<16); err != nil {
+			t.Fatal(err)
 		}
-		mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, perturb, out.Program, iters, ev.warmRanges())
-		// Seeding the measurement makes Run hit on it without simulating,
-		// which records the link under test.
-		cache := memo.NewCache()
-		cache.Put(mk, &uarch.Result{Name: "seeded"})
-		ev.SetMemo(cache)
-		if _, err := ev.Run(node); err != nil {
-			t.Fatalf("Run(%v): %v", node, err)
+		if perturb == nil {
+			ev.SetPerturb(&uarch.Perturb{Seed: c + 1, OccJitter: 0.2})
+		} else {
+			ev.SetPerturb(nil)
 		}
-		tk := memo.TranslationKey(memo.ProtoEvaluator, cpu, perturb, tmpl, node, ev.width, ev.elems)
-		if r, ok := cache.GetLinked(tk); !ok || r.Name != "seeded" {
-			t.Fatalf("%s@%v: translation key not linked to Fingerprint(Translate(...))", tmpl.Name, node)
-		}
-		if prev, ok := linkedKeys[tk]; ok && prev != mk {
-			t.Fatalf("%s@%v: one translation key, two measurement keys", tmpl.Name, node)
-		}
-		linkedKeys[tk] = mk
+		check("edited", swapped)
 	})
 }

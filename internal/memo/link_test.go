@@ -3,6 +3,7 @@ package memo
 import (
 	"testing"
 
+	"hef/internal/hashes"
 	"hef/internal/hid"
 	"hef/internal/isa"
 	"hef/internal/translator"
@@ -137,4 +138,84 @@ func TestLinkIndex(t *testing.T) {
 	if _, ok := nilCache.GetLinked(tk); ok {
 		t.Fatal("nil cache hit")
 	}
+}
+
+// TestTranslationKeyerMatches walks one keyer through changes of every
+// kind of input — the node, width and test size it hashes afresh on every
+// call, and the template, perturbation, machine model and template
+// identity behind its cached prefix — and requires it to equal the one-shot
+// TranslationKey after every step. Once the prefix is hashed, a call that
+// reuses it allocates nothing.
+func TestTranslationKeyerMatches(t *testing.T) {
+	tmpl, other := linkTmpl(), hashes.MurmurTemplate()
+	silver := isa.XeonSilver4110()
+	fewerRegs := isa.XeonSilver4110()
+	fewerRegs.GPRegs -= 4
+	type call struct {
+		cpu     *isa.CPU
+		perturb *uarch.Perturb
+		tmpl    *hid.Template
+		node    translator.Node
+		width   isa.Width
+		elems   int64
+	}
+	c := call{silver, nil, tmpl, linkNode, isa.W512, 1024}
+	var k TranslationKeyer
+	step := func(label string, edit func()) {
+		t.Helper()
+		edit()
+		want := TranslationKey(ProtoEvaluator, c.cpu, c.perturb, c.tmpl, c.node, c.width, c.elems)
+		if got := k.Key(ProtoEvaluator, c.cpu, c.perturb, c.tmpl, c.node, c.width, c.elems); got != want {
+			t.Fatalf("%s: keyer %x, TranslationKey %x", label, got, want)
+		}
+	}
+	step("first call", func() {})
+	step("same inputs", func() {})
+	step("node", func() { c.node = translator.Node{V: 2, S: 0, P: 4} })
+	step("width", func() { c.width = isa.W256 })
+	step("elems", func() { c.elems = 4096 })
+	step("SetRegion", func() {
+		if err := tmpl.SetRegion("tab", 1<<24); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("perturbation set", func() { c.perturb = &uarch.Perturb{Seed: 3, LatJitter: 0.1} })
+	step("perturbation seed", func() { c.perturb = &uarch.Perturb{Seed: 4, LatJitter: 0.1} })
+	step("perturbation removed", func() { c.perturb = nil })
+	step("fewer registers", func() { c.cpu = fewerRegs })
+	step("other template", func() { c.tmpl = other })
+	step("other template, node", func() { c.node = linkNode })
+	step("template back", func() { c.tmpl = tmpl })
+	step("constant added", func() { tmpl.Consts["y"] = 9 })
+	step("constant renamed", func() { tmpl.Consts["w"] = tmpl.Consts["y"]; delete(tmpl.Consts, "y") })
+
+	nodes := []translator.Node{{V: 1, S: 0, P: 1}, {V: 0, S: 1, P: 1}, {V: 2, S: 3, P: 4}}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		k.Key(ProtoEvaluator, c.cpu, c.perturb, c.tmpl, nodes[i%len(nodes)], c.width, c.elems)
+		i++
+	}); allocs != 0 {
+		t.Errorf("a keyer call on an unchanged prefix allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkTranslationKeyer keys the nodes of a murmur search on silver:
+// "keyer" with one TranslationKeyer, as an evaluator does, "oneshot" with
+// TranslationKey, which encodes and hashes the whole prefix every call.
+func BenchmarkTranslationKeyer(b *testing.B) {
+	tmpl, cpu := hashes.MurmurTemplate(), isa.XeonSilver4110()
+	node := func(i int) translator.Node { return translator.Node{V: i % 4, S: i / 4 % 4, P: i%8 + 1} }
+	b.Run("keyer", func(b *testing.B) {
+		b.ReportAllocs()
+		var k TranslationKeyer
+		for i := 0; i < b.N; i++ {
+			k.Key(ProtoEvaluator, cpu, nil, tmpl, node(i), isa.W512, 1<<14)
+		}
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			TranslationKey(ProtoEvaluator, cpu, nil, tmpl, node(i), isa.W512, 1<<14)
+		}
+	})
 }

@@ -57,8 +57,8 @@ func TestSourceGolden(t *testing.T) {
 		spilled = spilled || out.SpillStores > 0
 		fmt.Fprintf(&b, "=== %s %v spills %d/%d\n--- source\n%s--- comments\n",
 			c.tmpl.Name, c.node, out.SpillStores, out.SpillLoads, out.Source())
-		for _, u := range out.Program.Body {
-			fmt.Fprintln(&b, u.Comment)
+		for i := range out.Program.Body {
+			fmt.Fprintln(&b, out.Comment(i))
 		}
 	}
 	if !spilled {
