@@ -59,6 +59,11 @@ func FuzzTranslate(f *testing.F) {
 			if err := out.Program.Validate(); err != nil {
 				t.Fatalf("accepted translation of %q at %v fails validation: %v", name, node, err)
 			}
+			for i := range out.Program.Body {
+				if out.Comment(i) == "" {
+					t.Fatalf("accepted translation of %q at %v: µop %d has no comment", name, node, i)
+				}
+			}
 		}
 	})
 }
