@@ -8,6 +8,8 @@ package hid
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -301,20 +303,49 @@ func (t *Template) Validate(knownOps func(string) bool) error {
 }
 
 // Clone returns a deep copy (so regions can be overridden per experiment
-// without mutating shared templates).
+// without mutating shared templates). Every statement's operands share one
+// backing slice, each capped at its own length, so appending to one
+// statement's Args reallocates it rather than overwriting the next.
 func (t *Template) Clone() *Template {
 	c := &Template{Name: t.Name, Elem: t.Elem}
 	c.Params = append([]Param(nil), t.Params...)
 	c.Accs = append([]string(nil), t.Accs...)
-	c.Consts = make(map[string]uint64, len(t.Consts))
-	for k, v := range t.Consts {
-		c.Consts[k] = v
+	c.Consts = maps.Clone(t.Consts)
+	if c.Consts == nil {
+		c.Consts = map[string]uint64{}
 	}
+	n := 0
+	for _, s := range t.Body {
+		n += len(s.Args)
+	}
+	args := make([]Operand, 0, n)
 	c.Body = make([]Stmt, len(t.Body))
 	for i, s := range t.Body {
-		c.Body[i] = Stmt{Dst: s.Dst, Op: s.Op, Args: append([]Operand(nil), s.Args...)}
+		c.Body[i] = Stmt{Dst: s.Dst, Op: s.Op}
+		if len(s.Args) > 0 {
+			start := len(args)
+			args = append(args, s.Args...)
+			c.Body[i].Args = args[start:len(args):len(args)]
+		}
 	}
 	return c
+}
+
+// Equal reports whether t and u have the same content: every field the
+// translator reads, compared element by element. Nil and empty slices and
+// maps are equal, as they translate alike.
+func (t *Template) Equal(u *Template) bool {
+	if t.Name != u.Name || t.Elem != u.Elem || !slices.Equal(t.Params, u.Params) ||
+		!slices.Equal(t.Accs, u.Accs) || !maps.Equal(t.Consts, u.Consts) || len(t.Body) != len(u.Body) {
+		return false
+	}
+	for i := range t.Body {
+		s, o := &t.Body[i], &u.Body[i]
+		if s.Dst != o.Dst || s.Op != o.Op || !slices.Equal(s.Args, o.Args) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the template in the hi_* source form of Fig. 6(a).
