@@ -45,8 +45,8 @@ type SimEvaluator struct {
 	perturb *uarch.Perturb
 	memo    *memo.Cache
 	// keyer computes Run's translation keys, hashing the inputs shared by
-	// every node only when they change. It is scratch state: each fork
-	// starts with a zero keyer of its own.
+	// every node once and again only after they change. It is scratch
+	// state: each fork starts with a zero keyer of its own.
 	keyer memo.TranslationKeyer
 
 	// sims holds the idle simulators the evaluator, its forks and any
@@ -65,7 +65,11 @@ type SimEvaluator struct {
 const DefaultTestElems = 1 << 14
 
 // NewSimEvaluator builds an evaluator for tmpl on cpu at the given SIMD
-// width (0 selects AVX-512). elems <= 0 selects DefaultTestElems.
+// width (0 selects AVX-512). elems <= 0 selects DefaultTestElems. The CPU
+// model is fixed for the life of the evaluator and its forks and must not
+// be modified while they are in use: their simulators are built from it,
+// and their translation keys compare it by identity (a perturbed model is
+// a clone, with an evaluator of its own).
 func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems int64) *SimEvaluator {
 	if width == 0 {
 		width = isa.W512
@@ -140,7 +144,16 @@ func (e *SimEvaluator) SetMemo(c *memo.Cache) { e.memo = c }
 // SetPerturb installs a fault-injection model on the simulator of every
 // later measurement (nil removes it); see uarch.Sim.SetPerturb. The
 // sensitivity analysis uses this to re-run the search on perturbed machines.
-func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) { e.perturb = p }
+// The evaluator keeps a copy of *p, so editing p afterwards changes neither
+// its measurements nor its keys; a new perturbation re-hashes the keys'
+// shared prefix on the next Run.
+func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
+	if p != nil {
+		c := *p
+		p = &c
+	}
+	e.perturb = p
+}
 
 // Fork implements ForkableEvaluator: the clone measures nodes identically
 // (same CPU model, template, width, test size, and perturbation) and shares
@@ -171,10 +184,12 @@ func (e *SimEvaluator) Evaluate(n Node) (float64, error) {
 // (used by the experiment harness for the paper's tables).
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	// The translation key is computed on every call, not once per
-	// evaluator, so a template edited between runs (SetRegion) gets a fresh
-	// key rather than a stale link. The keyer re-encodes the template,
-	// machine model and perturbation each time but re-hashes them only when
-	// their bytes changed since its last call.
+	// evaluator, so a template edited between runs (SetRegion, or a direct
+	// write to a field) gets a fresh key rather than a stale link. The keyer
+	// hashed the protocol, machine model, perturbation and template once; a
+	// call compares the template with the keyer's private clone and the
+	// perturbation with its copy, and on a match hashes only the node,
+	// width and test size.
 	var tkey memo.Key
 	useMemo := e.memo != nil
 	if useMemo {

@@ -20,9 +20,11 @@ var linkedKeys = map[memo.Key]memo.Key{}
 // perturbations. Run must link each evaluation's translation key to exactly
 // Fingerprint(Translate(...)) — the key a link-free evaluation would look
 // up — and no two inputs sharing a translation key may fingerprint apart.
-// One evaluator runs three evaluations: a node, a second node on the same
-// inputs (its keyer reuses the hashed prefix), and the second node again
-// after a SetRegion edit and a SetPerturb change (the prefix must re-hash).
+// One evaluator runs four evaluations: a node, a second node on the same
+// inputs (its keyer reuses the hashed prefix), the second node again after
+// a SetRegion edit and a SetPerturb change (the prefix must re-hash), and
+// once more after a direct in-place write to a body operand's Value, which
+// only the keyer's comparison with its template clone can see.
 func FuzzTranslationKey(f *testing.F) {
 	// load, mul(c, v0), gather(tab, v1), store; load, load, select, store;
 	// load, srl, store — each translatable, so the seeds reach the check.
@@ -100,6 +102,15 @@ func FuzzTranslationKey(f *testing.F) {
 		} else {
 			ev.SetPerturb(nil)
 		}
-		check("edited", swapped)
+		if !check("edited", swapped) {
+			return
+		}
+		for i := range tmpl.Body {
+			if args := tmpl.Body[i].Args; len(args) > 0 {
+				args[len(args)-1].Value++
+				break
+			}
+		}
+		check("operand written", swapped)
 	})
 }
