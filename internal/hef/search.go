@@ -1,10 +1,11 @@
 package hef
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -309,14 +310,15 @@ func evaluateList(evals []Evaluator, list []entry) {
 	wg.Wait()
 }
 
+// sortNodes orders ns by (V, S, P).
 func sortNodes(ns []Node) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].V != ns[j].V {
-			return ns[i].V < ns[j].V
+	slices.SortFunc(ns, func(a, b Node) int {
+		if c := cmp.Compare(a.V, b.V); c != 0 {
+			return c
 		}
-		if ns[i].S != ns[j].S {
-			return ns[i].S < ns[j].S
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
 		}
-		return ns[i].P < ns[j].P
+		return cmp.Compare(a.P, b.P)
 	})
 }
