@@ -49,7 +49,9 @@ import (
 // concurrent use.
 type Framework = core.Framework
 
-// Optimized is the outcome of optimizing one operator.
+// Optimized is the outcome of optimizing one operator. Its code — Source
+// and Program — is generated on the first call to either, so a search
+// whose nodes were all served from a memo translates nothing unless asked.
 type Optimized = core.Optimized
 
 // Node is a candidate implementation: v SIMD statements, s scalar

@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"hef/internal/experiments"
 	"hef/internal/hashes"
+	"hef/internal/hid"
 	"hef/internal/memo"
 )
 
@@ -41,4 +43,38 @@ func BenchmarkOptimizeOperator(b *testing.B) {
 		st := cache.Stats()
 		b.ReportMetric(st.HitRate()*100, "hit%")
 	})
+}
+
+// BenchmarkMemoWarmSearch times one round of hefopt's six operator
+// searches on silver against a memo primed with the same searches, as
+// hefbench's search-warm workload runs them: every evaluation is a linked
+// hit, so an operation is keying, lookups and the search walk alone.
+func BenchmarkMemoWarmSearch(b *testing.B) {
+	fw, err := New("silver", WithTestElems(2048))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tmpls []*hid.Template
+	for _, op := range reuseOps {
+		tmpl, err := experiments.OpTemplate(op)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmpls = append(tmpls, tmpl)
+	}
+	cache := memo.NewCache()
+	ctx := context.Background()
+	round := func() {
+		for _, tmpl := range tmpls {
+			if _, err := fw.OptimizeOperatorContext(ctx, tmpl, OptimizeOptions{Memo: cache}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	round() // prime the memo and its links
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
 }

@@ -31,7 +31,7 @@ func TestOptimizeOperatorContextPreCancelled(t *testing.T) {
 	if opt.Search.Tested > 1 {
 		t.Errorf("pre-cancelled context evaluated %d nodes, want at most one", opt.Search.Tested)
 	}
-	if opt.Source() == "" || opt.Program == nil {
+	if opt.Source() == "" || opt.Program() == nil {
 		t.Error("partial result must still carry translated code for its best node")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"hef/internal/hashes"
@@ -52,7 +54,7 @@ func TestOptimizeOperatorMurmur(t *testing.T) {
 	if opt.SecondsPerElem() <= 0 {
 		t.Error("optimum must have a positive measured cost")
 	}
-	if opt.Program == nil || len(opt.Program.Body) == 0 {
+	if prog := opt.Program(); prog == nil || len(prog.Body) == 0 {
 		t.Error("optimized operator should carry its trace")
 	}
 }
@@ -130,10 +132,11 @@ func TestClampNode(t *testing.T) {
 }
 
 // TestMemoWarmSearchAllocs guards the memo's link index: a search whose
-// every candidate is already measured translates only the winner, so it
-// allocates a few thousand objects rather than the ~143k a search that
-// translates (and renders) every candidate did, and it borrows no
-// simulator: a framework that only runs such searches never builds one.
+// every candidate is already measured keys each node from its evaluator's
+// hashed prefix and translates nothing, so it allocates about a hundred
+// objects rather than the ~143k a search that translates (and renders)
+// every candidate did, and it borrows no simulator: a framework that only
+// runs such searches never builds one.
 func TestMemoWarmSearchAllocs(t *testing.T) {
 	cache := memo.NewCache()
 	tmpl := hashes.MurmurTemplate()
@@ -153,10 +156,61 @@ func TestMemoWarmSearchAllocs(t *testing.T) {
 	fw := newFW()
 	allocs := testing.AllocsPerRun(5, func() { search(fw) })
 	t.Logf("memo-warm murmur search: %.0f allocs/op", allocs)
-	if allocs > 5000 {
-		t.Fatalf("memo-warm murmur search allocated %.0f objects/op, want <= 5000", allocs)
+	if allocs > 220 {
+		t.Fatalf("memo-warm murmur search allocated %.0f objects/op, want <= 220", allocs)
 	}
 	if n := len(idleSims(fw)); n != 0 {
 		t.Fatalf("memo-warm searches left %d simulators, want none built", n)
+	}
+}
+
+// TestMemoWarmSearchTranslatesNothing: a search whose every node is
+// linked in the memo returns without translating its winner. The first
+// Source or Program call translates it, once, even when Source is called
+// from several goroutines at a time, and the code equals an explicit
+// translation of the optimal node.
+func TestMemoWarmSearchTranslatesNothing(t *testing.T) {
+	fw, err := New("silver", WithTestElems(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := memo.NewCache()
+	tmpl := hashes.MurmurTemplate()
+	search := func() *Optimized {
+		opt, err := fw.OptimizeOperatorContext(context.Background(), tmpl, OptimizeOptions{Memo: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt
+	}
+	search() // prime the memo and its links
+	opt := search()
+	if opt.out != nil {
+		t.Fatal("a memo-warm search translated its winner before anyone asked")
+	}
+	want, err := fw.Translate(tmpl, opt.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srcs[i] = opt.Source()
+		}()
+	}
+	wg.Wait()
+	for i, src := range srcs {
+		if src != want.Source() {
+			t.Errorf("concurrent Source call %d differs from Translate at %v", i, opt.Node)
+		}
+	}
+	if !reflect.DeepEqual(opt.Program(), want.Program) {
+		t.Errorf("Program differs from Translate at %v", opt.Node)
+	}
+	if opt.Program() != opt.Program() {
+		t.Error("Program translated more than once")
 	}
 }
