@@ -82,8 +82,7 @@ type Stalls = uarch.Stalls
 type OccHist = uarch.OccHist
 
 // TraceLog records per-instruction lifecycle events (dispatch, issue,
-// complete, retire) when attached to a simulator; export it with
-// ChromeTrace.
+// retire) when attached to a simulator; export it with ChromeTrace.
 type TraceLog = uarch.TraceLog
 
 // TraceEvent is one recorded lifecycle event.

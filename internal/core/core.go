@@ -79,9 +79,10 @@ func (f *Framework) CPU() *isa.CPU { return f.cpu }
 // optimal candidate node, the generated code for it, and the search record.
 // The code is generated on demand: the first Source or Program call
 // translates Template at Node, once, and later calls (concurrent ones
-// included) share that translation. Template must not be edited before
-// then; optimize a Clone to edit the original freely.
+// included) share that translation.
 type Optimized struct {
+	// Template is the snapshot of the operator template the search
+	// measured, taken when the search began; it must not be modified.
 	Template *hid.Template
 	// Node is the optimal (v, s, p) found by the pruning search.
 	Node translator.Node
@@ -102,7 +103,7 @@ type Optimized struct {
 // translate returns the translation of Template at Node, translating it
 // on the first call. The search translated Node successfully from these
 // very inputs — a linked memo hit was linked only after such a
-// translation — so it fails only if Template was edited since.
+// translation.
 func (o *Optimized) translate() *translator.Output {
 	o.once.Do(func() {
 		if o.out == nil {
@@ -112,8 +113,7 @@ func (o *Optimized) translate() *translator.Output {
 	return o.out
 }
 
-// Source renders the generated C-like code at the optimal node (Fig. 6),
-// or "" if Template was edited into one that no longer translates.
+// Source renders the generated C-like code at the optimal node (Fig. 6).
 func (o *Optimized) Source() string {
 	if out := o.translate(); out != nil {
 		return out.Source()
@@ -121,8 +121,7 @@ func (o *Optimized) Source() string {
 	return ""
 }
 
-// Program is the simulator trace at the optimal node, or nil if Template
-// was edited into one that no longer translates.
+// Program is the simulator trace at the optimal node.
 func (o *Optimized) Program() *uarch.Program {
 	if out := o.translate(); out != nil {
 		return out.Program
@@ -172,6 +171,10 @@ func (f *Framework) OptimizeOperator(tmpl *hid.Template) (*Optimized, error) {
 // frontier. Both return values are nil only when no candidate could be
 // evaluated at all.
 func (f *Framework) OptimizeOperatorContext(ctx context.Context, tmpl *hid.Template, opts OptimizeOptions) (*Optimized, error) {
+	eval := f.newEvaluator(tmpl, opts.Memo)
+	// From here on, read the snapshot the search measures: the caller may
+	// edit its own template once the search returns.
+	tmpl = eval.Template()
 	initial, err := hef.InitialNode(f.cpu, tmpl, f.width)
 	if err != nil {
 		return nil, err
@@ -179,7 +182,7 @@ func (f *Framework) OptimizeOperatorContext(ctx context.Context, tmpl *hid.Templ
 	if !f.boundsContain(initial) {
 		initial = clampNode(initial, f.bounds)
 	}
-	res, serr := hef.SearchContext(ctx, f.newEvaluator(tmpl, opts.Memo), initial, f.bounds,
+	res, serr := hef.SearchContext(ctx, eval, initial, f.bounds,
 		hef.SearchOpts{MaxEvaluations: opts.Budget, Workers: opts.Parallel})
 	if res == nil {
 		return nil, serr

@@ -214,3 +214,34 @@ func TestMemoWarmSearchTranslatesNothing(t *testing.T) {
 		t.Error("Program translated more than once")
 	}
 }
+
+// TestOptimizedTranslatesMeasuredTemplate: the code an Optimized returns is
+// that of the template its search measured, even when the caller edits its
+// own template between the search and the first Source or Program call.
+func TestOptimizedTranslatesMeasuredTemplate(t *testing.T) {
+	fw, err := New("silver", WithTestElems(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := hashes.MurmurTemplate()
+	measured := tmpl.Clone()
+	opt, err := fw.OptimizeOperatorContext(context.Background(), tmpl, OptimizeOptions{Memo: memo.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl.Consts["m"]++
+	tmpl.Body[1].Op = "add"
+	want, err := fw.Translate(measured, opt.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edited, err := fw.Translate(tmpl, opt.Node); err != nil || edited.Source() == want.Source() {
+		t.Fatalf("the edit leaves the code unchanged (err %v)", err)
+	}
+	if opt.Source() != want.Source() {
+		t.Errorf("Source after an edit of the caller's template:\n%s\nwant the measured template's:\n%s", opt.Source(), want.Source())
+	}
+	if !reflect.DeepEqual(opt.Program(), want.Program) {
+		t.Error("Program after an edit of the caller's template differs from the measured template's")
+	}
+}

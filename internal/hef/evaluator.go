@@ -38,15 +38,17 @@ func BatchForks() uint64 { return 0 }
 // the microarchitecture simulator — the analogue of the paper's
 // compile-and-run test step (Algorithm 2 lines 4-5).
 type SimEvaluator struct {
-	cpu     *isa.CPU
+	cpu *isa.CPU
+	// tmpl is the evaluator's private snapshot of the template it was
+	// built on, shared read-only with its forks.
 	tmpl    *hid.Template
 	width   isa.Width
 	elems   int64
 	perturb *uarch.Perturb
 	memo    *memo.Cache
-	// keyer computes Run's translation keys, hashing the inputs shared by
-	// every node once and again only after they change. It is scratch
-	// state: each fork starts with a zero keyer of its own.
+	// keyer computes Run's translation keys from the prefix hashed when
+	// the evaluator was built or its perturbation last set. Each fork
+	// shares the hashed prefix and has scratch of its own.
 	keyer memo.TranslationKeyer
 
 	// sims holds the idle simulators the evaluator, its forks and any
@@ -64,12 +66,15 @@ type SimEvaluator struct {
 // fast.
 const DefaultTestElems = 1 << 14
 
-// NewSimEvaluator builds an evaluator for tmpl on cpu at the given SIMD
-// width (0 selects AVX-512). elems <= 0 selects DefaultTestElems. The CPU
-// model is fixed for the life of the evaluator and its forks and must not
-// be modified while they are in use: their simulators are built from it,
-// and their translation keys compare it by identity (a perturbed model is
-// a clone, with an evaluator of its own).
+// NewSimEvaluator builds an evaluator for a snapshot of tmpl on cpu at the
+// given SIMD width (0 selects AVX-512). elems <= 0 selects DefaultTestElems.
+// The evaluator and its forks measure the snapshot, a Clone taken here, so
+// editing tmpl afterwards changes neither their measurements nor their
+// keys; an edited template needs an evaluator of its own. The CPU model is
+// fixed for the life of the evaluator and its forks and must not be
+// modified while they are in use: their simulators are built from it, and
+// their translation keys hash it once (a perturbed model is a clone, with
+// an evaluator of its own).
 func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems int64) *SimEvaluator {
 	if width == 0 {
 		width = isa.W512
@@ -77,8 +82,14 @@ func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems in
 	if elems <= 0 {
 		elems = DefaultTestElems
 	}
-	return &SimEvaluator{cpu: cpu, tmpl: tmpl, width: width, elems: elems, sims: &SimStack{}}
+	e := &SimEvaluator{cpu: cpu, tmpl: tmpl.Clone(), width: width, elems: elems, sims: &SimStack{}}
+	e.keyer = memo.NewTranslationKeyer(memo.ProtoEvaluator, cpu, nil, e.tmpl)
+	return e
 }
+
+// Template returns the snapshot the evaluator measures. It must not be
+// modified.
+func (e *SimEvaluator) Template() *hid.Template { return e.tmpl }
 
 // SimStack is a concurrency-safe stack of idle simulators for one CPU
 // model. Evaluators sharing it pop a simulator for each measurement and push
@@ -145,27 +156,28 @@ func (e *SimEvaluator) SetMemo(c *memo.Cache) { e.memo = c }
 // later measurement (nil removes it); see uarch.Sim.SetPerturb. The
 // sensitivity analysis uses this to re-run the search on perturbed machines.
 // The evaluator keeps a copy of *p, so editing p afterwards changes neither
-// its measurements nor its keys; a new perturbation re-hashes the keys'
-// shared prefix on the next Run.
+// its measurements nor its keys. Setting a perturbation re-hashes the keys'
+// shared prefix.
 func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 	if p != nil {
 		c := *p
 		p = &c
 	}
 	e.perturb = p
+	e.keyer = memo.NewTranslationKeyer(memo.ProtoEvaluator, e.cpu, p, e.tmpl)
 }
 
 // Fork implements ForkableEvaluator: the clone measures nodes identically
-// (same CPU model, template, width, test size, and perturbation) and shares
-// the receiver's simulator stack, which hands each simulator to one
-// measurement at a time, so forks are safe to run concurrently and reuse the
-// simulators the others have finished with. Each run resets the cache
+// (same CPU model, template snapshot, width, test size, and perturbation)
+// and shares the receiver's simulator stack, which hands each simulator to
+// one measurement at a time, so forks are safe to run concurrently and reuse
+// the simulators the others have finished with. Each run resets the cache
 // hierarchy before measuring, so any simulator for the CPU times nodes
-// exactly like a fresh one. The memo is shared; the fork's Evaluations
-// counter starts at zero and its translation keyer is empty.
+// exactly like a fresh one. The memo and the keys' hashed prefix are
+// shared; the fork's Evaluations counter starts at zero.
 func (e *SimEvaluator) Fork() Evaluator {
 	return &SimEvaluator{cpu: e.cpu, tmpl: e.tmpl, width: e.width, elems: e.elems,
-		perturb: e.perturb, memo: e.memo, sims: e.sims}
+		perturb: e.perturb, memo: e.memo, keyer: e.keyer.Fork(), sims: e.sims}
 }
 
 // Evaluate implements Evaluator.
@@ -183,17 +195,13 @@ func (e *SimEvaluator) Evaluate(n Node) (float64, error) {
 // Run translates and simulates the node, returning the full counter set
 // (used by the experiment harness for the paper's tables).
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
-	// The translation key is computed on every call, not once per
-	// evaluator, so a template edited between runs (SetRegion, or a direct
-	// write to a field) gets a fresh key rather than a stale link. The keyer
-	// hashed the protocol, machine model, perturbation and template once; a
-	// call compares the template with the keyer's private clone and the
-	// perturbation with its copy, and on a match hashes only the node,
-	// width and test size.
+	// The keyer hashed the protocol, machine model, perturbation and
+	// template snapshot once; a call hashes only the node, width and test
+	// size.
 	var tkey memo.Key
 	useMemo := e.memo != nil
 	if useMemo {
-		tkey = e.keyer.Key(memo.ProtoEvaluator, e.cpu, e.perturb, e.tmpl, n, e.width, e.elems)
+		tkey = e.keyer.Key(n, e.width, e.elems)
 		if res, ok := e.memo.GetLinked(tkey); ok {
 			e.Evaluations++
 			return res, nil

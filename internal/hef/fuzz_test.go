@@ -3,6 +3,7 @@ package hef
 import (
 	"testing"
 
+	"hef/internal/hid"
 	"hef/internal/hid/hidgen"
 	"hef/internal/isa"
 	"hef/internal/memo"
@@ -18,13 +19,16 @@ var linkedKeys = map[memo.Key]memo.Key{}
 // generated templates (hidgen.Build, the FuzzBuilderBuild generator) at
 // fuzzed nodes, machine models, widths, test sizes, table regions, and
 // perturbations. Run must link each evaluation's translation key to exactly
-// Fingerprint(Translate(...)) — the key a link-free evaluation would look
-// up — and no two inputs sharing a translation key may fingerprint apart.
-// One evaluator runs four evaluations: a node, a second node on the same
-// inputs (its keyer reuses the hashed prefix), the second node again after
-// a SetRegion edit and a SetPerturb change (the prefix must re-hash), and
-// once more after a direct in-place write to a body operand's Value, which
-// only the keyer's comparison with its template clone can see.
+// Fingerprint(Translate(...)) of the template the evaluator was built on —
+// the key a link-free evaluation would look up — and no two inputs sharing
+// a translation key may fingerprint apart. One evaluator runs a node, a
+// second node on the same inputs (its keyer reuses the hashed prefix), and
+// the second node again after a SetPerturb change (the prefix must
+// re-hash) and a SetRegion edit of the caller's template, which must not
+// reach the evaluator's snapshot. A new evaluator on the edited template
+// links to the edited template's translation, and keeps doing so after a
+// direct in-place write to a body operand's Value; only a third evaluator
+// sees that write.
 func FuzzTranslationKey(f *testing.F) {
 	// load, mul(c, v0), gather(tab, v1), store; load, load, select, store;
 	// load, srl, store — each translatable, so the seeds reach the check.
@@ -52,17 +56,19 @@ func FuzzTranslationKey(f *testing.F) {
 		if variant&16 != 0 {
 			perturb = &uarch.Perturb{Seed: c, LatJitter: 0.1}
 		}
+		built := tmpl.Clone()
 		ev := NewSimEvaluator(cpu, tmpl, widths[variant/4%4], int64(elems))
 		ev.SetPerturb(perturb)
 		cache := memo.NewCache()
 		ev.SetMemo(cache)
 
-		// check seeds the measurement of node under the evaluator's current
-		// inputs, so Run hits on it without simulating and records the link
-		// under test, then requires the link and the Result to be that
-		// measurement's. It reports false when the node does not translate.
-		check := func(step string, node Node) bool {
-			out, err := translator.Translate(tmpl, node, translator.Options{Width: ev.width, CPU: cpu})
+		// check seeds the measurement of node on want, the template ev was
+		// built on, under ev's other inputs, so Run hits on it without
+		// simulating and records the link under test, then requires the
+		// link and the Result to be that measurement's. It reports false
+		// when the node does not translate.
+		check := func(step string, ev *SimEvaluator, want *hid.Template, node Node) bool {
+			out, err := translator.Translate(want, node, translator.Options{Width: ev.width, CPU: cpu})
 			if err != nil {
 				return false
 			}
@@ -70,39 +76,47 @@ func FuzzTranslationKey(f *testing.F) {
 			if iters < 1 {
 				iters = 1
 			}
-			mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, ev.perturb, out.Program, iters, ev.warmRanges())
+			warm := (&SimEvaluator{cpu: cpu, tmpl: want}).warmRanges()
+			mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, ev.perturb, out.Program, iters, warm)
 			cache.Put(mk, &uarch.Result{Name: step})
 			res, err := ev.Run(node)
 			if err != nil {
 				t.Fatalf("%s: Run(%v): %v", step, node, err)
 			}
 			if res.Name != step {
-				t.Fatalf("%s: %s@%v: Run returned the measurement seeded by %q", step, tmpl.Name, node, res.Name)
+				t.Fatalf("%s: %s@%v: Run returned the measurement seeded by %q", step, want.Name, node, res.Name)
 			}
-			tk := memo.TranslationKey(memo.ProtoEvaluator, cpu, ev.perturb, tmpl, node, ev.width, ev.elems)
+			tk := memo.TranslationKey(memo.ProtoEvaluator, cpu, ev.perturb, want, node, ev.width, ev.elems)
 			if r, ok := cache.GetLinked(tk); !ok || r.Name != step {
-				t.Fatalf("%s: %s@%v: translation key not linked to Fingerprint(Translate(...))", step, tmpl.Name, node)
+				t.Fatalf("%s: %s@%v: translation key not linked to Fingerprint(Translate(...))", step, want.Name, node)
 			}
 			if prev, ok := linkedKeys[tk]; ok && prev != mk {
-				t.Fatalf("%s: %s@%v: one translation key, two measurement keys", step, tmpl.Name, node)
+				t.Fatalf("%s: %s@%v: one translation key, two measurement keys", step, want.Name, node)
 			}
 			linkedKeys[tk] = mk
 			return true
 		}
 		node := Node{V: int(v % 4), S: int(s % 4), P: int(p%4) + 1}
 		swapped := Node{V: node.S, S: node.V, P: int(p/4%4) + 1}
-		if !check("first", node) || !check("same prefix", swapped) {
+		if !check("first", ev, built, node) || !check("same prefix", ev, built, swapped) {
 			return
-		}
-		if err := tmpl.SetRegion("tab", uint64(region)<<1|1<<16); err != nil {
-			t.Fatal(err)
 		}
 		if perturb == nil {
 			ev.SetPerturb(&uarch.Perturb{Seed: c + 1, OccJitter: 0.2})
 		} else {
 			ev.SetPerturb(nil)
 		}
-		if !check("edited", swapped) {
+		if err := tmpl.SetRegion("tab", uint64(region)<<1|1<<16); err != nil {
+			t.Fatal(err)
+		}
+		if !check("perturbed, caller's template edited", ev, built, swapped) {
+			return
+		}
+		edited := tmpl.Clone()
+		next := NewSimEvaluator(cpu, tmpl, ev.width, ev.elems)
+		next.SetPerturb(ev.perturb)
+		next.SetMemo(cache)
+		if !check("new evaluator", next, edited, swapped) {
 			return
 		}
 		for i := range tmpl.Body {
@@ -111,6 +125,12 @@ func FuzzTranslationKey(f *testing.F) {
 				break
 			}
 		}
-		check("operand written", swapped)
+		if !check("operand written", next, edited, swapped) {
+			return
+		}
+		last := NewSimEvaluator(cpu, tmpl, ev.width, ev.elems)
+		last.SetPerturb(ev.perturb)
+		last.SetMemo(cache)
+		check("evaluator after the operand write", last, tmpl.Clone(), swapped)
 	})
 }

@@ -2,6 +2,7 @@ package hef
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"hef/internal/engine"
@@ -62,10 +63,12 @@ func TestLinkedRunBuildsNoSimulator(t *testing.T) {
 	}
 }
 
-// TestLinkFollowsTemplateEdits: the translation key is recomputed on every
-// Run, so editing the template between runs misses instead of serving the
-// old template's measurement.
-func TestLinkFollowsTemplateEdits(t *testing.T) {
+// TestLinkKeysTemplateSnapshot: an evaluator measures the snapshot of the
+// template it was built on, so an in-place edit of the caller's template
+// changes nothing for it — the same node hits its link with the same
+// Result and records no new miss — while a new evaluator on the edited
+// template misses and stores a measurement of its own.
+func TestLinkKeysTemplateSnapshot(t *testing.T) {
 	cpu := isa.XeonSilver4110()
 	tmpl := engine.ProbeTemplate(1 << 18)
 	node := Node{V: 1, S: 1, P: 2}
@@ -79,14 +82,62 @@ func TestLinkFollowsTemplateEdits(t *testing.T) {
 	if err := tmpl.SetRegion("htkeys", 32<<20); err != nil {
 		t.Fatal(err)
 	}
-	big, err := ev.Run(node)
+	again, err := ev.Run(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(small, again) {
+		t.Fatal("an edit of the caller's template reached the evaluator's measurement")
+	}
+	if st := cache.Stats(); st != (memo.Stats{Hits: 1, Misses: 1, Entries: 1}) {
+		t.Fatalf("stats after the edit = %+v, want 1 hit / 1 miss / 1 entry", st)
+	}
+	edited := NewSimEvaluator(cpu, tmpl, 0, 1<<12)
+	edited.SetMemo(cache)
+	big, err := edited.Run(node)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(small, big) {
 		t.Fatal("a 32 MiB table measured like a 128 KiB one: stale link served")
 	}
-	if st := cache.Stats(); st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("stats = %+v, want 2 misses / 2 entries", st)
+	if st := cache.Stats(); st != (memo.Stats{Hits: 1, Misses: 2, Entries: 2}) {
+		t.Fatalf("stats after a new evaluator = %+v, want 1 hit / 2 misses / 2 entries", st)
+	}
+}
+
+// TestLinkForksKeyConcurrently: forks share their parent's hashed prefix
+// and key nodes on several goroutines at once, each hitting the links the
+// parent recorded with the parent's Results.
+func TestLinkForksKeyConcurrently(t *testing.T) {
+	cache := memo.NewCache()
+	ev := NewSimEvaluator(isa.XeonSilver4110(), engine.ProbeTemplate(1<<18), 0, 1<<10)
+	ev.SetMemo(cache)
+	nodes := []Node{{V: 1, S: 0, P: 1}, {V: 0, S: 1, P: 1}, {V: 1, S: 1, P: 2}}
+	want := make([]*uarch.Result, len(nodes))
+	for i, n := range nodes {
+		res, err := ev.Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	const forks = 4
+	var wg sync.WaitGroup
+	for g := 0; g < forks; g++ {
+		f := ev.Fork().(*SimEvaluator)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, n := range nodes {
+				if got, err := f.Run(n); err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("fork Run(%v) diverges from the parent's (err %v)", n, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := cache.Stats(); st != (memo.Stats{Hits: forks * uint64(len(nodes)), Misses: uint64(len(nodes)), Entries: uint64(len(nodes))}) {
+		t.Fatalf("stats = %+v, want every fork call a linked hit", st)
 	}
 }

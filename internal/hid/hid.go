@@ -9,7 +9,6 @@ package hid
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sort"
 )
 
@@ -329,23 +328,6 @@ func (t *Template) Clone() *Template {
 		}
 	}
 	return c
-}
-
-// Equal reports whether t and u have the same content: every field the
-// translator reads, compared element by element. Nil and empty slices and
-// maps are equal, as they translate alike.
-func (t *Template) Equal(u *Template) bool {
-	if t.Name != u.Name || t.Elem != u.Elem || !slices.Equal(t.Params, u.Params) ||
-		!slices.Equal(t.Accs, u.Accs) || !maps.Equal(t.Consts, u.Consts) || len(t.Body) != len(u.Body) {
-		return false
-	}
-	for i := range t.Body {
-		s, o := &t.Body[i], &u.Body[i]
-		if s.Dst != o.Dst || s.Op != o.Op || !slices.Equal(s.Args, o.Args) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the template in the hi_* source form of Fig. 6(a).

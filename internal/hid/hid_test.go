@@ -1,9 +1,6 @@
 package hid
 
 import (
-	"fmt"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -167,92 +164,6 @@ func TestCloneIsDeep(t *testing.T) {
 	if c.Body[2].Args[0] != next {
 		t.Errorf("appending to stmt 1's operands overwrote stmt 2's: %v", c.Body[2].Args)
 	}
-}
-
-// TestTemplateEqual: a Clone is Equal to its original, and changing any
-// one field reachable from a Template — every struct field, found by
-// reflection, of every parameter, statement and operand, a slice's length,
-// a constant's name or value — makes them unequal. A field added to these
-// types without a case in Equal fails here.
-func TestTemplateEqual(t *testing.T) {
-	base := &Template{
-		Name:   "eq",
-		Elem:   U64,
-		Params: []Param{{Name: "in", Pattern: ReadStream}, {Name: "tab", Pattern: RandomRegion, Region: 1 << 20}},
-		Consts: map[string]uint64{"m": 42, "n": 7},
-		Accs:   []string{"acc"},
-		Body: []Stmt{
-			{Dst: "x", Op: "load", Args: []Operand{ParamOp("in")}},
-			{Dst: "g", Op: "gather", Args: []Operand{ParamOp("tab"), Var("x")}},
-			{Dst: "k", Op: "mul", Args: []Operand{Var("g"), ConstOp("m")}},
-			{Dst: "acc", Op: "srl", Args: []Operand{Var("k"), Imm(3)}},
-		},
-	}
-	c := base.Clone()
-	if !base.Equal(c) || !c.Equal(base) {
-		t.Fatal("a clone is not Equal to its original")
-	}
-	mutations := 0
-	// unequal checks one mutation of the clone at path, then undoes it.
-	unequal := func(path string, undo func()) {
-		t.Helper()
-		mutations++
-		if base.Equal(c) || c.Equal(base) {
-			t.Errorf("changing %s leaves the templates Equal", path)
-		}
-		undo()
-		if !base.Equal(c) {
-			t.Fatalf("undoing the change to %s left the templates unequal", path)
-		}
-	}
-	var visit func(path string, v reflect.Value)
-	visit = func(path string, v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				visit(path+"."+v.Type().Field(i).Name, v.Field(i))
-			}
-		case reflect.Slice:
-			old := reflect.ValueOf(v.Interface())
-			if old.Len() == 0 {
-				t.Fatalf("%s is empty in the base template", path)
-			}
-			v.Set(old.Slice(0, old.Len()-1))
-			unequal(path+" shortened", func() { v.Set(old) })
-			for i := 0; i < v.Len(); i++ {
-				visit(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
-			}
-		case reflect.Map:
-			m := v.Interface().(map[string]uint64)
-			m["added"] = 1
-			unequal(path+" with a key added", func() { delete(m, "added") })
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			for _, k := range keys {
-				val := m[k]
-				m[k]++
-				unequal(fmt.Sprintf("%s[%q] value", path, k), func() { m[k] = val })
-				delete(m, k)
-				m[k+"'"] = val
-				unequal(fmt.Sprintf("%s[%q] key", path, k), func() { delete(m, k+"'"); m[k] = val })
-			}
-		case reflect.String:
-			old := v.String()
-			v.SetString(old + "'")
-			unequal(path, func() { v.SetString(old) })
-		case reflect.Uint8, reflect.Uint64:
-			old := v.Uint()
-			v.SetUint(old + 1)
-			unequal(path, func() { v.SetUint(old) })
-		default:
-			t.Fatalf("%s: no mutation for a %s field", path, v.Kind())
-		}
-	}
-	visit("Template", reflect.ValueOf(c).Elem())
-	t.Logf("%d single-field changes checked", mutations)
 }
 
 func TestTemplateString(t *testing.T) {

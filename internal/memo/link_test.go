@@ -140,18 +140,21 @@ func TestLinkIndex(t *testing.T) {
 	}
 }
 
-// TestTranslationKeyerMatches walks one keyer through changes of every
-// kind of input — the node, width and test size it hashes afresh on every
-// call, and the template, perturbation, machine model and template
-// identity behind its cached prefix — and requires it to equal the one-shot
-// TranslationKey after every step. Once the prefix is hashed, a call that
-// reuses it allocates nothing.
+// TestTranslationKeyerMatches walks keyers through changes of every kind
+// of input and requires a keyer, and a fork of it, to equal the one-shot
+// TranslationKey after every step. A change of the node, width or test size
+// reuses the keyer's hashed prefix. A change behind the prefix — the
+// template, edited in place or replaced, the perturbation, the machine
+// model, the protocol — leaves the old keyer keying as before, since it
+// keeps no reference to its inputs, and a new keyer matches the changed
+// inputs. A keyed call on an unchanged prefix allocates nothing.
 func TestTranslationKeyerMatches(t *testing.T) {
 	tmpl, other := linkTmpl(), hashes.MurmurTemplate()
 	silver := isa.XeonSilver4110()
 	fewerRegs := isa.XeonSilver4110()
 	fewerRegs.GPRegs -= 4
 	type call struct {
+		proto   Protocol
 		cpu     *isa.CPU
 		perturb *uarch.Perturb
 		tmpl    *hid.Template
@@ -159,43 +162,63 @@ func TestTranslationKeyerMatches(t *testing.T) {
 		width   isa.Width
 		elems   int64
 	}
-	c := call{silver, nil, tmpl, linkNode, isa.W512, 1024}
-	var k TranslationKeyer
+	c := call{ProtoEvaluator, silver, nil, tmpl, linkNode, isa.W512, 1024}
+	oneShot := func() Key { return TranslationKey(c.proto, c.cpu, c.perturb, c.tmpl, c.node, c.width, c.elems) }
+	k := NewTranslationKeyer(c.proto, c.cpu, c.perturb, c.tmpl)
+	fork := k.Fork()
 	step := func(label string, edit func()) {
 		t.Helper()
 		edit()
-		want := TranslationKey(ProtoEvaluator, c.cpu, c.perturb, c.tmpl, c.node, c.width, c.elems)
-		if got := k.Key(ProtoEvaluator, c.cpu, c.perturb, c.tmpl, c.node, c.width, c.elems); got != want {
+		want := oneShot()
+		if got := k.Key(c.node, c.width, c.elems); got != want {
 			t.Fatalf("%s: keyer %x, TranslationKey %x", label, got, want)
 		}
+		if got := fork.Key(c.node, c.width, c.elems); got != want {
+			t.Fatalf("%s: fork %x, TranslationKey %x", label, got, want)
+		}
+	}
+	prefix := func(label string, edit func()) {
+		t.Helper()
+		before := oneShot()
+		step(label+" (new keyer)", func() {
+			edit()
+			if got := k.Key(c.node, c.width, c.elems); got != before {
+				t.Fatalf("%s: the old keyer followed the change", label)
+			}
+			k = NewTranslationKeyer(c.proto, c.cpu, c.perturb, c.tmpl)
+			fork = k.Fork()
+		})
 	}
 	step("first call", func() {})
 	step("same inputs", func() {})
 	step("node", func() { c.node = translator.Node{V: 2, S: 0, P: 4} })
 	step("width", func() { c.width = isa.W256 })
 	step("elems", func() { c.elems = 4096 })
-	step("SetRegion", func() {
+	prefix("SetRegion", func() {
 		if err := tmpl.SetRegion("tab", 1<<24); err != nil {
 			t.Fatal(err)
 		}
 	})
-	step("perturbation set", func() { c.perturb = &uarch.Perturb{Seed: 3, LatJitter: 0.1} })
-	step("perturbation seed", func() { c.perturb = &uarch.Perturb{Seed: 4, LatJitter: 0.1} })
-	step("perturbation removed", func() { c.perturb = nil })
-	step("fewer registers", func() { c.cpu = fewerRegs })
-	step("other template", func() { c.tmpl = other })
+	prefix("perturbation set", func() { c.perturb = &uarch.Perturb{Seed: 3, LatJitter: 0.1} })
+	prefix("perturbation seed", func() { c.perturb = &uarch.Perturb{Seed: 4, LatJitter: 0.1} })
+	prefix("perturbation removed", func() { c.perturb = nil })
+	prefix("fewer registers", func() { c.cpu = fewerRegs })
+	prefix("protocol", func() { c.proto = ProtoStage })
+	prefix("other template", func() { c.tmpl = other })
 	step("other template, node", func() { c.node = linkNode })
-	step("template back", func() { c.tmpl = tmpl })
-	step("constant added", func() { tmpl.Consts["y"] = 9 })
-	step("constant renamed", func() { tmpl.Consts["w"] = tmpl.Consts["y"]; delete(tmpl.Consts, "y") })
+	prefix("template back", func() { c.tmpl = tmpl })
+	prefix("constant added", func() { tmpl.Consts["y"] = 9 })
+	prefix("constant renamed", func() { tmpl.Consts["w"] = tmpl.Consts["y"]; delete(tmpl.Consts, "y") })
+	prefix("operand written", func() { tmpl.Body[2].Args[1].Value++ })
 
 	nodes := []translator.Node{{V: 1, S: 0, P: 1}, {V: 0, S: 1, P: 1}, {V: 2, S: 3, P: 4}}
 	i := 0
 	if allocs := testing.AllocsPerRun(100, func() {
-		k.Key(ProtoEvaluator, c.cpu, c.perturb, c.tmpl, nodes[i%len(nodes)], c.width, c.elems)
+		k.Key(nodes[i%len(nodes)], c.width, c.elems)
+		fork.Key(nodes[i%len(nodes)], c.width, c.elems)
 		i++
 	}); allocs != 0 {
-		t.Errorf("a keyer call on an unchanged prefix allocates %.1f times, want 0", allocs)
+		t.Errorf("keyer calls on an unchanged prefix allocate %.1f times, want 0", allocs)
 	}
 }
 
@@ -207,9 +230,9 @@ func BenchmarkTranslationKeyer(b *testing.B) {
 	node := func(i int) translator.Node { return translator.Node{V: i % 4, S: i / 4 % 4, P: i%8 + 1} }
 	b.Run("keyer", func(b *testing.B) {
 		b.ReportAllocs()
-		var k TranslationKeyer
+		k := NewTranslationKeyer(ProtoEvaluator, cpu, nil, tmpl)
 		for i := 0; i < b.N; i++ {
-			k.Key(ProtoEvaluator, cpu, nil, tmpl, node(i), isa.W512, 1<<14)
+			k.Key(node(i), isa.W512, 1<<14)
 		}
 	})
 	b.Run("oneshot", func(b *testing.B) {

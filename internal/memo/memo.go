@@ -29,10 +29,8 @@
 // translator's inputs — to the measurement key those inputs produced, so a
 // repeated evaluation finds its Result without translating at all. Within a
 // search only the node, width and test size vary from key to key, so each
-// evaluator keys through its own TranslationKeyer, which hashes the rest —
-// machine model, perturbation and template, about 1.8 KB — once, and
-// detects a change to it by comparing the inputs with a private snapshot
-// rather than by encoding them again.
+// evaluator keys through a TranslationKeyer, which hashes the rest —
+// machine model, perturbation and template, about 1.8 KB — once.
 package memo
 
 import (
@@ -219,81 +217,64 @@ func (p *Plan) Measure(sim *uarch.Sim) (*uarch.Result, error) {
 // parameters with pattern and region, accumulators, constants in sorted
 // order, body), the node, the SIMD width, and the test size. Translation,
 // the iteration count, and the warmed regions are deterministic functions
-// of these, so equal translation keys imply equal measurement keys.
+// of these, so equal translation keys imply equal measurement keys. It is
+// a TranslationKeyer used once.
 func TranslationKey(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template, node translator.Node, width isa.Width, elems int64) Key {
-	var e enc
-	e.Buf = make([]byte, 0, 4096)
-	e.translationPrefix(proto, cpu, p, tmpl)
-	e.translationNode(node, width, elems)
-	return Key(e.Sum())
+	k := NewTranslationKeyer(proto, cpu, p, tmpl)
+	return k.Key(node, width, elems)
 }
 
-// translationPrefix encodes the translation-key inputs one evaluator's
-// keys share: all but the node, width and test size.
-func (e *enc) translationPrefix(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template) {
+// TranslationKeyer computes TranslationKey for calls that share every input
+// but the node, width and test size, as one evaluator's search does. It
+// hashes that prefix once, when built, and keeps only the SHA-256 state
+// that hashing left: each Key restores the state and hashes the 40 bytes
+// that follow. It keeps no reference to its inputs, so a prefix input that
+// changes needs a new keyer. A keyer is scratch state for one goroutine;
+// Fork returns one for another goroutine that shares the hashed prefix.
+type TranslationKeyer struct {
+	// state is the marshaled SHA-256 state after the prefix. Forks share
+	// it, and nothing writes to it once it is built.
+	state []byte
+	h     hash.Hash // nil in a fork until its first Key
+	buf   []byte
+}
+
+// NewTranslationKeyer hashes the prefix of TranslationKey(proto, cpu, p,
+// tmpl, ...).
+func NewTranslationKeyer(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template) TranslationKeyer {
+	var e enc
+	// 4 KiB holds the machine model plus the largest built-in template.
+	e.Buf = make([]byte, 0, 4096)
 	// The leading tag keeps translation keys disjoint from measurement keys.
 	e.Buf = append(e.Buf, 'T', byte(proto))
 	e.cpu(cpu)
 	e.perturb(p)
 	e.template(tmpl)
+	h := sha256.New()
+	h.Write(e.Buf)
+	// A SHA-256 state always marshals.
+	state, _ := h.(encoding.BinaryMarshaler).MarshalBinary()
+	return TranslationKeyer{state: state, h: h, buf: e.Buf[:0]}
 }
 
-// translationNode encodes the 40 bytes that end a translation key.
-func (e *enc) translationNode(node translator.Node, width isa.Width, elems int64) {
+// Fork returns a keyer with the receiver's prefix and scratch of its own.
+func (k *TranslationKeyer) Fork() TranslationKeyer { return TranslationKeyer{state: k.state} }
+
+// Key returns the translation key of node, width and elems under the
+// keyer's prefix. It allocates nothing after a keyer's first call.
+func (k *TranslationKeyer) Key(node translator.Node, width isa.Width, elems int64) Key {
+	if k.h == nil {
+		k.h = sha256.New()
+		k.buf = make([]byte, 0, 40) // the node bytes; the sum reuses them
+	}
+	// The state was marshaled by a SHA-256 hash, so it always unmarshals.
+	_ = k.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state)
+	e := enc{fpenc.E{Buf: k.buf[:0]}}
 	e.i(node.V)
 	e.i(node.S)
 	e.i(node.P)
 	e.i(int(width))
 	e.u64(uint64(elems))
-}
-
-// TranslationKeyer computes TranslationKey for a sequence of calls that
-// mostly share a prefix — every input but the node, width and test size, as
-// in one evaluator's search. It hashes the prefix once and keeps the inputs
-// it hashed: the protocol, the CPU model by identity, a copy of the
-// normalized perturbation and a private Clone of the template. A call whose
-// inputs equal those (hid.Template.Equal for the template) restores the
-// saved SHA-256 state and hashes only the 40 bytes that follow, without
-// encoding the prefix again; any other call re-hashes. So a template edited
-// in place between calls, or a perturbation changed, gets a fresh key. A CPU
-// model is compared by pointer and must not be modified while a keyer uses
-// it; a perturbed clone is another pointer and re-hashes. The zero value is
-// ready to use; a keyer is scratch state for one goroutine.
-type TranslationKeyer struct {
-	e     enc
-	h     hash.Hash // nil until the first call
-	state []byte    // the marshaled SHA-256 state after hashing the prefix
-	// The prefix inputs state was taken after; tmpl is nil until the
-	// first call.
-	proto   Protocol
-	cpu     *isa.CPU
-	perturb uarch.Perturb
-	tmpl    *hid.Template
-}
-
-// Key returns TranslationKey(proto, cpu, p, tmpl, node, width, elems).
-func (k *TranslationKeyer) Key(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template, node translator.Node, width isa.Width, elems int64) Key {
-	e := &k.e
-	pv := normPerturb(p)
-	if k.tmpl != nil && proto == k.proto && cpu == k.cpu && pv == k.perturb && tmpl.Equal(k.tmpl) {
-		// The state was marshaled by this hash, so it always unmarshals.
-		_ = k.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state)
-	} else {
-		if k.h == nil {
-			k.h = sha256.New()
-			// 4 KiB holds the machine model plus the largest built-in template.
-			e.Buf = make([]byte, 0, 4096)
-		}
-		e.Buf = e.Buf[:0]
-		e.translationPrefix(proto, cpu, p, tmpl)
-		k.h.Reset()
-		k.h.Write(e.Buf)
-		// A SHA-256 state always marshals.
-		k.state, _ = k.h.(encoding.BinaryMarshaler).MarshalBinary()
-		k.proto, k.cpu, k.perturb, k.tmpl = proto, cpu, pv, tmpl.Clone()
-	}
-	e.Buf = e.Buf[:0]
-	e.translationNode(node, width, elems)
 	k.h.Write(e.Buf)
 	var key Key
 	copy(key[:], k.h.Sum(e.Buf[:0]))

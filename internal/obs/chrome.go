@@ -78,9 +78,6 @@ func chromeEvents(sections []TraceSection) ([]chromeEvent, error) {
 					Pid: pid, Tid: "pipeline", S: "t",
 					Args: map[string]any{"iter": ev.Iter, "body": ev.Body},
 				})
-			case uarch.TraceComplete:
-				// Redundant with the duration event's end; omitted to keep
-				// exports lean.
 			}
 		}
 	}

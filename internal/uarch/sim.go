@@ -778,7 +778,6 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 								s.inflight.push(comp)
 								if s.trace != nil {
 									s.trace.add(TraceEvent{Kind: TraceIssue, Cycle: cycle, Dur: int64(lat), Iter: s.robIter[ei], Body: b, Name: prog.Body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
-									s.trace.add(TraceEvent{Kind: TraceComplete, Cycle: comp, Iter: s.robIter[ei], Body: b, Name: prog.Body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
 								}
 								issuedUops += int(sk.uops[b])
 								issuedInstrs++

@@ -109,7 +109,7 @@ func TestStallsAddAndScalePreserveInvariant(t *testing.T) {
 }
 
 // TestTraceLogLifecycle checks the opt-in recorder captures a dispatch,
-// issue, complete, and retire event for every retired instruction.
+// issue, and retire event for every retired instruction, and nothing else.
 func TestTraceLogLifecycle(t *testing.T) {
 	cpu, err := isa.ByName("silver")
 	if err != nil {
@@ -130,10 +130,13 @@ func TestTraceLogLifecycle(t *testing.T) {
 	for _, ev := range log.Events {
 		counts[ev.Kind]++
 	}
-	for _, k := range []uarch.TraceKind{uarch.TraceDispatch, uarch.TraceIssue, uarch.TraceComplete, uarch.TraceRetire} {
+	for _, k := range []uarch.TraceKind{uarch.TraceDispatch, uarch.TraceIssue, uarch.TraceRetire} {
 		if counts[k] != res.Instructions {
 			t.Errorf("%v events = %d, want one per retired instruction (%d)", k, counts[k], res.Instructions)
 		}
+	}
+	if n := uint64(len(log.Events)); n != 3*res.Instructions {
+		t.Errorf("%d events, want three per retired instruction (%d)", n, res.Instructions)
 	}
 	for _, ev := range log.Events {
 		if ev.Kind == uarch.TraceIssue && ev.Port < 0 {

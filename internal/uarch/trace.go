@@ -2,9 +2,10 @@ package uarch
 
 // Per-instruction lifecycle tracing. The recorder is opt-in: attach a
 // TraceLog to a Sim with SetTraceLog and every dynamic instruction instance
-// emits dispatch, issue, complete, and retire events (with the issue port
-// and the cache level that serviced memory operations). The obs package
-// exports a log as Chrome trace-event JSON loadable in Perfetto.
+// emits dispatch, issue, and retire events (with the issue port, the cycles
+// until the result is available, and the cache level that serviced memory
+// operations). The obs package exports a log as Chrome trace-event JSON
+// loadable in Perfetto.
 
 // TraceKind enumerates the lifecycle stages recorded per instruction.
 type TraceKind uint8
@@ -12,10 +13,9 @@ type TraceKind uint8
 const (
 	// TraceDispatch is the cycle the instruction entered the ROB.
 	TraceDispatch TraceKind = iota
-	// TraceIssue is the cycle the instruction claimed an execution port.
+	// TraceIssue is the cycle the instruction claimed an execution port;
+	// its Dur runs to the cycle the result became available.
 	TraceIssue
-	// TraceComplete is the cycle the result became available.
-	TraceComplete
 	// TraceRetire is the cycle the instruction left the ROB.
 	TraceRetire
 )
@@ -26,8 +26,6 @@ func (k TraceKind) String() string {
 		return "dispatch"
 	case TraceIssue:
 		return "issue"
-	case TraceComplete:
-		return "complete"
 	case TraceRetire:
 		return "retire"
 	}
@@ -37,8 +35,7 @@ func (k TraceKind) String() string {
 // TraceEvent is one lifecycle event of one dynamic instruction instance.
 type TraceEvent struct {
 	Kind TraceKind
-	// Cycle is when the event happened. Complete events are appended at
-	// issue time, so a log is not sorted by Cycle; exporters sort.
+	// Cycle is when the event happened.
 	Cycle int64
 	// Dur is, on issue events, the cycles until the result is available
 	// (instruction latency plus cache effects).
@@ -56,24 +53,18 @@ type TraceEvent struct {
 	Level int8
 }
 
-// DefaultTraceLimit bounds a TraceLog that does not set its own Limit.
-const DefaultTraceLimit = 1 << 20
+// traceLimit bounds the events a TraceLog keeps.
+const traceLimit = 1 << 20
 
-// TraceLog accumulates lifecycle events up to a limit.
+// TraceLog accumulates lifecycle events, up to 2^20 of them.
 type TraceLog struct {
 	Events []TraceEvent
-	// Limit bounds len(Events); 0 selects DefaultTraceLimit.
-	Limit int
 	// Dropped counts events discarded after the limit was reached.
 	Dropped uint64
 }
 
 func (t *TraceLog) add(ev TraceEvent) {
-	limit := t.Limit
-	if limit <= 0 {
-		limit = DefaultTraceLimit
-	}
-	if len(t.Events) >= limit {
+	if len(t.Events) >= traceLimit {
 		t.Dropped++
 		return
 	}
