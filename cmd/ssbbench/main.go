@@ -48,7 +48,7 @@ func main() {
 	format := flag.String("format", "text", `output format: "text", "csv", or "markdown"`)
 	jsonOut := flag.Bool("json", false, "emit a machine-readable run report (obs.RunReport JSON)")
 	csvOut := flag.Bool("csv", false, `shorthand for -format csv`)
-	traceOut := flag.String("trace-out", "", "with -all: write the sweep-lifecycle spans (queue waits, figure runs, checkpoint flushes) as Chrome trace-event JSON to this file")
+	traceOut := flag.String("trace-out", "", "with -all: write the sweep-lifecycle spans (the sweep, figure runs, checkpoint flushes) as Chrome trace-event JSON to this file")
 	flag.Parse()
 
 	outFormat = *format

@@ -40,6 +40,7 @@ import (
 	"hef/internal/isa"
 	"hef/internal/obs"
 	"hef/internal/robust"
+	"hef/internal/telemetry"
 	"hef/internal/translator"
 	"hef/internal/uarch"
 )
@@ -81,14 +82,12 @@ type Stalls = uarch.Stalls
 // recorded per simulated cycle.
 type OccHist = uarch.OccHist
 
-// TraceLog records per-instruction lifecycle events (dispatch, issue,
-// retire) when attached to a simulator; export it with ChromeTrace.
-type TraceLog = uarch.TraceLog
+// Tracer records spans: per-instruction lifecycle spans (dispatch, issue,
+// retire) when attached to a simulator, and sweep lifecycle spans; export
+// them with ChromeTrace.
+type Tracer = telemetry.Tracer
 
-// TraceEvent is one recorded lifecycle event.
-type TraceEvent = uarch.TraceEvent
-
-// TraceSection names one run's events inside a Chrome trace export.
+// TraceSection names one run's spans inside a Chrome trace export.
 type TraceSection = obs.TraceSection
 
 // RunReport is the versioned machine-readable report schema emitted by the
@@ -209,7 +208,7 @@ func RunFromResult(name, engine, node string, res *Result, seconds float64) obs.
 	return obs.RunFromResult(name, engine, node, res, seconds)
 }
 
-// ChromeTrace exports recorded lifecycle events as Chrome trace-event JSON
+// ChromeTrace exports recorded spans as Chrome trace-event JSON
 // (open at https://ui.perfetto.dev or chrome://tracing).
 func ChromeTrace(sections []TraceSection) ([]byte, error) { return obs.ChromeTrace(sections) }
 

@@ -46,10 +46,9 @@ type WorkerConfig struct {
 	// LogW receives the worker's operational log (nil discards).
 	LogW io.Writer
 
-	// Metrics and Tracer flow into the local sweep runs, so a worker's
-	// /metrics shows the same sweep series a single-process run would.
+	// Metrics flows into the local sweep runs, so a worker's /metrics shows
+	// the same sweep series a single-process run would.
 	Metrics *telemetry.SweepMetrics
-	Tracer  *telemetry.Tracer
 }
 
 // GoneAfterPolls scales PollMax into the bound after which a worker stops
@@ -403,7 +402,7 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) (done bool,
 
 	res, runErr := sched.RunSweep(ctx, sched.SweepConfig{
 		Tool: w.cfg.Tool, Fingerprint: w.cfg.Fingerprint, Workers: w.cfg.Workers,
-		Metrics: w.cfg.Metrics, Tracer: w.cfg.Tracer,
+		Metrics: w.cfg.Metrics,
 	}, sub)
 	hbStop()
 	<-hbDone

@@ -7,6 +7,7 @@ import (
 	"hef/internal/isa"
 	"hef/internal/memo"
 	"hef/internal/obs"
+	"hef/internal/telemetry"
 	"hef/internal/translator"
 	"hef/internal/uarch"
 )
@@ -95,12 +96,12 @@ func MergeReports(tool string, reports ...*obs.RunReport) *obs.RunReport {
 	return merged
 }
 
-// TraceHashRun re-runs one hash-kernel implementation with the
-// per-instruction lifecycle recorder attached and returns the recorded
-// events (for Chrome trace export) alongside the counters. iters bounds the
-// traced loop iterations (<= 0 selects 64, enough to show steady state
-// without flooding the viewer).
-func TraceHashRun(cpuName, benchName string, node translator.Node, iters int64) (*uarch.TraceLog, *uarch.Result, error) {
+// TraceHashRun re-runs one hash-kernel implementation with a span tracer
+// attached and returns the recorded per-instruction spans (for Chrome trace
+// export) alongside the counters. iters bounds the traced loop iterations
+// (<= 0 selects 64, enough to show steady state without flooding the
+// viewer).
+func TraceHashRun(cpuName, benchName string, node translator.Node, iters int64) ([]telemetry.Span, *uarch.Result, error) {
 	cpu, err := isa.ByName(cpuName)
 	if err != nil {
 		return nil, nil, err
@@ -117,14 +118,14 @@ func TraceHashRun(cpuName, benchName string, node translator.Node, iters int64) 
 		iters = 64
 	}
 	sim := uarch.NewSim(cpu)
-	log := &uarch.TraceLog{}
-	sim.SetTraceLog(log)
+	tr := telemetry.NewTracer()
+	sim.SetTracer(tr)
 	plan := memo.Plan{Proto: memo.ProtoStage, Prog: out.Program, Iters: iters}
 	res, err := plan.Measure(sim)
 	if err != nil {
 		return nil, nil, err
 	}
-	return log, res, nil
+	return tr.Spans(), res, nil
 }
 
 // TraceHashBench traces three implementations of one kernel — the pure
@@ -153,13 +154,13 @@ func TraceHashBench(cpuName, benchName string, iters int64) ([]obs.TraceSection,
 	}
 	var sections []obs.TraceSection
 	for _, im := range impls {
-		log, _, err := TraceHashRun(cpuName, benchName, im.Node, iters)
+		spans, _, err := TraceHashRun(cpuName, benchName, im.Node, iters)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: tracing %s %s: %w", benchName, im.Label, err)
 		}
 		sections = append(sections, obs.TraceSection{
-			Name:   fmt.Sprintf("%s %s %s on %s", benchName, im.Label, im.Node.String(), cpu.Name),
-			Events: log.Events,
+			Name:  fmt.Sprintf("%s %s %s on %s", benchName, im.Label, im.Node.String(), cpu.Name),
+			Spans: spans,
 		})
 	}
 	return sections, nil

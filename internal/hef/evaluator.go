@@ -56,9 +56,6 @@ type SimEvaluator struct {
 	// built only when a Run has to simulate and finds the stack empty: an
 	// evaluator whose every node is already in the memo never allocates one.
 	sims *SimStack
-
-	// Evaluations counts Evaluate calls, for pruning-savings reports.
-	Evaluations int
 }
 
 // DefaultTestElems is the synthetic test size for one evaluation: large
@@ -174,7 +171,7 @@ func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 // the simulators the others have finished with. Each run resets the cache
 // hierarchy before measuring, so any simulator for the CPU times nodes
 // exactly like a fresh one. The memo and the keys' hashed prefix are
-// shared; the fork's Evaluations counter starts at zero.
+// shared.
 func (e *SimEvaluator) Fork() Evaluator {
 	return &SimEvaluator{cpu: e.cpu, tmpl: e.tmpl, width: e.width, elems: e.elems,
 		perturb: e.perturb, memo: e.memo, keyer: e.keyer.Fork(), sims: e.sims}
@@ -203,7 +200,6 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	if useMemo {
 		tkey = e.keyer.Key(n, e.width, e.elems)
 		if res, ok := e.memo.GetLinked(tkey); ok {
-			e.Evaluations++
 			return res, nil
 		}
 	}
@@ -225,7 +221,6 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 		key = plan.Key(e.cpu, e.perturb)
 		if res, ok := e.memo.Get(key); ok {
 			e.memo.Link(tkey, key)
-			e.Evaluations++
 			return res, nil
 		}
 	}
@@ -235,7 +230,6 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 		return nil, err
 	}
 	e.sims.Push(sim)
-	e.Evaluations++
 	if useMemo {
 		e.memo.Put(key, res)
 		e.memo.Link(tkey, key)

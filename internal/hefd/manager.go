@@ -65,11 +65,9 @@ type Config struct {
 	FS store.FS
 	// LogW receives operational warnings (default os.Stderr).
 	LogW io.Writer
-	// SweepMetrics/Tracer thread the telemetry session's instruments into
-	// each job's sweep; both are nil-safe.
+	// SweepMetrics threads the telemetry session's instruments into each
+	// job's sweep; nil-safe.
 	SweepMetrics *telemetry.SweepMetrics
-	// Tracer records sweep lifecycle spans per job.
-	Tracer *telemetry.Tracer
 
 	// runOp replaces the production per-operator pipeline in tests (nil
 	// selects the real optimizer). Unexported: only this package's tests
@@ -711,7 +709,6 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 			ResumePath:     resume,
 			FS:             m.fs,
 			Metrics:        m.cfg.SweepMetrics,
-			Tracer:         m.cfg.Tracer,
 		}, tasks)
 	}
 

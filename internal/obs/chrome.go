@@ -5,20 +5,21 @@ import (
 	"sort"
 
 	"hef/internal/cache"
-	"hef/internal/uarch"
+	"hef/internal/telemetry"
 )
 
-// Chrome trace-event export: the simulator's per-instruction lifecycle log
-// rendered as the JSON object format Perfetto and chrome://tracing load.
-// Each traced run becomes one process; each issue port becomes a thread, so
-// the port-level schedule reads directly off the timeline. Timestamps are
-// core cycles (the viewer displays them as microseconds).
+// Chrome trace-event export: recorded spans rendered as the JSON object
+// format Perfetto and chrome://tracing load. Each section becomes one
+// process and each span track a thread, so a simulator section's port-level
+// schedule reads directly off the timeline. Simulator spans are timed in
+// core cycles and sweep-lifecycle spans in microseconds; the viewer shows
+// both as microseconds, each section on its own clock.
 
-// TraceSection is one traced run: a name (shown as the process name) and
-// the events its simulator recorded.
+// TraceSection is one named run of spans: a traced simulation, or the
+// sweep lifecycle. The name is shown as the process name.
 type TraceSection struct {
-	Name   string
-	Events []uarch.TraceEvent
+	Name  string
+	Spans []telemetry.Span
 }
 
 // chromeEvent is one entry of the traceEvents array.
@@ -35,63 +36,36 @@ type chromeEvent struct {
 
 // chromeDoc is the JSON object format.
 type chromeDoc struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeTrace renders one or more traced runs as Chrome trace-event JSON.
-// Execution (issue → complete) becomes duration events on per-port tracks;
-// dispatch and retire become instant events on a pipeline track. Events are
-// sorted by timestamp, so ts is monotonically non-decreasing over the
-// document.
+// ChromeTrace renders sections as Chrome trace-event JSON. Intervals become
+// duration events and instants thread-scoped instant events; a simulated
+// instruction's span carries its iteration, body index and serving cache
+// level as args. Events are sorted by timestamp, so ts is monotonically
+// non-decreasing over the document.
 func ChromeTrace(sections []TraceSection) ([]byte, error) {
-	evs, err := chromeEvents(sections)
-	if err != nil {
-		return nil, err
-	}
-	return marshalChrome(evs)
-}
-
-// chromeEvents converts the traced runs to sorted trace events; extending
-// exporters (ChromeTraceWith) append their own before marshalling.
-func chromeEvents(sections []TraceSection) ([]chromeEvent, error) {
 	var evs []chromeEvent
 	for pid, sec := range sections {
 		evs = append(evs, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: "meta",
 			Args: map[string]any{"name": sec.Name},
 		})
-		for _, ev := range sec.Events {
-			switch ev.Kind {
-			case uarch.TraceIssue:
-				args := map[string]any{"iter": ev.Iter, "body": ev.Body}
-				if lvl := cache.LevelName(int(ev.Level)); lvl != "" {
-					args["cache_level"] = lvl
-				}
-				evs = append(evs, chromeEvent{
-					Name: ev.Name, Ph: "X", Ts: ev.Cycle, Dur: ev.Dur,
-					Pid: pid, Tid: portTrack(ev.Port), Args: args,
-				})
-			case uarch.TraceDispatch, uarch.TraceRetire:
-				evs = append(evs, chromeEvent{
-					Name: ev.Kind.String() + " " + ev.Name, Ph: "i", Ts: ev.Cycle,
-					Pid: pid, Tid: "pipeline", S: "t",
-					Args: map[string]any{"iter": ev.Iter, "body": ev.Body},
-				})
+		for _, s := range sec.Spans {
+			ev := chromeEvent{Name: s.Name, Ph: "X", Ts: s.Start, Dur: s.Dur, Pid: pid, Tid: s.Track}
+			if s.Instant {
+				ev.Ph, ev.S = "i", "t"
 			}
+			if s.Instr {
+				ev.Args = map[string]any{"iter": s.Iter, "body": s.Body}
+				if lvl := cache.LevelName(int(s.Level)); lvl != "" {
+					ev.Args["cache_level"] = lvl
+				}
+			}
+			evs = append(evs, ev)
 		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Ts < evs[j].Ts })
-	return evs, nil
-}
-
-func marshalChrome(evs []chromeEvent) ([]byte, error) {
-	return json.Marshal(chromeDoc{TraceEvents: evs, DisplayTimeUnit: "ns"})
-}
-
-func portTrack(p int8) string {
-	if p < 0 {
-		return "pipeline"
-	}
-	return "port " + string(rune('0'+p))
+	return json.Marshal(chromeDoc{Events: evs, DisplayTimeUnit: "ns"})
 }

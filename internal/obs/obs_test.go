@@ -8,12 +8,13 @@ import (
 	"hef/internal/hashes"
 	"hef/internal/hef"
 	"hef/internal/isa"
+	"hef/internal/telemetry"
 	"hef/internal/translator"
 	"hef/internal/uarch"
 )
 
 // traceMurmur records a short Murmur run with the lifecycle recorder on.
-func traceMurmur(t *testing.T, node translator.Node) (*uarch.TraceLog, *uarch.Result) {
+func traceMurmur(t *testing.T, node translator.Node) (*telemetry.Tracer, *uarch.Result) {
 	t.Helper()
 	cpu, err := isa.ByName("silver")
 	if err != nil {
@@ -24,21 +25,21 @@ func traceMurmur(t *testing.T, node translator.Node) (*uarch.TraceLog, *uarch.Re
 		t.Fatal(err)
 	}
 	sim := uarch.NewSim(cpu)
-	log := &uarch.TraceLog{}
-	sim.SetTraceLog(log)
+	tr := telemetry.NewTracer()
+	sim.SetTracer(tr)
 	res, err := sim.Run(out.Program, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return log, res
+	return tr, res
 }
 
 // TestChromeTraceGolden checks the exporter's structural contract: valid
 // JSON in the Chrome object format, with monotonically non-decreasing ts
 // over the whole document and one duration event per issued instruction.
 func TestChromeTraceGolden(t *testing.T) {
-	log, res := traceMurmur(t, translator.Node{V: 1, S: 1, P: 2})
-	out, err := ChromeTrace([]TraceSection{{Name: "murmur hybrid", Events: log.Events}})
+	tr, res := traceMurmur(t, translator.Node{V: 1, S: 1, P: 2})
+	out, err := ChromeTrace([]TraceSection{{Name: "murmur hybrid", Spans: tr.Spans()}})
 	if err != nil {
 		t.Fatal(err)
 	}

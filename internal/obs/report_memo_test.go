@@ -129,51 +129,3 @@ func TestTelemetryFromRegistry(t *testing.T) {
 		t.Fatalf("span tracks = %v", ts.SpanTracks)
 	}
 }
-
-// TestChromeTraceWithSpans: lifecycle spans render as duration events in
-// their own process, alongside (and without disturbing) simulator sections.
-func TestChromeTraceWithSpans(t *testing.T) {
-	tr := telemetry.NewTracer()
-	end := tr.Begin("run", "job-01")
-	end()
-	data, err := ChromeTraceWith(nil, tr.Spans())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Pid  int    `json:"pid"`
-			Tid  string `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var meta, span bool
-	for _, ev := range doc.TraceEvents {
-		switch {
-		case ev.Ph == "M" && ev.Tid == "meta":
-			meta = true
-		case ev.Ph == "X" && ev.Name == "job-01" && ev.Tid == "run":
-			span = true
-		}
-	}
-	if !meta || !span {
-		t.Fatalf("trace missing meta=%v span=%v:\n%s", meta, span, data)
-	}
-
-	// Without spans the exporter matches plain ChromeTrace byte for byte.
-	plain, err := ChromeTrace(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := ChromeTraceWith(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(plain) != string(with) {
-		t.Fatal("ChromeTraceWith(nil spans) diverged from ChromeTrace")
-	}
-}

@@ -45,33 +45,3 @@ func TelemetryFromRegistry(reg *telemetry.Registry, tracer *telemetry.Tracer, up
 	}
 	return ts
 }
-
-// ChromeTraceWith is ChromeTrace plus the sweep-lifecycle spans a telemetry
-// tracer recorded: queue waits, job runs, checkpoint flushes, and the sweep
-// itself render as duration events in one extra process, each span track a
-// thread. Simulator sections keep cycle timestamps; span timestamps are
-// microseconds since the tracer's epoch — different clocks, separate
-// processes, one timeline document.
-func ChromeTraceWith(sections []TraceSection, spans []telemetry.Span) ([]byte, error) {
-	evs, err := chromeEvents(sections)
-	if err != nil {
-		return nil, err
-	}
-	if len(spans) > 0 {
-		pid := len(sections)
-		evs = append(evs, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Tid: "meta",
-			Args: map[string]any{"name": "sweep lifecycle"},
-		})
-		for _, s := range spans {
-			evs = append(evs, chromeEvent{
-				Name: s.Name, Ph: "X",
-				Ts:  s.Start.Microseconds(),
-				Dur: s.Dur.Microseconds(),
-				Pid: pid, Tid: s.Track,
-			})
-		}
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Ts < evs[j].Ts })
-	}
-	return marshalChrome(evs)
-}

@@ -47,12 +47,11 @@ type SweepConfig struct {
 	// one (store.OS). Tests inject failing filesystems here.
 	FS store.FS
 	// Metrics receives sweep progress events (task totals, completions,
-	// checkpoint flushes). Nil-safe; never read back into sweep decisions,
-	// so checkpoints and results are identical with or without it.
+	// checkpoint flushes) and records the sweep span, a run span per task
+	// and a span per checkpoint flush. Nil-safe; never read back into sweep
+	// decisions, so checkpoints and results are identical with or without
+	// it.
 	Metrics *telemetry.SweepMetrics
-	// Tracer records the sweep span, a run span per task and a span per
-	// checkpoint flush.
-	Tracer *telemetry.Tracer
 }
 
 // Failure is a task that ran and did not complete: its error, a recovered
@@ -110,7 +109,7 @@ func RunSweep[T any](ctx context.Context, cfg SweepConfig, tasks []Task[T]) (*Sw
 	if cfg.FS == nil {
 		cfg.FS = store.OS
 	}
-	defer cfg.Tracer.Begin("sweep", cfg.Tool)()
+	defer cfg.Metrics.OnSweep(cfg.Tool)()
 	res := &SweepResult[T]{Results: make(map[string]T, len(tasks))}
 
 	cp := NewCheckpoint(cfg.Tool, cfg.Fingerprint)
@@ -162,14 +161,12 @@ func RunSweep[T any](ctx context.Context, cfg SweepConfig, tasks []Task[T]) (*Sw
 		if err := cp.SaveFS(cfg.FS, cfg.CheckpointPath); err != nil {
 			res.PersistWarning = fmt.Sprintf("checkpointing disabled: %v", err)
 		}
-		dur := time.Since(start)
-		cfg.Metrics.OnFlush(dur.Seconds())
-		cfg.Tracer.Record("checkpoint", "flush", start, dur)
+		cfg.Metrics.OnFlush(start)
 	}
 	run := func(t Task[T]) {
 		start := time.Now()
 		v, err := runTask(ctx, t)
-		cfg.Tracer.Record("run", t.ID, start, time.Since(start))
+		cfg.Metrics.OnRun(t.ID, start)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {

@@ -41,8 +41,7 @@ func TestSweepTelemetryByteInvariance(t *testing.T) {
 	res, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp", CheckpointPath: instr,
 		Workers: 8,
-		Metrics: telemetry.NewSweepMetrics(reg),
-		Tracer:  tr,
+		Metrics: telemetry.NewSweepMetrics(reg, tr),
 	}, mkTasks())
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func TestSweepTelemetryByteInvariance(t *testing.T) {
 	reg2 := telemetry.NewRegistry()
 	if _, err := RunSweep(context.Background(), SweepConfig{
 		Tool: "tool", Fingerprint: "fp", ResumePath: instr,
-		Metrics: telemetry.NewSweepMetrics(reg2),
+		Metrics: telemetry.NewSweepMetrics(reg2, nil),
 	}, mkTasks()); err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func Run[T any](s *Session, fingerprint string, tasks []sched.Task[T]) map[strin
 			Tool: s.tool, Fingerprint: fingerprint,
 			Workers: s.Workers,
 			LogW:    os.Stderr,
-			Metrics: s.Tel.SweepMetrics(), Tracer: s.Tel.Tracer(),
+			Metrics: s.Tel.SweepMetrics(),
 		}, tasks)
 		s.CloseStore()
 		if err != nil {
@@ -279,7 +279,6 @@ func Run[T any](s *Session, fingerprint string, tasks []sched.Task[T]) map[strin
 		ResumePath:     s.Resume,
 		Workers:        s.Workers,
 		Metrics:        s.Tel.SweepMetrics(),
-		Tracer:         s.Tel.Tracer(),
 	}, tasks)
 	if err != nil {
 		if res != nil && res.Interrupted {

@@ -1,9 +1,9 @@
 // Package mount wires the telemetry substrate into a running tool in one
-// call: it builds the registry and tracer, registers the polled series that
-// bridge the dependency-free hot packages (memo, uarch, store) into the
-// registry, installs the process-wide instrument set for the HEF search,
-// starts the /metrics server and the heartbeat, and tears everything down in
-// order on Close.
+// call: it builds the registry and span tracer, registers the polled series
+// that bridge the hot packages (memo, uarch, store) into the registry,
+// installs the process-wide instrument set for the HEF search, starts the
+// /metrics server and the heartbeat, and tears everything down in order on
+// Close.
 //
 // The package exists so the three command-line tools stay thin: each parses
 // -metrics-addr/-heartbeat, calls Start, and threads the returned session's
@@ -47,7 +47,9 @@ type Options struct {
 	// Embedded builds the /metrics, /healthz, /readyz, and /status endpoints
 	// without binding a listener: a daemon (cmd/hefd) mounts Session.Handler
 	// on its own hardened HTTP server and still drives readiness through
-	// SetReady/SetDraining. Mutually exclusive with MetricsAddr.
+	// SetReady/SetDraining. Mutually exclusive with MetricsAddr. An embedded
+	// session records no spans: a daemon exports no trace, so a
+	// process-lifetime span buffer would only fill.
 	Embedded bool
 }
 
@@ -74,13 +76,15 @@ func Start(opts Options) (*Session, error) {
 		opts.LogW = os.Stderr
 	}
 	s := &Session{
-		reg:    telemetry.NewRegistry(),
-		tracer: telemetry.NewTracer(),
-		start:  time.Now(),
-		logW:   opts.LogW,
+		reg:   telemetry.NewRegistry(),
+		start: time.Now(),
+		logW:  opts.LogW,
+	}
+	if !opts.Embedded {
+		s.tracer = telemetry.NewTracer()
 	}
 
-	// The hot packages (memo, uarch) stay free of telemetry imports; their
+	// The hot packages (memo, uarch) stay free of metric instruments; their
 	// package-level totals are bridged in as polled series, computed only
 	// when something scrapes.
 	s.reg.GaugeFunc(telemetry.MetricMemoHits, "measurement memo hits across all caches", func() float64 {
@@ -160,22 +164,13 @@ func (s *Session) Registry() *telemetry.Registry {
 	return s.reg
 }
 
-// Tracer exposes the session's span tracer (nil when disabled); pass it to
-// SweepConfig.Tracer.
-func (s *Session) Tracer() *telemetry.Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tracer
-}
-
 // SweepMetrics builds the sweep instrument set on the session's registry
-// (nil when disabled); pass it to SweepConfig.Metrics.
+// and span tracer (nil when disabled); pass it to SweepConfig.Metrics.
 func (s *Session) SweepMetrics() *telemetry.SweepMetrics {
 	if s == nil {
 		return nil
 	}
-	return telemetry.NewSweepMetrics(s.reg)
+	return telemetry.NewSweepMetrics(s.reg, s.tracer)
 }
 
 // Handler returns the telemetry endpoint mux of an Embedded session for the
@@ -240,26 +235,22 @@ func (s *Session) AttachReport(rep *obs.RunReport) {
 }
 
 // WriteTrace renders the recorded lifecycle spans as Chrome trace-event
-// JSON at path — call it once the sweep has completed. No-op on a nil
-// session or an empty path.
+// JSON at path — call it once the sweep has completed. The spans form one
+// "sweep lifecycle" section; with none recorded the document is empty.
+// No-op on a nil session or an empty path.
 func (s *Session) WriteTrace(path string) error {
 	if s == nil || path == "" {
 		return nil
 	}
-	data, err := obs.ChromeTraceWith(nil, s.tracer.Spans())
+	var sections []obs.TraceSection
+	if spans := s.tracer.Spans(); len(spans) > 0 {
+		sections = []obs.TraceSection{{Name: "sweep lifecycle", Spans: spans}}
+	}
+	data, err := obs.ChromeTrace(sections)
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// Spans returns the recorded lifecycle spans for trace export (nil when
-// disabled).
-func (s *Session) Spans() []telemetry.Span {
-	if s == nil {
-		return nil
-	}
-	return s.tracer.Spans()
 }
 
 // Close stops the heartbeat (emitting its final line), shuts the server

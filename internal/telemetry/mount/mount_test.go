@@ -27,7 +27,7 @@ func TestDisabledSessionIsNil(t *testing.T) {
 	s.SetDraining()
 	s.ObserveStore(nil)
 	s.AttachReport(nil)
-	if s.Registry() != nil || s.Tracer() != nil || s.SweepMetrics() != nil || s.Spans() != nil {
+	if s.Registry() != nil || s.SweepMetrics() != nil {
 		t.Fatal("nil session leaked live instruments")
 	}
 	s.Close()
@@ -106,7 +106,10 @@ func TestWriteTrace(t *testing.T) {
 		t.Fatal("trace-only session should be live")
 	}
 	defer s.Close()
-	s.Tracer().Begin("sweep", "all")()
+	if _, err := sched.RunSweep(context.Background(), sched.SweepConfig{Tool: "all", Metrics: s.SweepMetrics()},
+		[]sched.Task[int]{{ID: "j", Run: func(context.Context) (int, error) { return 1, nil }}}); err != nil {
+		t.Fatal(err)
+	}
 
 	path := t.TempDir() + "/trace.json"
 	if err := s.WriteTrace(path); err != nil {

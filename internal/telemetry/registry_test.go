@@ -47,20 +47,23 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Begin("t", "n")()
 	tr.Record("t", "n", time.Now(), time.Second)
-	if tr.Len() != 0 || tr.Spans() != nil {
+	tr.Add(Span{Name: "n"})
+	if tr.Len() != 0 || tr.Spans() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer recorded")
 	}
 	var wm *SweepMetrics
+	wm.OnSweep("tool")()
 	wm.OnPlan(10, 2)
+	wm.OnRun("task", time.Now())
 	wm.OnTaskDone()
-	wm.OnFlush(0.01)
+	wm.OnFlush(time.Now())
 	wm.OnInterrupt()
 	var xm *SearchMetrics
 	xm.OnWave(4)
 	xm.OnEvaluated(true)
 	xm.OnBest(1.23)
 	xm.OnSearchEnd()
-	if NewSweepMetrics(nil) != nil || NewSearchMetrics(nil) != nil {
+	if NewSweepMetrics(nil, NewTracer()) != nil || NewSearchMetrics(nil) != nil {
 		t.Fatal("nil registry produced a metric set")
 	}
 }
@@ -202,7 +205,7 @@ func TestTracer(t *testing.T) {
 	tr := NewTracer()
 	end := tr.Begin("sweep", "figure")
 	end()
-	tr.Record("queue", "wait", time.Now(), 5*time.Millisecond)
+	tr.Record("checkpoint", "flush", time.Now(), 5*time.Millisecond)
 	spans := tr.Spans()
 	if len(spans) != 2 || tr.Len() != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
@@ -210,8 +213,14 @@ func TestTracer(t *testing.T) {
 	if spans[0].Track != "sweep" || spans[0].Name != "figure" {
 		t.Fatalf("span 0 = %+v", spans[0])
 	}
-	if spans[1].Dur != 5*time.Millisecond {
-		t.Fatalf("span 1 dur = %v", spans[1].Dur)
+	if spans[1].Dur != 5000 {
+		t.Fatalf("span 1 dur = %d µs, want 5000", spans[1].Dur)
+	}
+	// Wall-clock spans are kept in whole microseconds since the epoch,
+	// truncated, as the Chrome export shows them.
+	tr.Record("run", "t", tr.epoch.Add(2500*time.Nanosecond), 1999*time.Nanosecond)
+	if s := tr.Spans()[2]; s.Start != 2 || s.Dur != 1 {
+		t.Fatalf("span 2 = %+v, want start 2 µs, dur 1 µs", s)
 	}
 
 	// The cap bounds memory: spans beyond it are dropped, not appended.
@@ -220,8 +229,8 @@ func TestTracer(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		small.Record("t", "n", time.Now(), 0)
 	}
-	if small.Len() != 2 {
-		t.Fatalf("capped tracer len = %d, want 2", small.Len())
+	if small.Len() != 2 || small.Dropped() != 3 {
+		t.Fatalf("capped tracer len = %d, dropped = %d; want 2 and 3", small.Len(), small.Dropped())
 	}
 }
 

@@ -178,7 +178,7 @@ func TestServerNil(t *testing.T) {
 
 func TestHeartbeat(t *testing.T) {
 	reg := NewRegistry()
-	NewSweepMetrics(reg).OnPlan(6, 2)
+	NewSweepMetrics(reg, nil).OnPlan(6, 2)
 	reg.Counter(MetricMemoHits, "").Add(81)
 	reg.Counter(MetricMemoMisses, "").Add(19)
 	reg.Gauge(MetricFrontierSize, "").Set(2)

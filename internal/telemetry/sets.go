@@ -1,5 +1,7 @@
 package telemetry
 
+import "time"
+
 // Canonical series names. The heartbeat and the smoke tests read these, so
 // they live here rather than being retyped at every wiring site.
 const (
@@ -69,15 +71,19 @@ const (
 	MetricDistViolations  = "hef_dist_determinism_violations_total"
 )
 
-// SweepMetrics is the instrument set sched.RunSweep bumps.
+// SweepMetrics is the instrument set sched.RunSweep bumps: progress
+// series on the registry, and lifecycle spans (the sweep, a run per task, a
+// flush per checkpoint save) on the tracer, which may be nil.
 type SweepMetrics struct {
 	Tasks, Interrupted          *Gauge
 	TasksDone, Resumed, Flushes *Counter
 	CheckpointSeconds           *Histogram
+	spans                       *Tracer
 }
 
-// NewSweepMetrics registers the sweep series on r (nil r → nil set).
-func NewSweepMetrics(r *Registry) *SweepMetrics {
+// NewSweepMetrics registers the sweep series on r and records spans on
+// spans (nil r → nil set).
+func NewSweepMetrics(r *Registry, spans *Tracer) *SweepMetrics {
 	if r == nil {
 		return nil
 	}
@@ -88,7 +94,17 @@ func NewSweepMetrics(r *Registry) *SweepMetrics {
 		Resumed:           r.Counter(MetricSweepResumed, "sweep tasks satisfied from the resume checkpoint"),
 		Flushes:           r.Counter(MetricSweepFlushes, "checkpoint flushes"),
 		CheckpointSeconds: r.Histogram(MetricCheckpointSecs, "checkpoint flush latency in seconds", nil),
+		spans:             spans,
 	}
+}
+
+// OnSweep opens the span of the whole sweep and returns the closure that
+// ends it.
+func (m *SweepMetrics) OnSweep(tool string) func() {
+	if m == nil {
+		return func() {}
+	}
+	return m.spans.Begin("sweep", tool)
 }
 
 // OnPlan publishes the sweep's task total and resumed count.
@@ -101,6 +117,14 @@ func (m *SweepMetrics) OnPlan(total, resumed int) {
 	m.TasksDone.Add(uint64(resumed))
 }
 
+// OnRun records the run span of task id, started at start and ending now.
+func (m *SweepMetrics) OnRun(id string, start time.Time) {
+	if m == nil {
+		return
+	}
+	m.spans.Record("run", id, start, time.Since(start))
+}
+
 // OnTaskDone records one task completing in this process.
 func (m *SweepMetrics) OnTaskDone() {
 	if m == nil {
@@ -109,13 +133,15 @@ func (m *SweepMetrics) OnTaskDone() {
 	m.TasksDone.Inc()
 }
 
-// OnFlush records one checkpoint flush taking sec seconds.
-func (m *SweepMetrics) OnFlush(sec float64) {
+// OnFlush records one checkpoint flush, started at start and ending now.
+func (m *SweepMetrics) OnFlush(start time.Time) {
 	if m == nil {
 		return
 	}
+	dur := time.Since(start)
 	m.Flushes.Inc()
-	m.CheckpointSeconds.Observe(sec)
+	m.CheckpointSeconds.Observe(dur.Seconds())
+	m.spans.Record("checkpoint", "flush", start, dur)
 }
 
 // OnInterrupt flags the sweep as draining.

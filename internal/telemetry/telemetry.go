@@ -2,7 +2,8 @@
 // reproduction: a dependency-free metrics registry (atomic counters,
 // gauges, and bounded histograms), Prometheus text exposition with
 // health/readiness/status HTTP endpoints, periodic structured heartbeat
-// lines, and span-based tracing of the sweep lifecycle. The long-running
+// lines, and the one span type and recorder that trace both the sweep
+// lifecycle and the simulator's per-instruction schedule. The long-running
 // tools (hefopt, hefsens, ssbbench — and eventually the hefd daemon) mount
 // it behind -metrics-addr and -heartbeat so a multi-hour sweep is
 // observable while it runs, not only through the obs.RunReport it emits at

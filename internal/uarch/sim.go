@@ -8,6 +8,7 @@ import (
 	"hef/internal/cache"
 	"hef/internal/check"
 	"hef/internal/isa"
+	"hef/internal/telemetry"
 )
 
 const (
@@ -357,8 +358,8 @@ type Sim struct {
 	// (see skeleton.go), rebuilt in place when a Run binds another.
 	skel skeleton
 
-	// trace is the optional lifecycle recorder (SetTraceLog).
-	trace *TraceLog
+	// trace is the optional lifecycle recorder (SetTracer).
+	trace *telemetry.Tracer
 	// lastPort and lastLevel communicate the issue port and cache fill level
 	// chosen by the most recent successful tryIssue to the trace hooks.
 	lastPort  int8
@@ -621,7 +622,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 			res.Instructions++
 			res.Uops += uint64(uops)
 			if s.trace != nil {
-				s.trace.add(TraceEvent{Kind: TraceRetire, Cycle: cycle, Iter: s.robIter[h], Body: b, Name: prog.Body[b].Instr.Name, Port: -1})
+				s.traceStage("retire", cycle, s.robIter[h], b, prog.Body[b].Instr.Name)
 			}
 			s.uopsInROB -= uops
 			h++
@@ -777,7 +778,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 								}
 								s.inflight.push(comp)
 								if s.trace != nil {
-									s.trace.add(TraceEvent{Kind: TraceIssue, Cycle: cycle, Dur: int64(lat), Iter: s.robIter[ei], Body: b, Name: prog.Body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
+									s.traceIssue(cycle, int64(lat), s.robIter[ei], b, prog.Body[b].Instr.Name)
 								}
 								issuedUops += int(sk.uops[b])
 								issuedInstrs++
@@ -826,10 +827,6 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 					s.rsNextReady = minNext
 				}
 			}
-		}
-		if Debug && cycle < 300 {
-			fmt.Printf("c%3d: rob=%d rs=%d issued=%d retired=%d dispIter=%d portFree=%v\n",
-				cycle, s.robCount, s.rsCount, issuedInstrs, retiredUops, dispatchIter, s.portFree)
 		}
 		res.IssuedUops += uint64(issuedUops)
 		if issuedUops >= HistBuckets {
@@ -933,7 +930,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 			}
 			s.rsCount++
 			if s.trace != nil {
-				s.trace.add(TraceEvent{Kind: TraceDispatch, Cycle: cycle, Iter: dispatchIter, Body: int32(b), Name: prog.Body[b].Instr.Name, Port: -1})
+				s.traceStage("dispatch", cycle, dispatchIter, int32(b), prog.Body[b].Instr.Name)
 			}
 			t++
 			if t == len(s.robBody) {
@@ -1396,6 +1393,3 @@ func EffectiveFreq(cpu *isa.CPU, prog *Program, res *Result) float64 {
 	}
 	return f
 }
-
-// Debug enables per-cycle tracing for development diagnostics.
-var Debug bool

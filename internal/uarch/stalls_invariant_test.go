@@ -5,10 +5,12 @@ package uarch_test
 // package uarch).
 
 import (
+	"strings"
 	"testing"
 
 	"hef/internal/hashes"
 	"hef/internal/isa"
+	"hef/internal/telemetry"
 	"hef/internal/translator"
 	"hef/internal/uarch"
 )
@@ -109,7 +111,7 @@ func TestStallsAddAndScalePreserveInvariant(t *testing.T) {
 }
 
 // TestTraceLogLifecycle checks the opt-in recorder captures a dispatch,
-// issue, and retire event for every retired instruction, and nothing else.
+// issue, and retire span for every retired instruction, and nothing else.
 func TestTraceLogLifecycle(t *testing.T) {
 	cpu, err := isa.ByName("silver")
 	if err != nil {
@@ -120,37 +122,43 @@ func TestTraceLogLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := uarch.NewSim(cpu)
-	log := &uarch.TraceLog{}
-	sim.SetTraceLog(log)
+	tr := telemetry.NewTracer()
+	sim.SetTracer(tr)
 	res, err := sim.Run(out.Program, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[uarch.TraceKind]uint64{}
-	for _, ev := range log.Events {
-		counts[ev.Kind]++
-	}
-	for _, k := range []uarch.TraceKind{uarch.TraceDispatch, uarch.TraceIssue, uarch.TraceRetire} {
-		if counts[k] != res.Instructions {
-			t.Errorf("%v events = %d, want one per retired instruction (%d)", k, counts[k], res.Instructions)
+	spans := tr.Spans()
+	counts := map[string]uint64{}
+	for _, s := range spans {
+		stage := "issue"
+		if s.Instant {
+			stage, _, _ = strings.Cut(s.Name, " ")
+		}
+		counts[stage]++
+		if !s.Instr {
+			t.Errorf("span %s is not marked as an instruction's", s.Name)
+		}
+		if !s.Instant && !strings.HasPrefix(s.Track, "port ") {
+			t.Errorf("issue span for %s iter %d has no port (track %q)", s.Name, s.Iter, s.Track)
 		}
 	}
-	if n := uint64(len(log.Events)); n != 3*res.Instructions {
-		t.Errorf("%d events, want three per retired instruction (%d)", n, res.Instructions)
-	}
-	for _, ev := range log.Events {
-		if ev.Kind == uarch.TraceIssue && ev.Port < 0 {
-			t.Errorf("issue event for %s iter %d has no port", ev.Name, ev.Iter)
+	for _, stage := range []string{"dispatch", "issue", "retire"} {
+		if counts[stage] != res.Instructions {
+			t.Errorf("%s spans = %d, want one per retired instruction (%d)", stage, counts[stage], res.Instructions)
 		}
+	}
+	if n := uint64(len(spans)); n != 3*res.Instructions || tr.Dropped() != 0 {
+		t.Errorf("%d spans (%d dropped), want three per retired instruction (%d) and none dropped", n, tr.Dropped(), res.Instructions)
 	}
 
 	// Detached: no further recording.
-	sim.SetTraceLog(nil)
-	n := len(log.Events)
+	sim.SetTracer(nil)
+	n := tr.Len()
 	if _, err := sim.Run(out.Program, 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(log.Events) != n {
-		t.Errorf("recorder captured %d events after detach", len(log.Events)-n)
+	if tr.Len() != n {
+		t.Errorf("recorder captured %d spans after detach", tr.Len()-n)
 	}
 }

@@ -24,11 +24,11 @@ import (
 // (see steady_test.go and the engine's differential over translated
 // templates).
 //
-// The fast path turns itself off when a trace log is attached (events carry
-// absolute cycles), when Debug printing is on, and when port-fault injection
-// is active (faults hash the absolute cycle, so state recurrence does not
-// imply trajectory recurrence). Latency/occupancy perturbation keys on the
-// instruction name and is safe.
+// The fast path turns itself off when a tracer is attached (spans carry
+// absolute cycles) and when port-fault injection is active (faults hash the
+// absolute cycle, so state recurrence does not imply trajectory
+// recurrence). Latency/occupancy perturbation keys on the instruction name
+// and is safe.
 
 const (
 	// steadyRing is how many recent boundary snapshots are kept: a
@@ -102,7 +102,7 @@ func (st *steadyState) begin(s *Sim) {
 	st.active = false
 	st.recording = false
 	st.invariantErr = nil
-	if s.fastOff || s.trace != nil || Debug {
+	if s.fastOff || s.trace != nil {
 		return
 	}
 	if s.perturb != nil && s.perturb.PortFaultRate > 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hef/internal/isa"
+	"hef/internal/telemetry"
 )
 
 // steadyCPUs is the four machine models the fast path must be bit-exact on.
@@ -215,15 +216,14 @@ func TestFastPathUnderPerturbation(t *testing.T) {
 	}
 }
 
-// TestFastPathDeclinesTrace: attached trace logs record absolute cycles for
-// every event, so extrapolation must be off.
+// TestFastPathDeclinesTrace: an attached tracer records absolute cycles for
+// every span, so extrapolation must be off.
 func TestFastPathDeclinesTrace(t *testing.T) {
 	s := NewSim(isa.XeonSilver4110())
-	tl := &TraceLog{}
-	s.SetTraceLog(tl)
+	s.SetTracer(telemetry.NewTracer())
 	mustRun(t, s, indepProg("fp-trace", isa.MustScalar("add"), 4), 512)
 	if fi, _ := s.FastForwarded(); fi != 0 {
-		t.Errorf("fast path engaged with a trace log attached (skipped %d iters)", fi)
+		t.Errorf("fast path engaged with a tracer attached (skipped %d iters)", fi)
 	}
 }
 

@@ -1,76 +1,46 @@
 package uarch
 
+import "hef/internal/telemetry"
+
 // Per-instruction lifecycle tracing. The recorder is opt-in: attach a
-// TraceLog to a Sim with SetTraceLog and every dynamic instruction instance
-// emits dispatch, issue, and retire events (with the issue port, the cycles
-// until the result is available, and the cache level that serviced memory
-// operations). The obs package exports a log as Chrome trace-event JSON
-// loadable in Perfetto.
+// telemetry.Tracer to a Sim with SetTracer and every dynamic instruction
+// instance records three spans, timed in core cycles: a dispatch and a
+// retire instant on the "pipeline" track, and an issue span on its port's
+// track that runs until the result is available (with the cache level that
+// serviced a memory operation). obs.ChromeTrace exports them as Chrome
+// trace-event JSON loadable in Perfetto.
 
-// TraceKind enumerates the lifecycle stages recorded per instruction.
-type TraceKind uint8
+// SetTracer attaches (or, with nil, detaches) a lifecycle recorder. Spans
+// accumulate across Run calls until it is replaced.
+func (s *Sim) SetTracer(t *telemetry.Tracer) { s.trace = t }
 
-const (
-	// TraceDispatch is the cycle the instruction entered the ROB.
-	TraceDispatch TraceKind = iota
-	// TraceIssue is the cycle the instruction claimed an execution port;
-	// its Dur runs to the cycle the result became available.
-	TraceIssue
-	// TraceRetire is the cycle the instruction left the ROB.
-	TraceRetire
-)
+// traceStage records the dispatch or retire instant of body instruction b.
+// It and traceIssue stay out of line, so each record site in RunInto is one
+// call behind its nil check.
+//
+//go:noinline
+func (s *Sim) traceStage(stage string, cycle, iter int64, b int32, name string) {
+	s.trace.Add(telemetry.Span{
+		Name: stage + " " + name, Track: "pipeline", Start: cycle, Instant: true,
+		Instr: true, Iter: iter, Body: b,
+	})
+}
 
-func (k TraceKind) String() string {
-	switch k {
-	case TraceDispatch:
-		return "dispatch"
-	case TraceIssue:
-		return "issue"
-	case TraceRetire:
-		return "retire"
+// traceIssue records the issue of body instruction b on the port the last
+// tryIssue claimed, lasting lat cycles.
+//
+//go:noinline
+func (s *Sim) traceIssue(cycle, lat, iter int64, b int32, name string) {
+	s.trace.Add(telemetry.Span{
+		Name: name, Track: portTrack(s.lastPort), Start: cycle, Dur: lat,
+		Instr: true, Iter: iter, Body: b, Level: s.lastLevel,
+	})
+}
+
+// portTrack names the timeline row of issue port p.
+func portTrack(p int8) string {
+	if p < 0 {
+		return "pipeline"
 	}
-	return "unknown"
+	return "port " + string(rune('0'+p))
 }
-
-// TraceEvent is one lifecycle event of one dynamic instruction instance.
-type TraceEvent struct {
-	Kind TraceKind
-	// Cycle is when the event happened.
-	Cycle int64
-	// Dur is, on issue events, the cycles until the result is available
-	// (instruction latency plus cache effects).
-	Dur int64
-	// Iter and Body identify the dynamic instance: loop iteration and index
-	// into the program body.
-	Iter int64
-	Body int32
-	// Name is the instruction mnemonic.
-	Name string
-	// Port is the issue port claimed (issue events), or -1.
-	Port int8
-	// Level is the cache level that serviced a memory operation
-	// (1 L1 .. 4 memory, as reported by cache.Hierarchy.Access), or 0.
-	Level int8
-}
-
-// traceLimit bounds the events a TraceLog keeps.
-const traceLimit = 1 << 20
-
-// TraceLog accumulates lifecycle events, up to 2^20 of them.
-type TraceLog struct {
-	Events []TraceEvent
-	// Dropped counts events discarded after the limit was reached.
-	Dropped uint64
-}
-
-func (t *TraceLog) add(ev TraceEvent) {
-	if len(t.Events) >= traceLimit {
-		t.Dropped++
-		return
-	}
-	t.Events = append(t.Events, ev)
-}
-
-// SetTraceLog attaches (or, with nil, detaches) a lifecycle recorder. The
-// log accumulates across Run calls until replaced.
-func (s *Sim) SetTraceLog(t *TraceLog) { s.trace = t }
