@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -953,10 +952,4 @@ func (m *Manager) Close() error {
 		}
 	}
 	return err
-}
-
-// sortViews orders views by ID for deterministic test output; exported
-// behavior (List) is acceptance-ordered and does not use it.
-func sortViews(v []JobView) {
-	sort.Slice(v, func(i, j int) bool { return v[i].ID < v[j].ID })
 }

@@ -184,16 +184,6 @@ type Template struct {
 // Accumulators returns the declared accumulator variable names.
 func (t *Template) Accumulators() []string { return t.Accs }
 
-// isAcc reports whether name is a declared accumulator.
-func (t *Template) isAcc(name string) bool {
-	for _, a := range t.Accs {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Param returns the parameter with the given name.
 func (t *Template) Param(name string) (*Param, bool) {
 	for i := range t.Params {

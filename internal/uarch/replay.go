@@ -70,16 +70,16 @@ func (st *steadyState) startRecording(res *Result, digest []byte, p, d, iter, cy
 // replayRun fast-forwards whole periods from a verified recording boundary:
 // replay hierarchy calls period by period until the responses deviate or
 // only the tail remains, then extrapolate the core across the replayed span.
-func (st *steadyState) replayRun(s *Sim, res *Result, cycle, dispatchIter *int64, dispatchIdx int, minIter, iters int64) {
+func (st *steadyState) replayRun(s *Sim, res *Result, minIter int64) {
 	p, d := st.recP, st.recD
 	// Leave at least one iteration of tail so the loop-exit transition and
 	// the ROB drain are simulated, not extrapolated.
-	maxK := (iters - 1 - *dispatchIter) / p
+	maxK := (s.iters - 1 - s.dispatchIter) / p
 	if maxK <= 0 {
 		st.active = false
 		return
 	}
-	base := *dispatchIter
+	base := s.dispatchIter
 	var k int64
 	for k < maxK {
 		s.hier.BeginJournal()
@@ -92,9 +92,7 @@ func (st *steadyState) replayRun(s *Sim, res *Result, cycle, dispatchIter *int64
 	}
 	if k > 0 {
 		addScaledSelfDelta(res, &st.recRes, uint64(k))
-		s.shiftSteady(k*p, k*d, minIter, *dispatchIter, dispatchIdx)
-		*cycle += k * d
-		*dispatchIter += k * p
+		s.shiftSteady(k*p, k*d, minIter)
 		st.skippedIters += k * p
 		st.skippedCycles += k * d
 		totalReplayPeriods.Add(uint64(k))

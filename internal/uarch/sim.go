@@ -180,7 +180,8 @@ func (r *Result) Scale(f float64) {
 	r.LoadQOcc.scale(f)
 }
 
-// minHeap is a small binary min-heap of completion cycles.
+// minHeap is a small binary min-heap of completion cycles, or of the packed
+// (ready cycle, ROB index) keys of the maturation heap (readyKey).
 type minHeap []int64
 
 func (h *minHeap) push(v int64) {
@@ -221,14 +222,11 @@ func (h *minHeap) pop() int64 {
 	return v
 }
 
-// drain removes all heap entries <= cycle and returns how many were removed.
-func (h *minHeap) drain(cycle int64) int {
-	n := 0
+// drain removes all heap entries <= cycle.
+func (h *minHeap) drain(cycle int64) {
 	for len(*h) > 0 && (*h)[0] <= cycle {
 		h.pop()
-		n++
 	}
-	return n
 }
 
 func (h *minHeap) min() (int64, bool) {
@@ -238,11 +236,19 @@ func (h *minHeap) min() (int64, bool) {
 	return (*h)[0], true
 }
 
-// timedEntry pairs a scheduler entry with the cycle its operands are ready.
-type timedEntry struct {
-	at int64
-	ei int32
-}
+// robBits is the width of the ROB-index field of a maturation-heap key,
+// (ready cycle << robBits) | ROB index: a ROB ring of up to 1<<robBits
+// entries (ROBSize+8) fits, and NewSim refuses a CPU model whose ring does
+// not. Ready cycles keep the other 53 bits. Keys order by ready cycle first;
+// among entries ready in the same cycle the index order is irrelevant,
+// because insertReady places each matured entry by age.
+const (
+	robBits = 10
+	robMask = 1<<robBits - 1
+)
+
+// readyKey packs ROB entry ei, data-ready at cycle at, into a maturation key.
+func readyKey(at int64, ei int32) int64 { return at<<robBits | int64(ei) }
 
 // Sim runs programs on one CPU model, reusing internal buffers across runs.
 //
@@ -256,6 +262,17 @@ type timedEntry struct {
 type Sim struct {
 	cpu  *isa.CPU
 	hier *cache.Hierarchy
+
+	// The clock and dispatch front of the current Run: the cycle being
+	// simulated, the iteration and body position dispatch enters next, the
+	// run's iteration count, and whether every iteration has dispatched.
+	// idleSkipped counts the cycles the idle-skip stage jumped over.
+	cycle        int64
+	dispatchIter int64
+	dispatchIdx  int
+	iters        int64
+	traceDone    bool
+	idleSkipped  int64
 
 	// Reorder buffer, SoA, ring-indexed by robHead/robTail.
 	robBody       []int32
@@ -293,9 +310,9 @@ type Sim struct {
 	// (node n watches the cell robSrc[n] names; n/3 is its ROB entry), and
 	// the producer's issue walks the list, folds its completion into each
 	// watcher's readyAt, and moves watchers whose last operand just resolved
-	// (waitCnt reaches zero) into timeHeap.
+	// (waitCnt reaches zero) into timeHeap, keyed by readyKey.
 	readySet  []int32
-	timeHeap  []timedEntry
+	timeHeap  minHeap
 	waitCnt   []uint8
 	readyAt   []int64
 	watchHead []int32
@@ -388,9 +405,11 @@ func NewSim(cpu *isa.CPU) *Sim {
 	if err != nil {
 		return &Sim{cpu: cpu, hierErr: fmt.Errorf("uarch: building cache hierarchy: %w", err)}
 	}
-	s := &Sim{cpu: cpu, hier: hier}
-
 	robCap := cpu.ROBSize + 8
+	if robCap > 1<<robBits {
+		return &Sim{cpu: cpu, hierErr: fmt.Errorf("uarch: a ROB of %d µops exceeds the simulator's limit of %d", cpu.ROBSize, 1<<robBits-8)}
+	}
+	s := &Sim{cpu: cpu, hier: hier}
 	s.robBody = make([]int32, robCap)
 	s.robIter = make([]int64, robCap)
 	s.robCompletion = make([]int64, robCap)
@@ -435,63 +454,25 @@ func NewSim(cpu *isa.CPU) *Sim {
 	s.readyAt = make([]int64, robCap)
 	s.watchNext = make([]int32, 3*robCap)
 	s.readySet = make([]int32, 0, robCap)
-	s.timeHeap = make([]timedEntry, 0, robCap)
+	s.timeHeap = make(minHeap, 0, robCap)
 	return s
 }
 
-// pushTimed adds entry ei, data-ready at cycle at, to the maturation heap.
-func (s *Sim) pushTimed(at int64, ei int32) {
-	h := append(s.timeHeap, timedEntry{at, ei})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	s.timeHeap = h
-}
-
-func (s *Sim) popTimed() int32 {
-	h := s.timeHeap
-	ei := h[0].ei
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h[l].at < h[m].at {
-			m = l
-		}
-		if r < n && h[r].at < h[m].at {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	s.timeHeap = h
-	return ei
+// seq is ROB entry ei's age: its position in the dynamic instruction stream.
+func (s *Sim) seq(ei int32) int64 {
+	return s.robIter[ei]*int64(s.skel.bodyLen) + int64(s.robBody[ei])
 }
 
 // insertReady places a matured entry into readySet at its age position, so
 // the scan visits data-ready entries in exactly the order the exhaustive
 // age-ordered scan would attempt them.
 func (s *Sim) insertReady(ei int32) {
-	bl := int64(s.skel.bodyLen)
-	seq := s.robIter[ei]*bl + int64(s.robBody[ei])
+	seq := s.seq(ei)
 	rdy := s.readySet
 	lo, hi := 0, len(rdy)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		m := rdy[mid]
-		if s.robIter[m]*bl+int64(s.robBody[m]) < seq {
+		if s.seq(rdy[mid]) < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -551,6 +532,13 @@ func (s *Sim) Run(prog *Program, iters int64) (*Result, error) {
 // RunInto is Run with caller-owned result storage: res is fully overwritten
 // (its PortBusy backing array is reused when large enough), so hot sweep
 // loops can run without per-call allocations.
+//
+// Every simulated cycle runs the same stages in order: complete, the
+// steady-state boundary (period detection and replay, steady.go), retire,
+// issue, dispatch and account. A cycle in which nothing retired, issued or
+// dispatched ends in the idle-skip stage, which jumps to the next cycle at
+// which anything can happen and charges the skipped cycles through the same
+// account.
 func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 	if s.hierErr != nil {
 		return s.hierErr
@@ -561,443 +549,40 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 	if err := s.bind(prog); err != nil {
 		return err
 	}
-	sk := &s.skel
-	s.reset()
+	s.reset(res, iters)
 	statsBefore := s.hier.Stats()
-
-	cpu := s.cpu
-	pb := res.PortBusy[:0]
-	*res = Result{Name: prog.Name}
-	if cap(pb) < len(cpu.Ports) {
-		pb = make([]uint64, len(cpu.Ports))
-	} else {
-		pb = pb[:len(cpu.Ports)]
-		clear(pb)
-	}
-	res.PortBusy = pb
-	res.ROBOcc.Cap = cpu.ROBSize
-	res.LoadQOcc.Cap = cpu.LoadQueue
-	nr := sk.numRegs
-	slab := s.slab
-	bodyLen := sk.bodyLen
-
-	var cycle int64
-	var dispatchIter int64
-	var dispatchIdx int
-	var idleSkipped int64
-	traceDone := false
 	s.steady.begin(s)
 
-	for !traceDone || s.robCount > 0 {
-		// Free memory-queue slots whose operations completed.
-		s.loadQ.drain(cycle)
-		s.storeQ.drain(cycle)
-		s.lfb.drain(cycle)
-		s.inflight.drain(cycle)
-
-		// Steady-state fast path: at the first cycle observing each new
-		// dispatch iteration (after the drains, so every queued completion
-		// is in the future), look for an exact recurrence of the core's
-		// relative state and, once a recorded period verifies, replay whole
-		// periods of the loop at once.
-		if s.steady.active && !traceDone && dispatchIter > s.steady.lastIter {
-			s.steady.observe(s, res, &cycle, &dispatchIter, dispatchIdx, iters)
+	for !s.traceDone || s.robCount > 0 {
+		s.complete()
+		// The boundary runs at the first cycle that observes each new
+		// dispatch iteration, after the drains, so every queued completion
+		// is in the future.
+		if s.steady.active && !s.traceDone && s.dispatchIter > s.steady.lastIter {
+			s.steady.observe(s, res)
 		}
-
-		// Retire in order.
-		retiredUops := 0
-		for s.robCount > 0 {
-			h := s.robHead
-			if !s.robIssued[h] || s.robCompletion[h] > cycle {
-				break
-			}
-			b := s.robBody[h]
-			uops := int(sk.uops[b])
-			// Instructions wider than the retire bandwidth (e.g. gathers)
-			// retire alone; otherwise respect the per-cycle budget.
-			if retiredUops > 0 && retiredUops+uops > cpu.RetireWidth {
-				break
-			}
-			retiredUops += uops
-			res.Instructions++
-			res.Uops += uint64(uops)
-			if s.trace != nil {
-				s.traceStage("retire", cycle, s.robIter[h], b, prog.Body[b].Instr.Name)
-			}
-			s.uopsInROB -= uops
-			h++
-			if h == len(s.robBody) {
-				h = 0
-			}
-			s.robHead = h
-			s.robCount--
-		}
-
+		retired := s.retire(res)
 		// Top-down attribution: a cycle that retired µops is retiring; a
 		// non-retiring cycle is charged to whatever blocks the oldest
-		// in-flight instruction at this point (after retirement, before
-		// issue, so the classification sees the state that stalled it).
+		// in-flight instruction after retirement and before issue.
 		stall := stallRetiring
-		if retiredUops == 0 {
-			stall = s.classifyStall(cycle)
+		if retired == 0 {
+			stall = s.classifyStall()
 		}
-
-		// Issue from the scheduler in age order. A scan below rsNextReady is
-		// provably fruitless (no slab cell changed since the bound was
-		// sampled) and is skipped wholesale; the cycle still accounts as an
-		// ordinary zero-issue cycle.
-		issuedUops := 0
-		issuedInstrs := 0
-		if cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || len(s.readySet) > 0) {
-			// Mature event-tracked entries whose data-ready cycle has arrived
-			// into the age-ordered ready set.
-			for len(s.timeHeap) > 0 && s.timeHeap[0].at <= cycle {
-				s.insertReady(s.popTimed())
-			}
-			if len(s.rs) == 0 && len(s.readySet) == 0 {
-				// Every waiting entry is event-tracked with a future ready
-				// cycle: the heap minimum (non-empty here) is the exact next.
-				s.rsNextReady = s.timeHeap[0].at
-			} else {
-				// Snapshot port availability once; claims clear bits as the
-				// scan proceeds, and the lowest set bit of a class's masked
-				// ports is exactly the port an ascending scan would pick.
-				pm := uint32(0)
-				for i, f := range s.portFree {
-					if f <= cycle {
-						pm |= 1 << i
-					}
-				}
-				if s.perturb != nil && s.perturb.PortFaultRate > 0 {
-					for m := pm; m != 0; m &= m - 1 {
-						p := bits.TrailingZeros32(m)
-						if s.perturb.PortFault(p, cycle) {
-							pm &^= 1 << p
-						}
-					}
-				}
-				s.portMask = pm
-				s.scanGen++
-				gen := s.scanGen
-
-				minNext := int64(math.MaxInt64)
-				if len(s.timeHeap) > 0 {
-					minNext = s.timeHeap[0].at
-				}
-				// Merge-walk the resampled list and the ready set in age
-				// order, reproducing the attempt sequence of one exhaustive
-				// age-ordered scan over all waiting entries (event-tracked
-				// entries that are not yet ready are provably unissuable this
-				// cycle and need no visit).
-				bl := int64(bodyLen)
-				rs := s.rs
-				rdy := s.readySet
-				ai, bi := 0, 0
-				wa, wb := 0, 0
-				aSeq, bSeq := int64(math.MaxInt64), int64(math.MaxInt64)
-				if len(rs) > 0 {
-					aSeq = s.robIter[rs[0]]*bl + int64(s.robBody[rs[0]])
-				}
-				if len(rdy) > 0 {
-					bSeq = s.robIter[rdy[0]]*bl + int64(s.robBody[rdy[0]])
-				}
-				for ai < len(rs) || bi < len(rdy) {
-					fromA := aSeq <= bSeq
-					var ei int32
-					if fromA {
-						ei = rs[ai]
-					} else {
-						ei = rdy[bi]
-					}
-					issued := false
-					if issuedInstrs < issueInstrCap {
-						attempt := true
-						if fromA {
-							// Live-sample this entry's operand cells: its
-							// watched registers can be rewritten (accumulator
-							// redefinitions), so only current values decide.
-							so := int(ei) * 3
-							n := int(s.robSrcCnt[ei])
-							var ready int64
-							for k := 0; k < n; k++ {
-								v := slab[s.robSrc[so+k]]
-								if v == notIssued {
-									attempt = false
-									break
-								}
-								if v > ready {
-									ready = v
-								}
-							}
-							if attempt && ready > cycle {
-								// Data-ready at a known future cycle: a
-								// candidate for the scan-skip bound.
-								if ready < minNext {
-									minNext = ready
-								}
-								attempt = false
-							}
-						}
-						if attempt {
-							b := s.robBody[ei]
-							if s.blockedGen[b] == gen {
-								// A same-body entry already failed this scan
-								// and resources only shrink within one: same
-								// outcome, same bound.
-								if s.blockedRetry[b] < minNext {
-									minNext = s.blockedRetry[b]
-								}
-							} else if lat, ok := s.tryIssue(ei, b, cycle); !ok {
-								// Blocked on execution resources: retryAt is
-								// the earliest the failing conditions clear.
-								s.blockedGen[b] = gen
-								s.blockedRetry[b] = s.retryAt
-								if s.retryAt < minNext {
-									minNext = s.retryAt
-								}
-							} else {
-								issued = true
-								comp := cycle + int64(lat)
-								s.robIssued[ei] = true
-								s.robCompletion[ei] = comp
-								s.rsCount--
-								if o := s.robDst[ei]; o >= 0 {
-									slab[o] = comp
-									// Wake the consumers parked on this cell.
-									for node := s.watchHead[o]; node >= 0; node = s.watchNext[node] {
-										we := node / 3
-										if comp > s.readyAt[we] {
-											s.readyAt[we] = comp
-										}
-										s.waitCnt[we]--
-										if s.waitCnt[we] == 0 {
-											s.pushTimed(s.readyAt[we], we)
-										}
-									}
-									s.watchHead[o] = -1
-								}
-								s.inflight.push(comp)
-								if s.trace != nil {
-									s.traceIssue(cycle, int64(lat), s.robIter[ei], b, prog.Body[b].Instr.Name)
-								}
-								issuedUops += int(sk.uops[b])
-								issuedInstrs++
-								if sk.w512[b] {
-									res.Vec512Uops += uint64(sk.uops[b])
-								}
-								if sk.class[b] == isa.Prefetch {
-									res.PrefetchUops++
-								}
-							}
-						}
-					}
-					if fromA {
-						if !issued {
-							rs[wa] = ei
-							wa++
-						}
-						ai++
-						if ai < len(rs) {
-							aSeq = s.robIter[rs[ai]]*bl + int64(s.robBody[rs[ai]])
-						} else {
-							aSeq = int64(math.MaxInt64)
-						}
-					} else {
-						if !issued {
-							rdy[wb] = ei
-							wb++
-						}
-						bi++
-						if bi < len(rdy) {
-							bSeq = s.robIter[rdy[bi]]*bl + int64(s.robBody[rdy[bi]])
-						} else {
-							bSeq = int64(math.MaxInt64)
-						}
-					}
-				}
-				s.rs = rs[:wa]
-				s.readySet = rdy[:wb]
-				if issuedInstrs > 0 || minNext == int64(math.MaxInt64) {
-					// An issue rewrote the slab and resource horizons, so the
-					// sampled bound is void (and the MaxInt64 case is a
-					// defensive clamp against an all-blocked scan with no
-					// finite retry bound).
-					s.rsNextReady = cycle + 1
-				} else {
-					s.rsNextReady = minNext
-				}
-			}
+		issued := s.issue(res)
+		dispatched := s.dispatch()
+		s.account(res, stall, s.cycle, 1)
+		if retired == 0 && issued == 0 && dispatched == 0 && s.idleSkip(res, stall) {
+			continue
 		}
-		res.IssuedUops += uint64(issuedUops)
-		if issuedUops >= HistBuckets {
-			issuedUops = HistBuckets - 1
-		}
-		res.Hist[issuedUops]++
-
-		// Dispatch new instructions into ROB + scheduler, resolving each
-		// entry's operand cells to slab offsets as it enters.
-		dispatched := 0
-		budget := cpu.DecodeWidth
-		for !traceDone && budget > 0 {
-			b := dispatchIdx
-			uops := int(sk.uops[b])
-			if s.uopsInROB+uops > cpu.ROBSize || s.rsCount >= cpu.RSSize || s.robCount >= len(s.robBody) {
-				break
-			}
-			sameBase := int(dispatchIter&regRingMask) * nr
-			if b == 0 {
-				cells := slab[sameBase : sameBase+nr]
-				for i := range cells {
-					cells[i] = notIssued
-				}
-				// The slot's watcher lists are dead along with its cells
-				// (any live watcher's producer issued long before the ring
-				// wrapped around to this slot).
-				wh := s.watchHead[sameBase : sameBase+nr]
-				for i := range wh {
-					wh[i] = -1
-				}
-			}
-			t := s.robTail
-			s.robBody[t] = int32(b)
-			s.robIter[t] = dispatchIter
-			s.robIssued[t] = false
-			if d := sk.dst[b]; d != NoReg {
-				s.robDst[t] = int32(sameBase + int(d))
-			} else {
-				s.robDst[t] = -1
-			}
-			so := t * 3
-			nsrc := 0
-			waiting := 0
-			safe := sk.srcSafe[b]
-			var srcBound int64
-			for k := 0; k < 3; k++ {
-				var o int32
-				switch sk.srcKind[b*3+k] {
-				case srcSame:
-					o = int32(sameBase + int(sk.srcReg[b*3+k]))
-				case srcCarried:
-					if dispatchIter == 0 {
-						continue // pre-loop value, always ready
-					}
-					o = int32(int((dispatchIter-1)&regRingMask)*nr + int(sk.srcReg[b*3+k]))
-				default:
-					continue
-				}
-				s.robSrc[so+nsrc] = o
-				if v := slab[o]; v == notIssued {
-					if safe {
-						// Park this operand on the producer cell's watcher
-						// list; the producer's issue resolves it.
-						node := int32(so + nsrc)
-						s.watchNext[node] = s.watchHead[o]
-						s.watchHead[o] = node
-					}
-					waiting++
-				} else if v > srcBound {
-					srcBound = v
-				}
-				nsrc++
-			}
-			s.robSrcCnt[t] = uint8(nsrc)
-			// Fold the new entry into the scan-skip bound: an entry with an
-			// unissued producer cannot issue before a scan that issues the
-			// producer (which re-arms the bound), so only resolved entries
-			// lower it. Sampled values stay exact until the next issue.
-			if safe {
-				s.waitCnt[t] = uint8(waiting)
-				s.readyAt[t] = srcBound
-				if waiting == 0 {
-					s.pushTimed(srcBound, int32(t))
-					if srcBound < cycle+1 {
-						srcBound = cycle + 1
-					}
-					if srcBound < s.rsNextReady {
-						s.rsNextReady = srcBound
-					}
-				}
-			} else {
-				if waiting == 0 {
-					if srcBound < cycle+1 {
-						srcBound = cycle + 1
-					}
-					if srcBound < s.rsNextReady {
-						s.rsNextReady = srcBound
-					}
-				}
-				s.rs = append(s.rs, int32(t))
-			}
-			s.rsCount++
-			if s.trace != nil {
-				s.traceStage("dispatch", cycle, dispatchIter, int32(b), prog.Body[b].Instr.Name)
-			}
-			t++
-			if t == len(s.robBody) {
-				t = 0
-			}
-			s.robTail = t
-			s.robCount++
-			s.uopsInROB += uops
-			budget -= uops
-			dispatched++
-			dispatchIdx++
-			if dispatchIdx == bodyLen {
-				dispatchIdx = 0
-				dispatchIter++
-				if dispatchIter == iters {
-					traceDone = true
-				}
-			}
-		}
-		// Per-cycle observability accounting: stall bucket, structure
-		// occupancy, port busyness.
-		res.Stalls.add(stall, 1)
-		if s.robOccLUT != nil {
-			res.ROBOcc.Buckets[s.robOccLUT[s.uopsInROB]]++
-		}
-		if s.loadQOccLUT != nil {
-			res.LoadQOcc.Buckets[s.loadQOccLUT[len(s.loadQ)]]++
-		}
-		for i, f := range s.portFree {
-			if f > cycle {
-				res.PortBusy[i]++
-			}
-		}
-
-		// Fast-forward through stall cycles.
-		if issuedInstrs == 0 && dispatched == 0 && retiredUops == 0 {
-			next := s.nextEvent(cycle)
-			if next > cycle+1 {
-				skipped := uint64(next - cycle - 1)
-				idleSkipped += int64(skipped)
-				res.Hist[0] += skipped
-				// The skipped cycles stall for the same reason and at the
-				// same occupancies as the current one.
-				res.Stalls.add(stall, skipped)
-				if s.robOccLUT != nil {
-					res.ROBOcc.Buckets[s.robOccLUT[s.uopsInROB]] += skipped
-				}
-				if s.loadQOccLUT != nil {
-					res.LoadQOcc.Buckets[s.loadQOccLUT[len(s.loadQ)]] += skipped
-				}
-				for i, f := range s.portFree {
-					if b := min(f, next) - cycle - 1; b > 0 {
-						res.PortBusy[i] += uint64(b)
-					}
-				}
-				cycle = next
-				continue
-			}
-		}
-		cycle++
+		s.cycle++
 	}
 
-	res.Cycles = uint64(cycle)
-	res.Elems = uint64(iters) * uint64(sk.elemsPerIter)
+	res.Cycles = uint64(s.cycle)
+	res.Elems = uint64(iters) * uint64(s.skel.elemsPerIter)
 	res.Cache = statsDelta(s.hier.Stats(), statsBefore)
-	res.FreqGHz = EffectiveFreq(cpu, prog, res)
-	recordTotals(res, s.steady.skippedCycles, idleSkipped)
+	res.FreqGHz = EffectiveFreq(s.cpu, prog, res)
+	recordTotals(res, s.steady.skippedCycles, s.idleSkipped)
 
 	if check.Enabled() {
 		if err := s.steady.invariantErr; err != nil {
@@ -1006,11 +591,373 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 		if err := res.SelfCheck(); err != nil {
 			return err
 		}
-		if want := uint64(iters) * uint64(bodyLen); res.Instructions != want {
+		if want := uint64(iters) * uint64(s.skel.bodyLen); res.Instructions != want {
 			return fmt.Errorf("uarch: selfcheck %q: retired %d instructions, want iters*body = %d", prog.Name, res.Instructions, want)
 		}
 	}
 	return nil
+}
+
+// complete frees the memory-queue slots and in-flight results whose
+// operations finished by this cycle.
+func (s *Sim) complete() {
+	s.loadQ.drain(s.cycle)
+	s.storeQ.drain(s.cycle)
+	s.lfb.drain(s.cycle)
+	s.inflight.drain(s.cycle)
+}
+
+// retire removes completed instructions from the ROB head in order and
+// returns the µops retired this cycle.
+func (s *Sim) retire(res *Result) int {
+	sk := &s.skel
+	retired := 0
+	for s.robCount > 0 {
+		h := s.robHead
+		if !s.robIssued[h] || s.robCompletion[h] > s.cycle {
+			break
+		}
+		b := s.robBody[h]
+		uops := int(sk.uops[b])
+		// Instructions wider than the retire bandwidth (e.g. gathers)
+		// retire alone; otherwise respect the per-cycle budget.
+		if retired > 0 && retired+uops > s.cpu.RetireWidth {
+			break
+		}
+		retired += uops
+		res.Instructions++
+		res.Uops += uint64(uops)
+		if s.trace != nil {
+			s.traceStage("retire", s.cycle, s.robIter[h], b, sk.prog.Body[b].Instr.Name)
+		}
+		s.uopsInROB -= uops
+		h++
+		if h == len(s.robBody) {
+			h = 0
+		}
+		s.robHead = h
+		s.robCount--
+	}
+	return retired
+}
+
+// issue is the scheduler stage: it matures event-tracked entries whose
+// data-ready cycle has arrived, scans the waiting entries in age order, and
+// records the cycle's issue width. It returns the instructions issued. A
+// scan below rsNextReady is provably fruitless (no slab cell changed since
+// the bound was sampled) and is skipped; the cycle still counts as an
+// ordinary zero-issue cycle.
+func (s *Sim) issue(res *Result) int {
+	uops, instrs := 0, 0
+	if s.cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || len(s.readySet) > 0) {
+		for len(s.timeHeap) > 0 && s.timeHeap[0]>>robBits <= s.cycle {
+			s.insertReady(int32(s.timeHeap.pop() & robMask))
+		}
+		if len(s.rs) == 0 && len(s.readySet) == 0 {
+			// Every waiting entry is event-tracked with a future ready
+			// cycle: the heap minimum (non-empty here) is the exact next.
+			s.rsNextReady = s.timeHeap[0] >> robBits
+		} else {
+			uops, instrs = s.scan(res)
+		}
+	}
+	res.IssuedUops += uint64(uops)
+	res.Hist[min(uops, HistBuckets-1)]++
+	return instrs
+}
+
+// scan merge-walks the resampled list and the ready set in age order,
+// reproducing the attempt sequence of one exhaustive age-ordered scan over
+// all waiting entries (event-tracked entries that are not yet ready are
+// provably unissuable this cycle and need no visit). It returns the µops and
+// instructions issued and re-arms the scan-skip bound.
+func (s *Sim) scan(res *Result) (uops, instrs int) {
+	cycle := s.cycle
+	// Snapshot port availability once; claims clear bits as the scan
+	// proceeds, and the lowest set bit of a class's masked ports is exactly
+	// the port an ascending scan would pick.
+	pm := uint32(0)
+	for i, f := range s.portFree {
+		if f <= cycle {
+			pm |= 1 << i
+		}
+	}
+	if s.perturb != nil && s.perturb.PortFaultRate > 0 {
+		for m := pm; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros32(m)
+			if s.perturb.PortFault(p, cycle) {
+				pm &^= 1 << p
+			}
+		}
+	}
+	s.portMask = pm
+	s.scanGen++
+	gen := s.scanGen
+
+	minNext := int64(math.MaxInt64)
+	if len(s.timeHeap) > 0 {
+		minNext = s.timeHeap[0] >> robBits
+	}
+	rs, rdy := s.rs, s.readySet
+	ai, bi, wa, wb := 0, 0, 0, 0
+	aSeq, bSeq := int64(math.MaxInt64), int64(math.MaxInt64)
+	if len(rs) > 0 {
+		aSeq = s.seq(rs[0])
+	}
+	if len(rdy) > 0 {
+		bSeq = s.seq(rdy[0])
+	}
+	for ai < len(rs) || bi < len(rdy) {
+		fromA := aSeq <= bSeq
+		var ei int32
+		if fromA {
+			ei = rs[ai]
+		} else {
+			ei = rdy[bi]
+		}
+		issued := false
+		if instrs < issueInstrCap {
+			attempt := true
+			if fromA {
+				// Live-sample this entry's operand cells: its watched
+				// registers can be rewritten (accumulator redefinitions), so
+				// only current values decide.
+				so := int(ei) * 3
+				var ready int64
+				for k := 0; k < int(s.robSrcCnt[ei]); k++ {
+					v := s.slab[s.robSrc[so+k]]
+					if v == notIssued {
+						attempt = false
+						break
+					}
+					ready = max(ready, v)
+				}
+				if attempt && ready > cycle {
+					// Data-ready at a known future cycle: a candidate for
+					// the scan-skip bound.
+					minNext = min(minNext, ready)
+					attempt = false
+				}
+			}
+			if attempt {
+				b := s.robBody[ei]
+				if s.blockedGen[b] == gen {
+					// A same-body entry already failed this scan and
+					// resources only shrink within one: same outcome, same
+					// bound.
+					minNext = min(minNext, s.blockedRetry[b])
+				} else if lat, ok := s.tryIssue(ei, b, cycle); !ok {
+					// Blocked on execution resources: retryAt is the
+					// earliest the failing conditions clear.
+					s.blockedGen[b] = gen
+					s.blockedRetry[b] = s.retryAt
+					minNext = min(minNext, s.retryAt)
+				} else {
+					issued = true
+					s.commit(res, ei, b, lat)
+					uops += int(s.skel.uops[b])
+					instrs++
+				}
+			}
+		}
+		if fromA {
+			if !issued {
+				rs[wa] = ei
+				wa++
+			}
+			ai++
+			aSeq = math.MaxInt64
+			if ai < len(rs) {
+				aSeq = s.seq(rs[ai])
+			}
+		} else {
+			if !issued {
+				rdy[wb] = ei
+				wb++
+			}
+			bi++
+			bSeq = math.MaxInt64
+			if bi < len(rdy) {
+				bSeq = s.seq(rdy[bi])
+			}
+		}
+	}
+	s.rs, s.readySet = rs[:wa], rdy[:wb]
+	if instrs > 0 || minNext == math.MaxInt64 {
+		// An issue rewrote the slab and resource horizons, so the sampled
+		// bound is void (and the MaxInt64 case is a defensive clamp against
+		// an all-blocked scan with no finite retry bound).
+		s.rsNextReady = cycle + 1
+	} else {
+		s.rsNextReady = minNext
+	}
+	return uops, instrs
+}
+
+// commit records the issue of ROB entry ei (body µop b) with result latency
+// lat: its completion lands in its register cell, wakes the consumers parked
+// on that cell, and joins the in-flight set.
+func (s *Sim) commit(res *Result, ei, b int32, lat int) {
+	sk := &s.skel
+	comp := s.cycle + int64(lat)
+	s.robIssued[ei] = true
+	s.robCompletion[ei] = comp
+	s.rsCount--
+	if o := s.robDst[ei]; o >= 0 {
+		s.slab[o] = comp
+		for node := s.watchHead[o]; node >= 0; node = s.watchNext[node] {
+			we := node / 3
+			s.readyAt[we] = max(s.readyAt[we], comp)
+			s.waitCnt[we]--
+			if s.waitCnt[we] == 0 {
+				s.timeHeap.push(readyKey(s.readyAt[we], we))
+			}
+		}
+		s.watchHead[o] = -1
+	}
+	s.inflight.push(comp)
+	if s.trace != nil {
+		s.traceIssue(s.cycle, int64(lat), s.robIter[ei], b, sk.prog.Body[b].Instr.Name)
+	}
+	if sk.w512[b] {
+		res.Vec512Uops += uint64(sk.uops[b])
+	}
+	if sk.class[b] == isa.Prefetch {
+		res.PrefetchUops++
+	}
+}
+
+// dispatch enters up to DecodeWidth µops at the dispatch front into the ROB
+// and the scheduler, resolving each entry's operand cells to slab offsets as
+// it enters, and returns the instructions dispatched.
+func (s *Sim) dispatch() int {
+	sk := &s.skel
+	nr := sk.numRegs
+	dispatched := 0
+	for budget := s.cpu.DecodeWidth; !s.traceDone && budget > 0; {
+		b, iter := s.dispatchIdx, s.dispatchIter
+		uops := int(sk.uops[b])
+		if s.uopsInROB+uops > s.cpu.ROBSize || s.rsCount >= s.cpu.RSSize || s.robCount >= len(s.robBody) {
+			break
+		}
+		slot := int(iter&regRingMask) * nr
+		if b == 0 {
+			// The iteration takes over its ring slot. The slot's watcher
+			// lists are dead along with its cells (any live watcher's
+			// producer issued long before the ring wrapped around to it).
+			for i := slot; i < slot+nr; i++ {
+				s.slab[i] = notIssued
+				s.watchHead[i] = -1
+			}
+		}
+		t := s.robTail
+		s.robBody[t] = int32(b)
+		s.robIter[t] = iter
+		s.robIssued[t] = false
+		s.robDst[t] = -1
+		if d := sk.dst[b]; d != NoReg {
+			s.robDst[t] = int32(slot + int(d))
+		}
+		so := t * 3
+		nsrc, waiting := 0, 0
+		safe := sk.srcSafe[b]
+		var srcBound int64
+		for k := 0; k < 3; k++ {
+			o := sk.srcCell(b, k, iter)
+			if o < 0 {
+				continue
+			}
+			s.robSrc[so+nsrc] = int32(o)
+			if v := s.slab[o]; v == notIssued {
+				if safe {
+					// Park this operand on the producer cell's watcher
+					// list; the producer's issue resolves it.
+					node := int32(so + nsrc)
+					s.watchNext[node] = s.watchHead[o]
+					s.watchHead[o] = node
+				}
+				waiting++
+			} else {
+				srcBound = max(srcBound, v)
+			}
+			nsrc++
+		}
+		s.robSrcCnt[t] = uint8(nsrc)
+		if safe {
+			s.waitCnt[t] = uint8(waiting)
+			s.readyAt[t] = srcBound
+			if waiting == 0 {
+				s.timeHeap.push(readyKey(srcBound, int32(t)))
+			}
+		} else {
+			s.rs = append(s.rs, int32(t))
+		}
+		// Fold the new entry into the scan-skip bound: an entry with an
+		// unissued producer cannot issue before a scan that issues the
+		// producer (which re-arms the bound), so only resolved entries lower
+		// it. Sampled values stay exact until the next issue.
+		if waiting == 0 {
+			s.rsNextReady = min(s.rsNextReady, max(srcBound, s.cycle+1))
+		}
+		s.rsCount++
+		if s.trace != nil {
+			s.traceStage("dispatch", s.cycle, iter, int32(b), sk.prog.Body[b].Instr.Name)
+		}
+		t++
+		if t == len(s.robBody) {
+			t = 0
+		}
+		s.robTail = t
+		s.robCount++
+		s.uopsInROB += uops
+		budget -= uops
+		dispatched++
+		s.dispatchIdx++
+		if s.dispatchIdx == sk.bodyLen {
+			s.dispatchIdx = 0
+			s.dispatchIter++
+			s.traceDone = s.dispatchIter == s.iters
+		}
+	}
+	return dispatched
+}
+
+// account charges n cycles starting at cycle from to stall and to the
+// current ROB and load-queue occupancies, and each port's busy count with
+// the part of those cycles it stays occupied: clamp(portFree-from, 0, n).
+// A stepped cycle (n = 1) and the cycles the idle-skip stage jumps over both
+// go through it, so the two are charged by one rule.
+func (s *Sim) account(res *Result, stall stallKind, from int64, n uint64) {
+	res.Stalls.add(stall, n)
+	if s.robOccLUT != nil {
+		res.ROBOcc.Buckets[s.robOccLUT[s.uopsInROB]] += n
+	}
+	if s.loadQOccLUT != nil {
+		res.LoadQOcc.Buckets[s.loadQOccLUT[len(s.loadQ)]] += n
+	}
+	for i, f := range s.portFree {
+		if b := f - from; b > 0 {
+			res.PortBusy[i] += min(uint64(b), n)
+		}
+	}
+}
+
+// idleSkip fast-forwards a cycle in which nothing retired, issued or
+// dispatched to the next cycle at which progress can occur. The skipped
+// cycles stall for the same reason and at the same occupancies as the
+// current one, issue nothing, and are charged by account. It reports
+// whether it skipped any cycle.
+func (s *Sim) idleSkip(res *Result, stall stallKind) bool {
+	next := s.nextEvent(s.cycle)
+	if next <= s.cycle+1 {
+		return false
+	}
+	n := uint64(next - s.cycle - 1)
+	s.idleSkipped += int64(n)
+	res.Hist[0] += n
+	s.account(res, stall, s.cycle+1, n)
+	s.cycle = next
+	return true
 }
 
 func statsDelta(a, b cache.Stats) cache.Stats {
@@ -1026,22 +973,30 @@ func statsDelta(a, b cache.Stats) cache.Stats {
 	}
 }
 
-// reset rewinds the pipeline state for a fresh run. The slab is not cleared:
-// each iteration's cells are reset when it dispatches, before any read.
-func (s *Sim) reset() {
+// reset rewinds the pipeline, the clock and the dispatch front for a run of
+// iters iterations of the bound program, and overwrites res, reusing its
+// PortBusy storage. The slab is not cleared: each iteration's cells are
+// reset when it dispatches, before any read.
+func (s *Sim) reset(res *Result, iters int64) {
+	s.cycle, s.dispatchIter, s.dispatchIdx, s.iters, s.traceDone = 0, 0, 0, iters, false
+	s.idleSkipped = 0
 	s.robHead, s.robTail, s.robCount, s.uopsInROB = 0, 0, 0, 0
 	s.rs = s.rs[:0]
 	s.rsCount = 0
 	s.readySet = s.readySet[:0]
 	s.timeHeap = s.timeHeap[:0]
-	for i := range s.portFree {
-		s.portFree[i] = 0
-	}
+	clear(s.portFree)
 	s.loadQ = s.loadQ[:0]
 	s.storeQ = s.storeQ[:0]
 	s.lfb = s.lfb[:0]
 	s.inflight = s.inflight[:0]
 	s.rsNextReady = 0
+
+	pb := res.PortBusy
+	*res = Result{Name: s.skel.prog.Name}
+	res.PortBusy = column(pb, len(s.cpu.Ports))
+	res.ROBOcc.Cap = s.cpu.ROBSize
+	res.LoadQOcc.Cap = s.cpu.LoadQueue
 }
 
 // tryIssue attempts to claim execution resources for ROB entry ei (body µop
@@ -1300,13 +1255,6 @@ func (s *Sim) portRetry(mask uint32, cycle int64) int64 {
 		t = cycle + 1
 	}
 	return t
-}
-
-// portFaulted reports whether fault injection holds port unavailable at
-// cycle. A faulted port stays claimable on later cycles, so the scheduler
-// retries and the fast-forward loop in nextEvent cannot live-lock.
-func (s *Sim) portFaulted(port int, cycle int64) bool {
-	return s.perturb != nil && s.perturb.PortFault(port, cycle)
 }
 
 // fillLatency maps a fill-source level to its line-fill-buffer hold time.

@@ -164,3 +164,26 @@ func TestAddrSpecProperties(t *testing.T) {
 		t.Error("zero region should return base")
 	}
 }
+
+// Every built-in CPU model's ROB ring must fit the ROB-index field of a
+// maturation-heap key, and NewSim must refuse a model whose ring does not.
+func TestReadyKeyFitsEveryROB(t *testing.T) {
+	for _, name := range []string{"silver", "gold", "neoverse", "zen"} {
+		cpu, err := isa.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewSim(cpu).Err(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		last := int32(cpu.ROBSize + 8 - 1)
+		if k := readyKey(1<<40, last); k>>robBits != 1<<40 || int32(k&robMask) != last {
+			t.Errorf("%s: ROB index %d does not survive readyKey's %d-bit field", name, last, robBits)
+		}
+	}
+	big := isa.XeonSilver4110()
+	big.ROBSize = 1 << robBits
+	if NewSim(big).Err() == nil {
+		t.Errorf("NewSim accepted a ROB of %d µops, beyond readyKey's %d-bit field", big.ROBSize, robBits)
+	}
+}

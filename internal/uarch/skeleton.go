@@ -91,6 +91,25 @@ type skeleton struct {
 	lastWriter, writtenSoFar, writerCnt []int32
 }
 
+// srcCell returns the register-slab offset that operand k of body µop b
+// reads in iteration iter, or -1 when the operand is always ready: none,
+// loop-invariant, or iteration 0's loop-carried read of the pre-loop value.
+// Dispatch and stall attribution both derive operand cells through it.
+func (sk *skeleton) srcCell(b, k int, iter int64) int {
+	j := b*3 + k
+	switch sk.srcKind[j] {
+	case srcSame:
+	case srcCarried:
+		if iter == 0 {
+			return -1
+		}
+		iter--
+	default:
+		return -1
+	}
+	return int(iter&regRingMask)*sk.numRegs + int(sk.srcReg[j])
+}
+
 // Process-wide skeleton counters, read through Totals: skelHits counts binds
 // served by the simulator's bound skeleton, skelMisses counts skeleton builds.
 var (

@@ -150,7 +150,7 @@ func (h *OccHist) scale(f float64) {
 // classifyStall attributes one non-retiring cycle. It inspects the oldest
 // in-flight instruction — the one blocking retirement — mirroring the checks
 // tryIssue performs, without mutating any state.
-func (s *Sim) classifyStall(cycle int64) stallKind {
+func (s *Sim) classifyStall() stallKind {
 	if s.robCount == 0 {
 		return stallFrontend
 	}
@@ -167,25 +167,14 @@ func (s *Sim) classifyStall(cycle int64) stallKind {
 	// Operand readiness, re-deriving each operand's slab cell from the
 	// skeleton (the per-entry robSrc list is packed and drops the operand
 	// slot, which the memory-producer attribution needs).
-	iter := s.robIter[h]
-	nr := sk.numRegs
-	base := int(iter&regRingMask) * nr
 	ready := true
 	memBlocked := false
 	for k := 0; k < 3; k++ {
-		var o int
-		switch sk.srcKind[int(b)*3+k] {
-		case srcSame:
-			o = base + int(sk.srcReg[int(b)*3+k])
-		case srcCarried:
-			if iter == 0 {
-				continue
-			}
-			o = int((iter-1)&regRingMask)*nr + int(sk.srcReg[int(b)*3+k])
-		default:
+		o := sk.srcCell(int(b), k, s.robIter[h])
+		if o < 0 {
 			continue
 		}
-		if v := s.slab[o]; v == notIssued || v > cycle {
+		if v := s.slab[o]; v == notIssued || v > s.cycle {
 			ready = false
 			if sk.srcMem[int(b)*3+k] {
 				memBlocked = true

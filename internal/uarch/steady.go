@@ -117,13 +117,13 @@ func (st *steadyState) begin(s *Sim) {
 	}
 }
 
-// observe runs at one iteration-dispatch boundary: digest the relative core
-// state, close or open a recording window on a recurrence, or remember the
-// snapshot.
-func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, dispatchIdx int, iters int64) {
-	st.lastIter = *dispatchIter
+// observe is the steady-state boundary stage, run at one iteration-dispatch
+// boundary: digest the relative core state, close or open a recording window
+// on a recurrence, or remember the snapshot.
+func (st *steadyState) observe(s *Sim, res *Result) {
+	st.lastIter = s.dispatchIter
 	wasRecording := st.recording
-	if wasRecording && *dispatchIter < st.recStartIter+st.recP {
+	if wasRecording && s.dispatchIter < st.recStartIter+st.recP {
 		return // mid-recording boundary: keep capturing the period
 	}
 	if !wasRecording {
@@ -133,7 +133,7 @@ func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, 
 			return
 		}
 	}
-	digest, minIter, ok := st.encode(s, *cycle, *dispatchIter, dispatchIdx)
+	digest, minIter, ok := st.encode(s)
 	if wasRecording {
 		// The recording window just closed. If the boundary state recurred
 		// at exactly p iterations (wide dispatch can overshoot a boundary,
@@ -143,14 +143,14 @@ func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, 
 		// Otherwise the trajectory shifted while recording; fall through to
 		// ordinary detection at this boundary.
 		st.recording = false
-		if ok && *dispatchIter == st.recStartIter+st.recP && bytes.Equal(digest, st.recDigest) {
-			st.recD = *cycle - st.recStartCycle
+		if ok && s.dispatchIter == st.recStartIter+st.recP && bytes.Equal(digest, st.recDigest) {
+			st.recD = s.cycle - st.recStartCycle
 			if check.Enabled() {
 				if err := steadyDeltaCheck(res, &st.recRes, st.recD); err != nil {
 					st.invariantErr = err
 				}
 			}
-			st.replayRun(s, res, cycle, dispatchIter, dispatchIdx, minIter, iters)
+			st.replayRun(s, res, minIter)
 			return
 		}
 	}
@@ -162,35 +162,36 @@ func (st *steadyState) observe(s *Sim, res *Result, cycle, dispatchIter *int64, 
 		if !snap.valid || !bytes.Equal(snap.digest, digest) {
 			continue
 		}
-		p := *dispatchIter - snap.iter
-		d := *cycle - snap.cycle
+		p := s.dispatchIter - snap.iter
+		d := s.cycle - snap.cycle
 		if p <= 0 || d <= 0 {
 			continue
 		}
 		// One period records and at least one more must remain to replay,
 		// ahead of the iteration of tail that simulates the loop exit and
 		// the ROB drain.
-		if (iters-1-*dispatchIter)/p < 2 {
+		if (s.iters-1-s.dispatchIter)/p < 2 {
 			st.active = false
 			return
 		}
-		st.startRecording(res, digest, p, d, *dispatchIter, *cycle)
+		st.startRecording(res, digest, p, d, s.dispatchIter, s.cycle)
 		return
 	}
 	snap := &st.ring[st.next]
 	st.next = (st.next + 1) % steadyRing
 	snap.valid = true
-	snap.iter, snap.cycle = *dispatchIter, *cycle
+	snap.iter, snap.cycle = s.dispatchIter, s.cycle
 	snap.digest = append(snap.digest[:0], digest...)
 }
 
-// encode canonicalises the core's state relative to (cycle, dispatchIter).
-// Completion cycles at or before the current cycle are clamped to zero (all
-// "already available" states behave identically), iteration numbers are
-// taken relative to the dispatch front, and ROB positions relative to the
-// head. It refuses (ok=false) while iteration 0 is still in flight, whose
-// loop-carried reads are special-cased by srcsReady.
-func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int) (digest []byte, minIter int64, ok bool) {
+// encode canonicalises the core's state relative to the clock and the
+// dispatch front. Completion cycles at or before the current cycle are
+// clamped to zero (all "already available" states behave identically),
+// iteration numbers are taken relative to the dispatch front, and ROB
+// positions relative to the head. It refuses (ok=false) while iteration 0 is
+// still in flight, whose loop-carried reads srcCell special-cases.
+func (st *steadyState) encode(s *Sim) (digest []byte, minIter int64, ok bool) {
+	cycle, dispatchIter, dispatchIdx := s.cycle, s.dispatchIter, s.dispatchIdx
 	buf := st.buf[:0]
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 
@@ -277,11 +278,12 @@ func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int
 	return buf, minIter, true
 }
 
-// shiftSteady moves the live machine state forward by kp iterations and kd
-// cycles without simulating them: every absolute cycle shifts by kd, every
-// iteration number by kp, and the live register-ring window rotates to the
-// slots its shifted iteration numbers index.
-func (s *Sim) shiftSteady(kp, kd, minIter, dispatchIter int64, dispatchIdx int) {
+// shiftSteady moves the live machine state, clock and dispatch front
+// forward by kp iterations and kd cycles without simulating them: every
+// absolute cycle shifts by kd, every iteration number by kp, and the live
+// register-ring window rotates to the slots its shifted iteration numbers
+// index.
+func (s *Sim) shiftSteady(kp, kd, minIter int64) {
 	nr := s.skel.numRegs
 	ringLen := regRingSlots * nr
 	// The shifted iteration numbers index ring slots rotated by kp, so every
@@ -313,9 +315,9 @@ func (s *Sim) shiftSteady(kp, kd, minIter, dispatchIter int64, dispatchIdx int) 
 			s.robDst[e] = o
 		}
 	}
-	hi := dispatchIter // exclusive upper slot is hi
-	if dispatchIdx > 0 {
-		hi = dispatchIter + 1
+	hi := s.dispatchIter // exclusive upper slot is hi
+	if s.dispatchIdx > 0 {
+		hi++
 	}
 	w := int(hi - minIter + 1)
 	need := w * nr
@@ -351,13 +353,15 @@ func (s *Sim) shiftSteady(kp, kd, minIter, dispatchIter int64, dispatchIdx int) 
 		}
 	}
 	for i := range s.timeHeap {
-		s.timeHeap[i].at += kd
+		s.timeHeap[i] += kd << robBits
 	}
 	for i := range s.portFree {
 		s.portFree[i] += kd
 	}
 	// Slab values changed wholesale; any sampled scan-skip bound is void.
 	s.rsNextReady = 0
+	s.cycle += kd
+	s.dispatchIter += kp
 }
 
 // addScaledSelfDelta adds k times the counter delta accumulated since base
