@@ -250,6 +250,14 @@ const (
 // readyKey packs ROB entry ei, data-ready at cycle at, into a maturation key.
 func readyKey(at int64, ei int32) int64 { return at<<robBits | int64(ei) }
 
+// groupHead is a scan's cursor into one issue group's ready queue: the
+// group, how many of the queue's entries the scan issued (issues within a
+// group are always a prefix of its queue), and the age of the next one.
+type groupHead struct {
+	g, n int32
+	seq  int64
+}
+
 // Sim runs programs on one CPU model, reusing internal buffers across runs.
 //
 // The in-flight state is structure-of-arrays: the reorder buffer is a set of
@@ -292,39 +300,39 @@ type Sim struct {
 	robCount  int
 	uopsInROB int
 
-	rs []int32 // indices into the ROB arrays, age order, waiting to issue
-
-	// rsCount is the number of dispatched-but-unissued entries (the scheduler
-	// occupancy). rs holds only the entries of µops the event scheduler does
-	// not track; the tracked ones wait in readySet/timeHeap/watcher lists.
+	// rsCount is the number of dispatched-but-unissued entries (the
+	// scheduler occupancy). They wait in one of two ways, chosen per body
+	// µop by skeleton.srcSafe.
 	rsCount int
 
-	// Event-driven scheduler state, tracked per µop: entries of
-	// skeleton.srcSafe µops use it, the rest are re-sampled on every scan.
-	// An entry whose operands are all resolved has a final data-ready cycle
-	// (a sampled single-writer producer completion can never change):
-	// it waits in timeHeap until that cycle arrives, then moves to readySet,
-	// which holds the data-ready entries in age order — the only entries a
-	// scan must visit. Entries with unissued producers are parked on per-cell
-	// watcher lists: watchHead[cell] heads a list threaded through watchNext
-	// (node n watches the cell robSrc[n] names; n/3 is its ROB entry), and
-	// the producer's issue walks the list, folds its completion into each
-	// watcher's readyAt, and moves watchers whose last operand just resolved
-	// (waitCnt reaches zero) into timeHeap, keyed by readyKey.
-	readySet  []int32
-	timeHeap  minHeap
-	waitCnt   []uint8
-	readyAt   []int64
-	watchHead []int32
-	watchNext []int32
+	// rs holds, in age order, the waiting entries of µops whose operands
+	// can be rewritten while they wait (accumulator chains redefine their
+	// register every unrolled pack): a scan re-samples their operand cells.
+	rs []int32
 
-	// blockedGen/blockedRetry memoize, per body µop within one scan
-	// (stamped by scanGen), a failed tryIssue's retry bound: execution
-	// resources only shrink as a scan proceeds, so a later same-body entry
-	// must fail identically and is skipped.
-	blockedGen   []int64
-	blockedRetry []int64
-	scanGen      int64
+	// Every other waiting entry is event-tracked. Once its operands are all
+	// resolved it has a final data-ready cycle (a sampled single-writer
+	// producer completion can never change): it waits in timeHeap, keyed by
+	// readyKey, until that cycle arrives, then moves to the ready queue of
+	// its issue group (skeleton.group), which holds the group's data-ready
+	// entries in age order; readyCount is their total. Entries with unissued
+	// producers are parked on per-cell watcher lists: watchHead[cell] heads a
+	// list threaded through watchNext (node n watches the cell robSrc[n]
+	// names; n/3 is its ROB entry), and the producer's issue walks the list,
+	// folds its completion into each watcher's readyAt, and moves watchers
+	// whose last operand just resolved (waitCnt reaches zero) into timeHeap.
+	ready      [][]int32
+	readyCount int
+	timeHeap   minHeap
+	waitCnt    []uint8
+	readyAt    []int64
+	watchHead  []int32
+	watchNext  []int32
+	// heads and blocked are scan scratch, one slot per issue group: the
+	// cursors of the non-empty ready queues, and which groups failed an
+	// issue test this scan.
+	heads   []groupHead
+	blocked []bool
 
 	// slab is the register completion ring: cell (iter&regRingMask)*numRegs
 	// + reg holds the completion cycle of that register instance, or
@@ -453,7 +461,6 @@ func NewSim(cpu *isa.CPU) *Sim {
 	s.waitCnt = make([]uint8, robCap)
 	s.readyAt = make([]int64, robCap)
 	s.watchNext = make([]int32, 3*robCap)
-	s.readySet = make([]int32, 0, robCap)
 	s.timeHeap = make(minHeap, 0, robCap)
 	return s
 }
@@ -463,25 +470,27 @@ func (s *Sim) seq(ei int32) int64 {
 	return s.robIter[ei]*int64(s.skel.bodyLen) + int64(s.robBody[ei])
 }
 
-// insertReady places a matured entry into readySet at its age position, so
-// the scan visits data-ready entries in exactly the order the exhaustive
-// age-ordered scan would attempt them.
+// insertReady places a matured entry at its age position in its issue
+// group's ready queue, so the scan meets each group's data-ready entries in
+// exactly the order the exhaustive age-ordered scan would attempt them.
 func (s *Sim) insertReady(ei int32) {
+	g := s.skel.group[s.robBody[ei]]
 	seq := s.seq(ei)
-	rdy := s.readySet
-	lo, hi := 0, len(rdy)
+	q := s.ready[g]
+	lo, hi := 0, len(q)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.seq(rdy[mid]) < seq {
+		if s.seq(q[mid]) < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	rdy = append(rdy, 0)
-	copy(rdy[lo+1:], rdy[lo:])
-	rdy[lo] = ei
-	s.readySet = rdy
+	q = append(q, 0)
+	copy(q[lo+1:], q[lo:])
+	q[lo] = ei
+	s.ready[g] = q
+	s.readyCount++
 }
 
 // occLUT precomputes OccHist.Record's bucket for every occupancy 0..cap.
@@ -641,19 +650,19 @@ func (s *Sim) retire(res *Result) int {
 	return retired
 }
 
-// issue is the scheduler stage: it matures event-tracked entries whose
-// data-ready cycle has arrived, scans the waiting entries in age order, and
-// records the cycle's issue width. It returns the instructions issued. A
-// scan below rsNextReady is provably fruitless (no slab cell changed since
-// the bound was sampled) and is skipped; the cycle still counts as an
-// ordinary zero-issue cycle.
+// issue is the scheduler stage: it moves event-tracked entries whose
+// data-ready cycle has arrived into their groups' ready queues, scans the
+// issuable entries in age order, and records the cycle's issue width. It
+// returns the instructions issued. A scan below rsNextReady is provably
+// fruitless (no slab cell or resource changed since the bound was sampled)
+// and is skipped; the cycle still counts as an ordinary zero-issue cycle.
 func (s *Sim) issue(res *Result) int {
 	uops, instrs := 0, 0
-	if s.cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || len(s.readySet) > 0) {
+	if s.cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || s.readyCount > 0) {
 		for len(s.timeHeap) > 0 && s.timeHeap[0]>>robBits <= s.cycle {
 			s.insertReady(int32(s.timeHeap.pop() & robMask))
 		}
-		if len(s.rs) == 0 && len(s.readySet) == 0 {
+		if len(s.rs) == 0 && s.readyCount == 0 {
 			// Every waiting entry is event-tracked with a future ready
 			// cycle: the heap minimum (non-empty here) is the exact next.
 			s.rsNextReady = s.timeHeap[0] >> robBits
@@ -666,11 +675,18 @@ func (s *Sim) issue(res *Result) int {
 	return instrs
 }
 
-// scan merge-walks the resampled list and the ready set in age order,
-// reproducing the attempt sequence of one exhaustive age-ordered scan over
-// all waiting entries (event-tracked entries that are not yet ready are
-// provably unissuable this cycle and need no visit). It returns the µops and
-// instructions issued and re-arms the scan-skip bound.
+// scan merge-walks rs and the heads of the issue groups' ready queues in age
+// order, issuing exactly what one exhaustive age-ordered scan over all
+// waiting entries would (event-tracked entries that are not yet data-ready
+// are provably unissuable this cycle and need no visit). It returns the µops
+// and instructions issued and re-arms the scan-skip bound.
+//
+// A head that fails its issue test drops its whole group for the rest of
+// the scan, and rs entries of a dropped group skip their attempt. That is
+// exact: a group's members read the same resources, which only shrink
+// within a scan, so every younger member would fail too. The group's
+// retry bounds are only read when nothing issued, and then they all equal
+// the head's.
 func (s *Sim) scan(res *Result) (uops, instrs int) {
 	cycle := s.cycle
 	// Snapshot port availability once; claims clear bits as the scan
@@ -691,107 +707,145 @@ func (s *Sim) scan(res *Result) (uops, instrs int) {
 		}
 	}
 	s.portMask = pm
-	s.scanGen++
-	gen := s.scanGen
 
 	minNext := int64(math.MaxInt64)
 	if len(s.timeHeap) > 0 {
 		minNext = s.timeHeap[0] >> robBits
 	}
-	rs, rdy := s.rs, s.readySet
-	ai, bi, wa, wb := 0, 0, 0, 0
-	aSeq, bSeq := int64(math.MaxInt64), int64(math.MaxInt64)
+	clear(s.blocked)
+	heads := s.heads[:0]
+	for g, q := range s.ready {
+		if len(q) > 0 {
+			heads = append(heads, groupHead{g: int32(g), seq: s.seq(q[0])})
+		}
+	}
+	h, hSeq := oldestHead(heads)
+	rs := s.rs
+	ai, wa := 0, 0
+	aSeq := int64(math.MaxInt64)
 	if len(rs) > 0 {
 		aSeq = s.seq(rs[0])
 	}
-	if len(rdy) > 0 {
-		bSeq = s.seq(rdy[0])
-	}
-	for ai < len(rs) || bi < len(rdy) {
-		fromA := aSeq <= bSeq
+	for instrs < issueInstrCap && (aSeq < hSeq || h >= 0) {
 		var ei int32
-		if fromA {
+		fromRS := aSeq < hSeq
+		if fromRS {
 			ei = rs[ai]
-		} else {
-			ei = rdy[bi]
-		}
-		issued := false
-		if instrs < issueInstrCap {
-			attempt := true
-			if fromA {
-				// Live-sample this entry's operand cells: its watched
-				// registers can be rewritten (accumulator redefinitions), so
-				// only current values decide.
-				so := int(ei) * 3
-				var ready int64
-				for k := 0; k < int(s.robSrcCnt[ei]); k++ {
-					v := s.slab[s.robSrc[so+k]]
-					if v == notIssued {
-						attempt = false
-						break
-					}
-					ready = max(ready, v)
-				}
-				if attempt && ready > cycle {
-					// Data-ready at a known future cycle: a candidate for
-					// the scan-skip bound.
-					minNext = min(minNext, ready)
-					attempt = false
-				}
-			}
-			if attempt {
-				b := s.robBody[ei]
-				if s.blockedGen[b] == gen {
-					// A same-body entry already failed this scan and
-					// resources only shrink within one: same outcome, same
-					// bound.
-					minNext = min(minNext, s.blockedRetry[b])
-				} else if lat, ok := s.tryIssue(ei, b, cycle); !ok {
-					// Blocked on execution resources: retryAt is the
-					// earliest the failing conditions clear.
-					s.blockedGen[b] = gen
-					s.blockedRetry[b] = s.retryAt
-					minNext = min(minNext, s.retryAt)
-				} else {
-					issued = true
-					s.commit(res, ei, b, lat)
-					uops += int(s.skel.uops[b])
-					instrs++
-				}
-			}
-		}
-		if fromA {
-			if !issued {
-				rs[wa] = ei
-				wa++
-			}
 			ai++
 			aSeq = math.MaxInt64
 			if ai < len(rs) {
 				aSeq = s.seq(rs[ai])
 			}
+			// Live-sample this entry's operand cells: its watched registers
+			// can be rewritten (accumulator redefinitions), so only current
+			// values decide.
+			ready, resolved := s.operandsReady(ei)
+			if resolved && ready > cycle {
+				// Data-ready at a known future cycle: a candidate for the
+				// scan-skip bound.
+				minNext = min(minNext, ready)
+			}
+			if !resolved || ready > cycle || s.blocked[s.skel.group[s.robBody[ei]]] {
+				rs[wa] = ei
+				wa++
+				continue
+			}
 		} else {
-			if !issued {
-				rdy[wb] = ei
-				wb++
+			ei = s.ready[heads[h].g][heads[h].n]
+		}
+		b := s.robBody[ei]
+		lat, ok := s.tryIssue(ei, b, cycle)
+		if !ok {
+			// Blocked on execution resources: retryAt is the earliest the
+			// failing conditions clear, for every member of the group.
+			minNext = min(minNext, s.retryAt)
+			g := s.skel.group[b]
+			s.blocked[g] = true
+			if fromRS {
+				rs[wa] = ei
+				wa++
 			}
-			bi++
-			bSeq = math.MaxInt64
-			if bi < len(rdy) {
-				bSeq = s.seq(rdy[bi])
+			for i := range heads {
+				if heads[i].g == g {
+					heads = s.dropHead(heads, i)
+					h, hSeq = oldestHead(heads)
+					break
+				}
 			}
+			continue
+		}
+		s.commit(res, ei, b, lat)
+		uops += int(s.skel.uops[b])
+		instrs++
+		if !fromRS {
+			c := &heads[h]
+			c.n++
+			if q := s.ready[c.g]; int(c.n) < len(q) {
+				c.seq = s.seq(q[c.n])
+			} else {
+				heads = s.dropHead(heads, h)
+			}
+			h, hSeq = oldestHead(heads)
 		}
 	}
-	s.rs, s.readySet = rs[:wa], rdy[:wb]
+	s.rs = rs[:wa+copy(rs[wa:], rs[ai:])]
+	for _, c := range heads {
+		s.popIssued(c)
+	}
 	if instrs > 0 || minNext == math.MaxInt64 {
 		// An issue rewrote the slab and resource horizons, so the sampled
-		// bound is void (and the MaxInt64 case is a defensive clamp against
-		// an all-blocked scan with no finite retry bound).
+		// bound is void (and the MaxInt64 case, a scan that sampled no
+		// bound at all, is a defensive clamp).
 		s.rsNextReady = cycle + 1
 	} else {
 		s.rsNextReady = minNext
 	}
 	return uops, instrs
+}
+
+// oldestHead returns the index of the cursor whose next entry is oldest, and
+// that entry's age; -1 and MaxInt64 when there is no cursor left.
+func oldestHead(heads []groupHead) (int, int64) {
+	h, seq := -1, int64(math.MaxInt64)
+	for i := range heads {
+		if heads[i].seq < seq {
+			h, seq = i, heads[i].seq
+		}
+	}
+	return h, seq
+}
+
+// dropHead ends the scan of cursor i's group (it is exhausted or blocked):
+// the entries it issued leave the queue and the cursor leaves heads.
+func (s *Sim) dropHead(heads []groupHead, i int) []groupHead {
+	s.popIssued(heads[i])
+	last := len(heads) - 1
+	heads[i] = heads[last]
+	return heads[:last]
+}
+
+// popIssued removes the prefix of cursor c's ready queue that the scan
+// issued.
+func (s *Sim) popIssued(c groupHead) {
+	if c.n > 0 {
+		q := s.ready[c.g]
+		s.ready[c.g] = q[:copy(q, q[c.n:])]
+		s.readyCount -= int(c.n)
+	}
+}
+
+// operandsReady samples ROB entry ei's operand cells: the cycle its last
+// operand is ready, or resolved=false while a producer has not issued.
+func (s *Sim) operandsReady(ei int32) (ready int64, resolved bool) {
+	so := int(ei) * 3
+	for k := 0; k < int(s.robSrcCnt[ei]); k++ {
+		v := s.slab[s.robSrc[so+k]]
+		if v == notIssued {
+			return 0, false
+		}
+		ready = max(ready, v)
+	}
+	return ready, true
 }
 
 // commit records the issue of ROB entry ei (body µop b) with result latency
@@ -983,7 +1037,10 @@ func (s *Sim) reset(res *Result, iters int64) {
 	s.robHead, s.robTail, s.robCount, s.uopsInROB = 0, 0, 0, 0
 	s.rs = s.rs[:0]
 	s.rsCount = 0
-	s.readySet = s.readySet[:0]
+	for g := range s.ready {
+		s.ready[g] = s.ready[g][:0]
+	}
+	s.readyCount = 0
 	s.timeHeap = s.timeHeap[:0]
 	clear(s.portFree)
 	s.loadQ = s.loadQ[:0]
@@ -1048,7 +1105,7 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 		lqSlots := int(sk.lqSlots[b])
 		if len(s.loadQ)+lqSlots > s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
 			t := cycle + 1
-			if len(s.loadQ)+lqSlots > s.cpu.LoadQueue && len(s.loadQ) > 0 && s.loadQ[0] > t {
+			if len(s.loadQ)+lqSlots > s.cpu.LoadQueue && s.loadQ[0] > t {
 				t = s.loadQ[0]
 			}
 			if len(s.lfb) >= s.cpu.LineFillBuffers && s.lfb[0] > t {
@@ -1057,9 +1114,10 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 			s.retryAt = t
 			return 0, false
 		}
-		if s.loadPortsMask == 0 || s.portMask&s.loadPortsMask != s.loadPortsMask {
-			// All load ports must be simultaneously free and unfaulted; the
-			// bound is the latest busy port's horizon.
+		if s.portMask&s.loadPortsMask != s.loadPortsMask {
+			// All load ports (bind guarantees there is one) must be
+			// simultaneously free and unfaulted; the bound is the latest busy
+			// port's horizon.
 			t := cycle + 1
 			if s.perturb == nil || s.perturb.PortFaultRate == 0 {
 				for _, p := range s.loadPortsList {
@@ -1067,9 +1125,6 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 						t = f
 					}
 				}
-			}
-			if s.loadPortsMask == 0 {
-				t = int64(math.MaxInt64)
 			}
 			s.retryAt = t
 			return 0, false
@@ -1113,7 +1168,7 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 	case isa.Store:
 		if len(s.storeQ) >= s.cpu.StoreQueue {
 			t := cycle + 1
-			if len(s.storeQ) > 0 && s.storeQ[0] > t {
+			if s.storeQ[0] > t {
 				t = s.storeQ[0]
 			}
 			s.retryAt = t

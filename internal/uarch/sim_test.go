@@ -1,7 +1,9 @@
 package uarch
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"hef/internal/isa"
 )
@@ -194,6 +196,61 @@ func TestRunValidates(t *testing.T) {
 	good := indepProg("good", isa.MustScalar("add"), 1)
 	if _, err := s.Run(good, 0); err == nil {
 		t.Error("zero iterations should be rejected")
+	}
+}
+
+// TestNeverIssuableProgramFails: a program holding a µop that no state of
+// the machine lets issue — no port for it, or more of a queue than exists —
+// must be refused, on every Run, instead of retrying that µop forever. Each
+// case runs under a deadline, so a regression fails instead of hanging.
+func TestNeverIssuableProgramFails(t *testing.T) {
+	gather := &Program{Name: "gather", NumRegs: 2, ElemsPerIter: 8, Body: []UOp{
+		{Instr: isa.MustAVX512("vpgatherqq"), Dst: 1, Srcs: [3]int16{0, NoReg, NoReg},
+			Addr: AddrSpec{Kind: AddrRandom, Base: 1 << 30, Region: 1 << 16, Seed: 1}}}}
+	smallLQ := isa.XeonSilver4110()
+	smallLQ.LoadQueue = 3
+	noLoadPort := isa.XeonSilver4110()
+	noMul := isa.XeonSilver4110()
+	for i := range noLoadPort.Ports {
+		noLoadPort.Ports[i].Accepts[isa.Load] = false
+		noMul.Ports[i].Accepts[isa.IntMul] = false
+	}
+	cases := []struct {
+		name string
+		cpu  *isa.CPU
+		prog *Program
+		want string
+	}{
+		{"512-bit add on zen", isa.AMDZen2(), indepProg("v", isa.MustAVX512("vpaddq"), 4), "has no 512-bit unit"},
+		{"512-bit multiply on neoverse", isa.NeoverseN1(), indepProg("v", isa.MustAVX512("vpmullq"), 2), "has no 512-bit unit"},
+		{"gather wider than the load queue", smallLQ, gather, "4 load-queue entries"},
+		{"gather without a load port", noLoadPort, gather, "no port accepts class Gather"},
+		{"multiply without a multiply port", noMul, indepProg("m", isa.MustScalar("imul"), 2), "no port accepts class IntMul"},
+	}
+	for _, c := range cases {
+		done := make(chan [2]error, 1)
+		go func() {
+			s := NewSim(c.cpu)
+			var errs [2]error
+			for i := range errs {
+				_, errs[i] = s.Run(c.prog, 10)
+			}
+			done <- errs
+		}()
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: run %d returned %v, want an error containing %q", c.name, i+1, err, c.want)
+				}
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: Run still running after 20s", c.name)
+		}
+	}
+	// A 512-bit shuffle runs on the shuffle unit, which zen has.
+	if _, err := NewSim(isa.AMDZen2()).Run(indepProg("shuf", isa.MustAVX512("vpbroadcastq"), 2), 10); err != nil {
+		t.Errorf("512-bit shuffle on zen: %v", err)
 	}
 }
 

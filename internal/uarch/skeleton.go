@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"hef/internal/isa"
@@ -84,6 +85,14 @@ type skeleton struct {
 	// redefine their pinned register every unrolled pack — are instead
 	// re-sampled exhaustively on every scan.
 	srcSafe []bool
+	// group numbers the issue groups: body µops whose issue test (tryIssue)
+	// reads the same shared resources — the same class, w512, and isStream
+	// (prefetches) and lqSlots (gathers) — share a number. One member failing
+	// to issue means every other member fails too until a resource frees, so
+	// the scheduler keeps one ready queue per group. groupRep[g] is the first
+	// body µop of group g.
+	group    []int32
+	groupRep []int32
 
 	// Build scratch, one entry per register: the body index of the last
 	// writer of each register (-1 if none), of its most recent writer so far
@@ -170,6 +179,8 @@ func (sk *skeleton) build(prog *Program, lj, oj float64, seed uint64) {
 	sk.srcReg = column(sk.srcReg, 3*n)
 	sk.srcMem = column(sk.srcMem, 3*n)
 	sk.srcSafe = column(sk.srcSafe, n)
+	sk.group = column(sk.group, n)
+	sk.groupRep = sk.groupRep[:0]
 	sk.lastWriter = grow(sk.lastWriter, nr)
 	sk.writtenSoFar = grow(sk.writtenSoFar, nr)
 	sk.writerCnt = column(sk.writerCnt, nr)
@@ -239,15 +250,32 @@ func (sk *skeleton) build(prog *Program, lj, oj float64, seed uint64) {
 			}
 		}
 		sk.srcSafe[i] = safe
+		sk.group[i] = sk.groupOf(i)
 	}
 	sk.prog, sk.lj, sk.oj, sk.seed = prog, lj, oj, seed
 }
 
+// groupOf returns the issue group of body µop i, numbering a new group when
+// no earlier µop shares its issue test. A body has a handful of groups, so a
+// linear search over their first members is cheapest.
+func (sk *skeleton) groupOf(i int) int32 {
+	for g, r := range sk.groupRep {
+		if sk.class[r] == sk.class[i] && sk.w512[r] == sk.w512[i] &&
+			sk.isStream[r] == sk.isStream[i] && sk.lqSlots[r] == sk.lqSlots[i] {
+			return int32(g)
+		}
+	}
+	sk.groupRep = append(sk.groupRep, int32(i))
+	return int32(len(sk.groupRep) - 1)
+}
+
 // bind makes the simulator's skeleton describe (prog, perturb) and sizes the
-// register slab for its register count. The common case — re-running the
-// program bound last time under the same timing perturbation — is a pointer
-// comparison: no validation, no rebuild, no allocation. Any other bind
-// validates prog and rebuilds the skeleton in place.
+// register slab for its register count and the ready queues for its issue
+// groups. The common case — re-running the program bound last time under the
+// same timing perturbation — is a pointer comparison: no validation, no
+// rebuild, no allocation. Any other bind validates prog, rebuilds the
+// skeleton in place, and refuses a program with an issue group this machine
+// can never issue, which would otherwise retry forever.
 func (s *Sim) bind(prog *Program) error {
 	lj, oj, seed := normalizePerturb(s.perturb)
 	sk := &s.skel
@@ -260,10 +288,58 @@ func (s *Sim) bind(prog *Program) error {
 	}
 	skelMisses.Add(1)
 	sk.build(prog, lj, oj, seed)
+	for _, b := range sk.groupRep {
+		if why := s.neverIssues(b); why != "" {
+			// Unbind, so that running prog again fails here again.
+			sk.prog = nil
+			return fmt.Errorf("uarch: program %q body[%d] (%s) can never issue on %s: %s",
+				prog.Name, b, prog.Body[b].Instr.Name, s.cpu.Name, why)
+		}
+	}
 	need := regRingSlots * sk.numRegs
 	s.slab = grow(s.slab, need)
 	s.watchHead = grow(s.watchHead, need)
-	s.blockedGen = grow(s.blockedGen, sk.bodyLen)
-	s.blockedRetry = grow(s.blockedRetry, sk.bodyLen)
+	// A group never holds more entries than the scheduler does.
+	groups := len(sk.groupRep)
+	s.ready = grow(s.ready, groups)
+	for g := range s.ready {
+		if cap(s.ready[g]) < cap(s.rs) {
+			s.ready[g] = make([]int32, 0, cap(s.rs))
+		}
+	}
+	s.heads = grow(s.heads, groups)
+	s.blocked = grow(s.blocked, groups)
 	return nil
+}
+
+// neverIssues explains why body µop b's issue test can never pass on this
+// machine — no port accepts it, or it needs more of a queue than exists —
+// or returns "" when some state of the machine lets it issue.
+func (s *Sim) neverIssues(b int32) string {
+	sk, cpu := &s.skel, s.cpu
+	class := sk.class[b]
+	on512 := sk.w512[b] && class != isa.VecShuffle
+	ports := s.classPortMask[class]
+	switch {
+	case class == isa.GatherOp:
+		ports = s.loadPortsMask
+	case on512:
+		ports = s.vec512Mask
+	}
+	fills := class == isa.Load || class == isa.GatherOp || class == isa.Prefetch && !sk.isStream[b]
+	switch {
+	case ports == 0 && on512:
+		return "the machine has no 512-bit unit"
+	case ports == 0:
+		return fmt.Sprintf("no port accepts class %s", class)
+	case class == isa.GatherOp && int(sk.lqSlots[b]) > cpu.LoadQueue:
+		return fmt.Sprintf("it needs %d load-queue entries and the load queue has %d", sk.lqSlots[b], cpu.LoadQueue)
+	case class == isa.Load && cpu.LoadQueue < 1:
+		return "the load queue has no entries"
+	case class == isa.Store && cpu.StoreQueue < 1:
+		return "the store queue has no entries"
+	case fills && cpu.LineFillBuffers < 1:
+		return "it needs a line-fill buffer and there are none"
+	}
+	return ""
 }

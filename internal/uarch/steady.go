@@ -227,7 +227,7 @@ func (st *steadyState) encode(s *Sim) (digest []byte, minIter int64, ok bool) {
 	// scheduler exactly when they issue, so it is always the unissued ROB
 	// entries in age order — fully determined by the per-entry issued flags
 	// above, in both scheduler modes. (The event scheduler's watcher lists,
-	// maturation heap, and ready set are equally derived from the ROB and
+	// maturation heap, and ready queues are equally derived from the ROB and
 	// slab contents; states with equal digests replay identically however
 	// that derived state is partitioned.)
 	for _, f := range s.portFree {
