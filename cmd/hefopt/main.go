@@ -20,7 +20,6 @@ package main
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -28,19 +27,17 @@ import (
 
 	"hef/internal/core"
 	"hef/internal/experiments"
-	"hef/internal/hef"
-	"hef/internal/hid"
 	"hef/internal/isa"
 	"hef/internal/memo"
 	"hef/internal/obs"
 	"hef/internal/sched"
 	"hef/internal/sweepcli"
-	"hef/internal/translator"
+	"hef/internal/uarch"
 )
 
 func main() {
 	sw := sweepcli.Register(flag.CommandLine, "hefopt", "operators", "batch")
-	cpuName := flag.String("cpu", "silver", `CPU model: "silver" or "gold"`)
+	cpuName := flag.String("cpu", "silver", `CPU model: "silver", "gold", "neoverse" or "zen"`)
 	op := flag.String("op", "murmur", "comma-separated operators (murmur, crc64, probe, filter, agg, bloom) or template names with -file")
 	file := flag.String("file", "", "operator template file to load instead of the built-ins")
 	elems := flag.Int64("elems", 1<<14, "synthetic test size per evaluation")
@@ -164,49 +161,27 @@ type opResult struct {
 // budget stop degrades gracefully to a deterministic best-so-far partial
 // result; a cancellation fails the job so a resumed run re-does it in full.
 func runOne(ctx context.Context, fw *core.Framework, opName, file string, budget, parallel int, showCode, trace, wantDot bool, cache *memo.Cache) (*opResult, error) {
-	tmpl, err := selectTemplate(opName, file)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := fw.OptimizeOperatorContext(ctx, tmpl, core.OptimizeOptions{Budget: budget, Parallel: parallel, Memo: cache})
-	out := &opResult{Op: tmpl.Name}
-	if err != nil {
-		// Budget exhaustion is deterministic, so its best-so-far partial
-		// result is safe to checkpoint; any other stop (cancellation, a
-		// broken model) fails the job instead.
-		if opt == nil || !errors.Is(err, hef.ErrBudgetExhausted) {
+	var src []byte
+	if file != "" {
+		var err error
+		if src, err = os.ReadFile(file); err != nil {
 			return nil, err
 		}
-		out.Note = fmt.Sprintf("search stopped early (%v); reporting best-so-far", err)
 	}
-
-	measureNS := func(label string, n translator.Node) (float64, obs.Run, error) {
-		res, err := fw.MeasureWith(tmpl, n, cache)
-		if err != nil {
-			return 0, obs.Run{}, err
-		}
-		run := obs.RunFromResult(tmpl.Name, label, n.String(), res, res.Seconds())
-		return res.Seconds() / float64(res.Elems) * 1e9, run, nil
-	}
-	scalarNS, scalarRun, err := measureNS("Scalar", translator.Node{V: 0, S: 1, P: 1})
+	tmpl, err := core.OperatorTemplate(opName, string(src))
 	if err != nil {
 		return nil, err
 	}
-	simdNS, simdRun, err := measureNS("SIMD", translator.Node{V: 1, S: 0, P: 1})
+	opt, err := fw.OptimizeAndMeasure(ctx, "hefopt", tmpl, core.OptimizeOptions{Budget: budget, Parallel: parallel, Memo: cache})
 	if err != nil {
 		return nil, err
 	}
-	_, optRun, err := measureNS("Optimum", opt.Node)
-	if err != nil {
-		return nil, err
+	out := &opResult{Op: tmpl.Name, Report: opt.Report}
+	if opt.Stopped != nil {
+		out.Note = fmt.Sprintf("search stopped early (%v); reporting best-so-far", opt.Stopped)
 	}
-
-	rep := obs.NewReport("hefopt")
-	rep.CPU = fw.CPU().Name
-	rep.Params["op"] = tmpl.Name
-	rep.Runs = append(rep.Runs, scalarRun, simdRun, optRun)
-	rep.Search = obs.SearchFromResult(opt.Search)
-	out.Report = rep
+	nsPerElem := func(res *uarch.Result) float64 { return res.Seconds() / float64(res.Elems) * 1e9 }
+	scalarNS, simdNS := nsPerElem(opt.Scalar), nsPerElem(opt.SIMD)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "operator %s on %s\n", tmpl.Name, fw.CPU().Name)
@@ -281,19 +256,4 @@ func fileDigest(path string) string {
 		return path // resolution fails later with a clear error
 	}
 	return fmt.Sprintf("%s@%x", path, sha256.Sum256(src))
-}
-
-func selectTemplate(op, file string) (*hid.Template, error) {
-	if file != "" {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		f, err := core.ParseTemplates(string(src))
-		if err != nil {
-			return nil, err
-		}
-		return f.Get(op)
-	}
-	return experiments.OpTemplate(op)
 }

@@ -9,12 +9,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 
+	"hef/internal/experiments"
 	"hef/internal/hef"
 	"hef/internal/hid"
 	"hef/internal/isa"
 	"hef/internal/memo"
+	"hef/internal/obs"
 	"hef/internal/translator"
 	"hef/internal/uarch"
 )
@@ -171,10 +174,15 @@ func (f *Framework) OptimizeOperator(tmpl *hid.Template) (*Optimized, error) {
 // frontier. Both return values are nil only when no candidate could be
 // evaluated at all.
 func (f *Framework) OptimizeOperatorContext(ctx context.Context, tmpl *hid.Template, opts OptimizeOptions) (*Optimized, error) {
-	eval := f.newEvaluator(tmpl, opts.Memo)
-	// From here on, read the snapshot the search measures: the caller may
-	// edit its own template once the search returns.
-	tmpl = eval.Template()
+	return f.optimize(ctx, f.newEvaluator(tmpl, opts.Memo), opts)
+}
+
+// optimize runs the search on eval, which measures its own snapshot of the
+// caller's template.
+func (f *Framework) optimize(ctx context.Context, eval *hef.SimEvaluator, opts OptimizeOptions) (*Optimized, error) {
+	// Read the snapshot the search measures: the caller may edit its own
+	// template once the search returns.
+	tmpl := eval.Template()
 	initial, err := hef.InitialNode(f.cpu, tmpl, f.width)
 	if err != nil {
 		return nil, err
@@ -206,6 +214,78 @@ func (f *Framework) OptimizeOperatorContext(ctx context.Context, tmpl *hid.Templ
 		}
 	}
 	return opt, serr
+}
+
+// Measured is one operator's offline phase as hefopt and hefd report it:
+// the search outcome and the measurements of its purely scalar, purely
+// SIMD and optimal implementations.
+type Measured struct {
+	*Optimized
+	// Stopped is the budget exhaustion that cut the search short, or nil:
+	// the optimum is then the best found so far.
+	Stopped error
+	// Scalar, SIMD and Optimum are the measurements of the purely scalar
+	// n(0,1,1), the purely SIMD n(1,0,1) and the optimal node.
+	Scalar, SIMD, Optimum *uarch.Result
+	// Report carries the three measurements as runs labelled "Scalar",
+	// "SIMD" and "Optimum", and the search.
+	Report *obs.RunReport
+}
+
+// OptimizeAndMeasure runs the offline phase on tmpl, measures n(0,1,1),
+// n(1,0,1) and the optimum on the search's own evaluator (each a memo hit
+// when opts.Memo holds the search's measurement of it) and renders all
+// three with the search as an obs.RunReport of the named tool. Budget
+// exhaustion is deterministic, so it only sets Stopped; any other stop
+// (cancellation, a broken model, a recovered panic) is returned as the
+// error.
+func (f *Framework) OptimizeAndMeasure(ctx context.Context, tool string, tmpl *hid.Template, opts OptimizeOptions) (*Measured, error) {
+	eval := f.newEvaluator(tmpl, opts.Memo)
+	opt, err := f.optimize(ctx, eval, opts)
+	m := &Measured{Optimized: opt}
+	if err != nil {
+		if opt == nil || !errors.Is(err, hef.ErrBudgetExhausted) {
+			return nil, err
+		}
+		m.Stopped = err
+	}
+	name := opt.Template.Name
+	rep := obs.NewReport(tool)
+	rep.CPU = f.cpu.Name
+	rep.Params["op"] = name
+	for _, r := range []struct {
+		label string
+		node  translator.Node
+		res   **uarch.Result
+	}{
+		{"Scalar", translator.Node{V: 0, S: 1, P: 1}, &m.Scalar},
+		{"SIMD", translator.Node{V: 1, S: 0, P: 1}, &m.SIMD},
+		{"Optimum", opt.Node, &m.Optimum},
+	} {
+		res, err := eval.Run(r.node)
+		if err != nil {
+			return nil, err
+		}
+		*r.res = res
+		rep.Runs = append(rep.Runs, obs.RunFromResult(name, r.label, r.node.String(), res, res.Seconds()))
+	}
+	rep.Search = obs.SearchFromResult(opt.Search)
+	m.Report = rep
+	return m, nil
+}
+
+// OperatorTemplate returns the operator template named op: the built-in
+// operator of that name (experiments.OpTemplate) when src is empty,
+// otherwise the template of that name in the HID source src.
+func OperatorTemplate(op, src string) (*hid.Template, error) {
+	if src == "" {
+		return experiments.OpTemplate(op)
+	}
+	f, err := ParseTemplates(src)
+	if err != nil {
+		return nil, err
+	}
+	return f.Get(op)
 }
 
 // Translate generates code for an explicit candidate node without searching

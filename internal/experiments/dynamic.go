@@ -50,7 +50,9 @@ func TimeQueryTuned(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF f
 		region uint64
 	}
 	cache := map[cacheKey]translator.Node{}
-	sim := &stageSim{cpu: cpu}
+	// The stage searches and the stage measurements share one stack of
+	// simulators.
+	sims := &hef.SimStack{}
 
 	for _, stage := range stages {
 		if stage.Elems == 0 {
@@ -68,6 +70,7 @@ func TimeQueryTuned(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF f
 			}
 			initial = clampToBounds(initial, tunedBounds)
 			eval := hef.NewSimEvaluator(cpu, stage.Template, 0, tunedTestElems)
+			eval.SetSims(sims)
 			sr, err := hef.Search(eval, initial, tunedBounds)
 			if err != nil {
 				return nil, nil, fmt.Errorf("experiments: tuning %s: %w", stage.Name, err)
@@ -81,7 +84,7 @@ func TimeQueryTuned(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF f
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := runStage(sim, stage, pl, nil)
+		res, err := runStage(sims, cpu, stage, pl, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"hef/internal/engine"
+	"hef/internal/hef"
 	"hef/internal/hid"
 	"hef/internal/isa"
 	"hef/internal/memo"
@@ -256,9 +257,9 @@ type stagePlan struct {
 }
 
 // planStage translates a stage at the engine's node and computes the
-// measurement plan and content fingerprint of its simulation. Random
-// regions that fit in the LLC are warmed before the run so node comparisons
-// reflect steady state.
+// measurement plan and content fingerprint of its simulation, capped at
+// SampleElems elements. Random regions that fit in the LLC are warmed
+// before the run so node comparisons reflect steady state.
 func planStage(cpu *isa.CPU, stage Stage, kind EngineKind) (*stagePlan, error) {
 	node := nodeFor(kind)
 	if stage.Node != nil {
@@ -268,70 +269,33 @@ func planStage(cpu *isa.CPU, stage Stage, kind EngineKind) (*stagePlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stage %s: %w", stage.Name, err)
 	}
-	simElems := stage.Elems
-	if simElems > SampleElems {
-		simElems = SampleElems
-	}
-	iters := int64(simElems) / int64(out.ElemsPerIter)
-	if iters < 1 {
-		iters = 1
-	}
-	pl := &stagePlan{Plan: memo.Plan{Proto: memo.ProtoStage, Prog: out.Program, Iters: iters}}
-	for _, p := range stage.Template.Params {
-		if p.Pattern == hid.RandomRegion && p.Region <= uint64(cpu.LLC.SizeBytes) {
-			pl.Warm = append(pl.Warm, memo.WarmRange{Base: translator.ParamBase(stage.Template, p.Name), Region: p.Region})
-		}
-	}
+	pl := &stagePlan{Plan: memo.NewPlan(memo.ProtoStage, cpu, stage.Template, out, int64(min(stage.Elems, SampleElems)))}
 	pl.key = pl.Key(cpu, nil)
 	return pl, nil
 }
 
-// stageSim is the simulator one worker measures stage plans on. It is built
-// on the first measurement, so a worker whose every stage is served from
-// the cache never allocates a cache hierarchy, and reused for every later
-// one: Plan.Measure resets the hierarchy, so the results are those of a
-// fresh simulator per plan.
-type stageSim struct {
-	cpu *isa.CPU
-	sim *uarch.Sim
-}
-
-// measure simulates one planned stage measurement.
-func (s *stageSim) measure(name string, pl *stagePlan) (*uarch.Result, error) {
-	if s.sim == nil {
-		s.sim = uarch.NewSim(s.cpu)
-	}
-	res, err := pl.Measure(s.sim)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: stage %s: %w", name, err)
-	}
-	return res, nil
-}
-
 // runStage returns a planned stage's counters scaled to the stage's
-// nominal element count. A non-nil cache serves repeat measurements (stages
-// shared across queries and engines) from their fingerprint; a miss, or a
-// nil cache, simulates on sim and stores the result.
-func runStage(sim *stageSim, stage Stage, pl *stagePlan, cache *memo.Cache) (*uarch.Result, error) {
-	res, ok := cache.Get(pl.key)
-	if !ok {
-		var err error
-		if res, err = sim.measure(stage.Name, pl); err != nil {
-			return nil, err
-		}
-		cache.Put(pl.key, res)
+// nominal element count, measured through sims: a non-nil cache serves
+// repeat measurements (stages shared across queries and engines) from
+// their fingerprint, and a miss, or a nil cache, simulates and stores the
+// result.
+func runStage(sims *hef.SimStack, cpu *isa.CPU, stage Stage, pl *stagePlan, cache *memo.Cache) (*uarch.Result, error) {
+	res, err := sims.Measure(cache, pl.key, &pl.Plan, cpu, nil)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: stage %s: %w", stage.Name, err)
 	}
 	res.Name = stage.Name
 	res.Scale(float64(stage.Elems) / float64(res.Elems))
 	return res, nil
 }
 
-// queryPlan is one (query, engine) cell, planned once: its timed stages and,
-// for each stage that processes elements, the stage's measurement plan (nil
-// for the others).
+// queryPlan is one (query, engine) cell on one CPU, planned once: its timed
+// stages and, for each stage that processes elements, the stage's
+// measurement plan (nil for the others).
 type queryPlan struct {
 	queryID string
 	kind    EngineKind
+	cpu     *isa.CPU
 	stages  []Stage
 	plans   []*stagePlan
 }
@@ -342,7 +306,7 @@ func planQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float6
 	if err != nil {
 		return nil, err
 	}
-	qp := &queryPlan{queryID: q.ID, kind: kind, stages: stages, plans: make([]*stagePlan, len(stages))}
+	qp := &queryPlan{queryID: q.ID, kind: kind, cpu: cpu, stages: stages, plans: make([]*stagePlan, len(stages))}
 	for i, stage := range stages {
 		if stage.Elems == 0 {
 			continue
@@ -354,17 +318,17 @@ func planQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float6
 	return qp, nil
 }
 
-// time assembles the cell's run from its plans, one cache lookup per stage
-// that processes elements.
-func (qp *queryPlan) time(sim *stageSim, cache *memo.Cache) (*QueryRun, error) {
-	run := &QueryRun{QueryID: qp.queryID, Kind: qp.kind, CPU: sim.cpu}
+// time assembles the cell's run from its plans, one measurement through
+// sims per stage that processes elements.
+func (qp *queryPlan) time(sims *hef.SimStack, cache *memo.Cache) (*QueryRun, error) {
+	run := &QueryRun{QueryID: qp.queryID, Kind: qp.kind, CPU: qp.cpu}
 	for i, stage := range qp.stages {
 		var res *uarch.Result
 		if pl := qp.plans[i]; pl == nil {
-			res = &uarch.Result{Name: stage.Name, FreqGHz: sim.cpu.Freq.ScalarGHz}
+			res = &uarch.Result{Name: stage.Name, FreqGHz: qp.cpu.Freq.ScalarGHz}
 		} else {
 			var err error
-			if res, err = runStage(sim, stage, pl, cache); err != nil {
+			if res, err = runStage(sims, qp.cpu, stage, pl, cache); err != nil {
 				return nil, err
 			}
 		}
@@ -388,5 +352,5 @@ func TimeQuery(cpu *isa.CPU, q queries.Query, st queries.Stats, nominalSF float6
 	if err != nil {
 		return nil, err
 	}
-	return qp.time(&stageSim{cpu: cpu}, nil)
+	return qp.time(&hef.SimStack{}, nil)
 }

@@ -1,16 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"hef/internal/engine"
+	"hef/internal/hef"
 	"hef/internal/isa"
 	"hef/internal/memo"
 	"hef/internal/queries"
+	"hef/internal/sched"
 	"hef/internal/ssb"
 )
 
@@ -57,9 +58,10 @@ type FigureConfig struct {
 	// cache every stage reference is simulated, serially, on one simulator.
 	Memo *memo.Cache
 	// Parallel runs the distinct stage measurements on that many concurrent
-	// workers, each owning one simulator (requires Memo; <= 1 measures
-	// serially on one simulator). The figure — numbers, ordering, and cache
-	// counters — is identical for every setting.
+	// workers, which share the figure's simulators, one per running
+	// measurement (requires Memo; <= 1 measures serially on one
+	// simulator). The figure — numbers, ordering, and cache counters — is
+	// identical for every setting.
 	Parallel int
 }
 
@@ -117,14 +119,16 @@ func RunFigure(cfg FigureConfig) (*Figure, error) {
 			cells = append(cells, qp)
 		}
 	}
+	// The pre-measure workers and the assembly measure on one stack of
+	// simulators.
+	sims := &hef.SimStack{}
 	if cfg.Memo != nil {
-		if err := premeasureFigure(cpu, cells, cfg.Memo, cfg.Parallel); err != nil {
+		if err := premeasureFigure(cpu, sims, cells, cfg.Memo, cfg.Parallel); err != nil {
 			return nil, err
 		}
 	}
-	sim := &stageSim{cpu: cpu}
 	for _, qp := range cells {
-		run, err := qp.time(sim, cfg.Memo)
+		run, err := qp.time(sims, cfg.Memo)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: timing %s/%v: %w", qp.queryID, qp.kind, err)
 		}
@@ -134,15 +138,16 @@ func RunFigure(cfg FigureConfig) (*Figure, error) {
 	return fig, nil
 }
 
-// premeasureFigure simulates every distinct stage measurement of the
-// figure's planned cells exactly once, on parallel workers when parallel >
-// 1. Each worker owns one simulator and pulls measurements from a shared
-// counter. Deduplicating by fingerprint before dispatch — rather than
-// letting concurrent cells race to measure the same stage — both avoids
-// duplicate simulations and keeps the cache counters independent of the
-// worker count, so a figure report is byte-identical for every Parallel
-// setting.
-func premeasureFigure(cpu *isa.CPU, cells []*queryPlan, cache *memo.Cache, parallel int) error {
+// premeasureFigure measures every distinct stage measurement of the
+// figure's planned cells exactly once, into cache, on sched.ForEach's
+// worker loop with parallel workers, each measurement on a simulator from
+// sims. Deduplicating by fingerprint before dispatch — rather than letting
+// concurrent cells race to measure the same stage — both avoids duplicate
+// simulations and keeps the cache counters independent of the worker
+// count, so a figure report is byte-identical for every Parallel setting.
+// A stage already in cache (a shared cache) counts one hit and is not
+// measured again. It returns the first failure in stage order.
+func premeasureFigure(cpu *isa.CPU, sims *hef.SimStack, cells []*queryPlan, cache *memo.Cache, parallel int) error {
 	type work struct {
 		name string
 		pl   *stagePlan
@@ -158,54 +163,21 @@ func premeasureFigure(cpu *isa.CPU, cells []*queryPlan, cache *memo.Cache, paral
 			todo = append(todo, work{name: qp.stages[i].Name, pl: pl})
 		}
 	}
-	measure := func(sim *stageSim, w work) error {
-		if _, ok := cache.Get(w.pl.key); ok {
-			return nil // pre-populated by the caller (a shared cache)
-		}
-		res, err := sim.measure(w.name, w.pl)
-		if err != nil {
-			return err
-		}
-		cache.Put(w.pl.key, res)
-		return nil
-	}
-	if parallel <= 1 || len(todo) < 2 {
-		sim := &stageSim{cpu: cpu}
-		for _, w := range todo {
-			if err := measure(sim, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// A panic on a worker goroutine would end the process; reported as the
-	// stage's error, it reaches RunFigure's caller like any other failure.
-	safeMeasure := func(sim *stageSim, w work) (err error) {
+	errs := make([]error, len(todo))
+	sched.ForEach(context.Background(), parallel, len(todo), func(_, i int) {
+		w := todo[i]
+		// A panic on a worker goroutine would end the process; reported as
+		// the stage's error, it reaches RunFigure's caller like any other
+		// failure.
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("experiments: stage %s panicked: %v", w.name, r)
+				errs[i] = fmt.Errorf("experiments: stage %s panicked: %v", w.name, r)
 			}
 		}()
-		return measure(sim, w)
-	}
-	errs := make([]error, len(todo))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(parallel, len(todo)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim := &stageSim{cpu: cpu}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(todo) {
-					return
-				}
-				errs[i] = safeMeasure(sim, todo[i])
-			}
-		}()
-	}
-	wg.Wait()
+		if _, err := sims.Measure(cache, w.pl.key, &w.pl.Plan, cpu, nil); err != nil {
+			errs[i] = fmt.Errorf("experiments: stage %s: %w", w.name, err)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

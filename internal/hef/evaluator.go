@@ -120,24 +120,39 @@ func (s *SimStack) Pop() *uarch.Sim {
 	return sim
 }
 
+// Measure is the one get-or-simulate step every paper-core measurement
+// takes: it returns c's copy of the Result stored under key, or else runs
+// plan on a simulator for cpu under perturbation p, popped from the stack
+// (or built when the stack is empty), and stores the Result under key. key
+// must be plan.Key(cpu, p); a nil c measures every call and ignores key.
+// The simulator is off the stack while it measures and is pushed back only
+// after a successful measurement, so one whose measurement panics or fails
+// is dropped rather than used again: a half-run pipeline is not a clean
+// start. Plan.Measure resets the hierarchy first, so any simulator for cpu
+// measures exactly like a fresh one.
+func (s *SimStack) Measure(c *memo.Cache, key memo.Key, plan *memo.Plan, cpu *isa.CPU, p *uarch.Perturb) (*uarch.Result, error) {
+	if res, ok := c.Get(key); ok {
+		return res, nil
+	}
+	sim := s.Pop()
+	if sim == nil {
+		sim = uarch.NewSim(cpu)
+	}
+	sim.SetPerturb(p)
+	res, err := plan.Measure(sim)
+	if err != nil {
+		return nil, err
+	}
+	s.Push(sim)
+	c.Put(key, res)
+	return res, nil
+}
+
 // SetSims makes the evaluator and its later forks measure on the
 // simulators of s, which must be built for the evaluator's CPU, instead of
 // a stack of their own; core.Framework shares its stack across calls this
 // way.
 func (e *SimEvaluator) SetSims(s *SimStack) { e.sims = s }
-
-// takeSim returns the simulator for one measurement, set to the
-// evaluator's perturbation. It is off the stack while it measures, so one
-// whose measurement panics or fails is dropped rather than used again: a
-// half-run pipeline is not a clean start.
-func (e *SimEvaluator) takeSim() *uarch.Sim {
-	sim := e.sims.Pop()
-	if sim == nil {
-		sim = uarch.NewSim(e.cpu)
-	}
-	sim.SetPerturb(e.perturb)
-	return sim
-}
 
 // SetMemo attaches a content-addressed measurement cache (nil detaches).
 // Runs whose fingerprint — machine model, perturbation, translated program,
@@ -207,45 +222,19 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters := e.elems / int64(out.ElemsPerIter)
-	if iters < 1 {
-		iters = 1
-	}
 	// The plan's protocol is a pure function of the fingerprinted inputs,
 	// so a cached Result is exact, not approximate, and a link is recorded
 	// only for a Result in hand: a machine model whose hierarchy cannot be
 	// built fails in Measure and never gets a link that would skip it.
-	plan := memo.Plan{Proto: memo.ProtoEvaluator, Prog: out.Program, Iters: iters, Warm: e.warmRanges()}
+	plan := memo.NewPlan(memo.ProtoEvaluator, e.cpu, e.tmpl, out, e.elems)
 	var key memo.Key
 	if useMemo {
 		key = plan.Key(e.cpu, e.perturb)
-		if res, ok := e.memo.Get(key); ok {
-			e.memo.Link(tkey, key)
-			return res, nil
-		}
 	}
-	sim := e.takeSim()
-	res, err := plan.Measure(sim)
+	res, err := e.sims.Measure(e.memo, key, &plan, e.cpu, e.perturb)
 	if err != nil {
 		return nil, err
 	}
-	e.sims.Push(sim)
-	if useMemo {
-		e.memo.Put(key, res)
-		e.memo.Link(tkey, key)
-	}
+	e.memo.Link(tkey, key)
 	return res, nil
-}
-
-// warmRanges lists the regions Run warms before measuring: every
-// random-access template parameter that fits in the LLC, in parameter
-// order. The list is part of the memo fingerprint.
-func (e *SimEvaluator) warmRanges() []memo.WarmRange {
-	var w []memo.WarmRange
-	for _, p := range e.tmpl.Params {
-		if p.Pattern == hid.RandomRegion && p.Region > 0 && p.Region <= uint64(e.cpu.LLC.SizeBytes) {
-			w = append(w, memo.WarmRange{Base: translator.ParamBase(e.tmpl, p.Name), Region: p.Region})
-		}
-	}
-	return w
 }

@@ -72,12 +72,8 @@ func FuzzTranslationKey(f *testing.F) {
 			if err != nil {
 				return false
 			}
-			iters := ev.elems / int64(out.ElemsPerIter)
-			if iters < 1 {
-				iters = 1
-			}
-			warm := (&SimEvaluator{cpu: cpu, tmpl: want}).warmRanges()
-			mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, ev.perturb, out.Program, iters, warm)
+			pl := memo.NewPlan(memo.ProtoEvaluator, cpu, want, out, ev.elems)
+			mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, ev.perturb, out.Program, pl.Iters, pl.Warm)
 			cache.Put(mk, &uarch.Result{Name: step})
 			res, err := ev.Run(node)
 			if err != nil {

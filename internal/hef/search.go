@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"hef/internal/sched"
 )
 
 // Bounds caps the search space, mirroring the v, s, p upper limits of Eq. 1.
@@ -189,6 +189,13 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 	evals := evaluators(eval, opts.Workers)
 	seen := map[Node]bool{initial: true}
 	var list []entry
+	// measure evaluates list[i] on worker w's evaluator; each wave's list
+	// runs on sched.ForEach, one evaluator inline on the calling goroutine.
+	// Panics are recovered per node into *PanicError, so the replay can
+	// surface the exact error of the FIFO walk. The context is checked
+	// between waves, so a wave's list is always measured in full. It is
+	// built once per search, not per wave: the closure escapes.
+	measure := func(w, i int) { list[i].sec, list[i].err = safeEvaluate(evals[w], list[i].node) }
 	wave, next := []scored{{initial, initSec}}, []scored(nil)
 	for len(wave) > 0 {
 		m.OnWave(len(wave))
@@ -215,7 +222,7 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 		if opts.MaxEvaluations > 0 {
 			evalN = max(0, min(evalN, opts.MaxEvaluations-res.Tested))
 		}
-		evaluateList(evals, list[:evalN])
+		sched.ForEach(context.Background(), len(evals), evalN, measure)
 
 		// Replay: apply the pruning rule in generation order.
 		next = next[:0]
@@ -278,36 +285,6 @@ func evaluators(eval Evaluator, workers int) []Evaluator {
 		evals = append(evals, fe.Fork())
 	}
 	return evals
-}
-
-// evaluateList measures every entry of list. One evaluator runs inline on
-// the calling goroutine; with more, each evaluator gets a goroutine that
-// pulls list indices from a shared counter, and evaluateList returns once
-// all of them have finished. Panics are recovered per node into
-// *PanicError, so the replay can surface the exact error of the FIFO walk.
-func evaluateList(evals []Evaluator, list []entry) {
-	if len(evals) == 1 {
-		for i := range list {
-			list[i].sec, list[i].err = safeEvaluate(evals[0], list[i].node)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, ev := range evals[:min(len(evals), len(list))] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(list) {
-					return
-				}
-				list[i].sec, list[i].err = safeEvaluate(ev, list[i].node)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sortNodes orders ns by (V, S, P).

@@ -13,14 +13,11 @@ import (
 
 	"hef/internal/core"
 	"hef/internal/experiments"
-	"hef/internal/hef"
-	"hef/internal/hid"
 	"hef/internal/memo"
 	"hef/internal/obs"
 	"hef/internal/sched"
 	"hef/internal/store"
 	"hef/internal/telemetry"
-	"hef/internal/translator"
 )
 
 // Config tunes a Manager. DataDir is required; every other zero value
@@ -840,21 +837,12 @@ func (m *Manager) noteAuthDenied() {
 // WALSize reports the job log's on-disk size for the metrics bridge.
 func (m *Manager) WALSize() int64 { return m.wal.Size() }
 
-// optimizeOp is the production runOp: the hefopt pipeline for one operator
-// — optimize, then measure the scalar, SIMD, and optimal implementations —
-// rendered as a versioned RunReport. Deterministic for a fixed spec, which
+// optimizeOp is the production runOp: hefopt's pipeline for one operator
+// (core.Framework.OptimizeAndMeasure: optimize, then measure the scalar,
+// SIMD, and optimal implementations) rendered as a versioned RunReport. Deterministic for a fixed spec, which
 // is what makes checkpoint resume byte-identical.
 func (m *Manager) optimizeOp(ctx context.Context, spec JobSpec, op string) (*obs.RunReport, error) {
-	var tmpl *hid.Template
-	var err error
-	if spec.HID != "" {
-		var f *hid.File
-		if f, err = core.ParseTemplates(spec.HID); err == nil {
-			tmpl, err = f.Get(op)
-		}
-	} else {
-		tmpl, err = experiments.OpTemplate(op)
-	}
+	tmpl, err := core.OperatorTemplate(op, spec.HID)
 	if err != nil {
 		return nil, err
 	}
@@ -862,44 +850,13 @@ func (m *Manager) optimizeOp(ctx context.Context, spec JobSpec, op string) (*obs
 	if err != nil {
 		return nil, err
 	}
-	opt, err := fw.OptimizeOperatorContext(ctx, tmpl, core.OptimizeOptions{
+	res, err := fw.OptimizeAndMeasure(ctx, "hefd", tmpl, core.OptimizeOptions{
 		Budget: spec.Budget, Parallel: spec.Parallel, Memo: m.cache,
 	})
 	if err != nil {
-		// Budget exhaustion is deterministic; its best-so-far partial result
-		// is reported. Any other stop (cancellation, a broken model) fails
-		// the operator so a resumed run re-does it in full.
-		if opt == nil || !errors.Is(err, hef.ErrBudgetExhausted) {
-			return nil, err
-		}
-	}
-
-	measure := func(label string, n translator.Node) (obs.Run, error) {
-		res, err := fw.MeasureWith(tmpl, n, m.cache)
-		if err != nil {
-			return obs.Run{}, err
-		}
-		return obs.RunFromResult(tmpl.Name, label, n.String(), res, res.Seconds()), nil
-	}
-	scalarRun, err := measure("Scalar", translator.Node{V: 0, S: 1, P: 1})
-	if err != nil {
 		return nil, err
 	}
-	simdRun, err := measure("SIMD", translator.Node{V: 1, S: 0, P: 1})
-	if err != nil {
-		return nil, err
-	}
-	optRun, err := measure("Optimum", opt.Node)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := obs.NewReport("hefd")
-	rep.CPU = fw.CPU().Name
-	rep.Params["op"] = tmpl.Name
-	rep.Runs = append(rep.Runs, scalarRun, simdRun, optRun)
-	rep.Search = obs.SearchFromResult(opt.Search)
-	return rep, nil
+	return res.Report, nil
 }
 
 // StartDrain flips the manager into draining: new submissions shed with a

@@ -179,6 +179,22 @@ type Plan struct {
 	Warm  []WarmRange
 }
 
+// NewPlan plans the measurement under proto of out, the translation of
+// tmpl: elems elements, run as at least one iteration, after warming every
+// random-access parameter region of tmpl that fits in cpu's LLC, in
+// parameter order. It is the one warm-range rule: candidate evaluations
+// and SSB stages both plan through it, and the warm list is part of the
+// key.
+func NewPlan(proto Protocol, cpu *isa.CPU, tmpl *hid.Template, out *translator.Output, elems int64) Plan {
+	pl := Plan{Proto: proto, Prog: out.Program, Iters: max(elems/int64(out.ElemsPerIter), 1)}
+	for _, p := range tmpl.Params {
+		if p.Pattern == hid.RandomRegion && p.Region > 0 && p.Region <= uint64(cpu.LLC.SizeBytes) {
+			pl.Warm = append(pl.Warm, WarmRange{Base: translator.ParamBase(tmpl, p.Name), Region: p.Region})
+		}
+	}
+	return pl
+}
+
 // Key fingerprints the plan on the given machine model and perturbation,
 // which must be those of the simulator Measure runs on.
 func (p *Plan) Key(cpu *isa.CPU, perturb *uarch.Perturb) Key {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hef/internal/store"
@@ -90,9 +89,10 @@ type SweepResult[T any] struct {
 //
 //   - With cfg.ResumePath, completed tasks are loaded from the checkpoint
 //     and not run again.
-//   - One worker runs the remaining tasks inline, in list order; more pull
-//     the next index from a shared counter. Each task gets ctx itself, and
-//     a panic inside it becomes a *PanicError failure.
+//   - The remaining tasks run on ForEach's worker loop: one worker runs
+//     them inline, in list order; more pull the next index from a shared
+//     counter. Each task gets ctx itself, and a panic inside it becomes a
+//     *PanicError failure.
 //   - With cfg.CheckpointPath, every completion is recorded and flushed
 //     under one lock, and the checkpoint is flushed once more on return.
 //   - Once ctx is done (deadline, SIGINT/SIGTERM via signal.NotifyContext)
@@ -182,31 +182,7 @@ func RunSweep[T any](ctx context.Context, cfg SweepConfig, tasks []Task[T]) (*Sw
 		flush()
 	}
 
-	if workers := min(cfg.Workers, len(todo)); workers <= 1 {
-		for _, t := range todo {
-			if ctx.Err() != nil {
-				break
-			}
-			run(t)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(todo) {
-						return
-					}
-					run(todo[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	ForEach(ctx, cfg.Workers, len(todo), func(_, i int) { run(todo[i]) })
 
 	flush()
 	res.Interrupted = ctx.Err() != nil

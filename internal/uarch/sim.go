@@ -392,9 +392,11 @@ type Sim struct {
 
 	// perturb, when non-nil, is the fault-injection model (SetPerturb).
 	perturb *Perturb
-	// hierErr records a cache-hierarchy construction failure; NewSim keeps
-	// its infallible signature and Run surfaces the error instead.
-	hierErr error
+	// modelErr records a machine model NewSim cannot simulate (an invalid
+	// cache geometry, a ROB beyond the simulator's limit, a machine that
+	// can never dispatch); NewSim keeps its infallible signature and Run
+	// surfaces the error instead.
+	modelErr error
 
 	// steady is the fast path: core-only period detection (steady.go) and
 	// response-verified replay of the recorded period (replay.go). Its
@@ -404,18 +406,28 @@ type Sim struct {
 	fastOff bool
 }
 
-// NewSim builds a simulator for a CPU with a fresh cache hierarchy. An
-// invalid cache geometry does not fail here: the error is deferred and
-// returned by the first Run (and exposed by Err), so call sites that
-// construct simulators for the built-in CPU models stay non-fallible.
+// NewSim builds a simulator for a CPU with a fresh cache hierarchy. A
+// model it cannot simulate — an invalid cache geometry, or a ROB,
+// scheduler or decoder that could never dispatch anything — does not fail
+// here: the error is deferred and returned by every Run (and exposed by
+// Err), so call sites that construct simulators for the built-in CPU
+// models stay non-fallible.
 func NewSim(cpu *isa.CPU) *Sim {
 	hier, err := cache.New(cpu)
 	if err != nil {
-		return &Sim{cpu: cpu, hierErr: fmt.Errorf("uarch: building cache hierarchy: %w", err)}
+		return &Sim{cpu: cpu, modelErr: fmt.Errorf("uarch: building cache hierarchy: %w", err)}
 	}
 	robCap := cpu.ROBSize + 8
-	if robCap > 1<<robBits {
-		return &Sim{cpu: cpu, hierErr: fmt.Errorf("uarch: a ROB of %d µops exceeds the simulator's limit of %d", cpu.ROBSize, 1<<robBits-8)}
+	switch {
+	case robCap > 1<<robBits:
+		err = fmt.Errorf("uarch: a ROB of %d µops exceeds the simulator's limit of %d", cpu.ROBSize, 1<<robBits-8)
+	case cpu.RSSize < 1:
+		err = fmt.Errorf("uarch: %s has %d scheduler entries; dispatch needs at least one", cpu.Name, cpu.RSSize)
+	case cpu.DecodeWidth < 1:
+		err = fmt.Errorf("uarch: %s decodes %d µops per cycle; dispatch needs at least one", cpu.Name, cpu.DecodeWidth)
+	}
+	if err != nil {
+		return &Sim{cpu: cpu, modelErr: err}
 	}
 	s := &Sim{cpu: cpu, hier: hier}
 	s.robBody = make([]int32, robCap)
@@ -425,11 +437,7 @@ func NewSim(cpu *isa.CPU) *Sim {
 	s.robSrc = make([]int32, 3*robCap)
 	s.robSrcCnt = make([]uint8, robCap)
 	s.robDst = make([]int32, robCap)
-	rsCap := cpu.RSSize
-	if rsCap < 1 {
-		rsCap = 1
-	}
-	s.rs = make([]int32, 0, rsCap)
+	s.rs = make([]int32, 0, cpu.RSSize)
 	s.portFree = make([]int64, len(cpu.Ports))
 	s.loadQ = make(minHeap, 0, cpu.LoadQueue+1)
 	s.storeQ = make(minHeap, 0, cpu.StoreQueue+1)
@@ -509,9 +517,9 @@ func occLUT(capacity int) []uint8 {
 	return lut
 }
 
-// Err reports a deferred construction error (an invalid cache geometry in
-// the CPU model). When non-nil, Hierarchy returns nil and Run fails.
-func (s *Sim) Err() error { return s.hierErr }
+// Err reports a deferred construction error (a CPU model NewSim cannot
+// simulate). When non-nil, Hierarchy returns nil and Run fails.
+func (s *Sim) Err() error { return s.modelErr }
 
 // Hierarchy exposes the cache hierarchy (for warming working sets). It is
 // nil when Err is non-nil.
@@ -549,8 +557,8 @@ func (s *Sim) Run(prog *Program, iters int64) (*Result, error) {
 // which anything can happen and charges the skipped cycles through the same
 // account.
 func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
-	if s.hierErr != nil {
-		return s.hierErr
+	if s.modelErr != nil {
+		return s.modelErr
 	}
 	if iters <= 0 {
 		return fmt.Errorf("uarch: iters must be positive, got %d", iters)

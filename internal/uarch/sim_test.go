@@ -254,6 +254,54 @@ func TestNeverIssuableProgramFails(t *testing.T) {
 	}
 }
 
+// TestNeverDispatchableFails: an instruction with more µops than the ROB
+// holds, or a model with no scheduler entries or no decode slots, could
+// never dispatch, so nothing would ever retire. Run must return an error,
+// on every call, instead of stepping forever. Each case runs under a
+// deadline, so a regression fails instead of hanging.
+func TestNeverDispatchableFails(t *testing.T) {
+	gather := &Program{Name: "gather", NumRegs: 2, ElemsPerIter: 8, Body: []UOp{
+		{Instr: isa.MustAVX512("vpgatherqq"), Dst: 1, Srcs: [3]int16{0, NoReg, NoReg},
+			Addr: AddrSpec{Kind: AddrRandom, Base: 1 << 30, Region: 1 << 16, Seed: 1}}}}
+	smallROB := isa.XeonSilver4110()
+	smallROB.ROBSize = 8
+	noRS := isa.XeonSilver4110()
+	noRS.RSSize = 0
+	noDecode := isa.XeonSilver4110()
+	noDecode.DecodeWidth = 0
+	cases := []struct {
+		name string
+		cpu  *isa.CPU
+		prog *Program
+		want string
+	}{
+		{"gather wider than the ROB", smallROB, gather, "exceed the 8-entry ROB"},
+		{"no scheduler entries", noRS, indepProg("a", isa.MustScalar("add"), 2), "0 scheduler entries"},
+		{"no decode slots", noDecode, indepProg("a", isa.MustScalar("add"), 2), "decodes 0 µops per cycle"},
+	}
+	for _, c := range cases {
+		done := make(chan [2]error, 1)
+		go func() {
+			s := NewSim(c.cpu)
+			var errs [2]error
+			for i := range errs {
+				_, errs[i] = s.Run(c.prog, 10)
+			}
+			done <- errs
+		}()
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: run %d returned %v, want an error containing %q", c.name, i+1, err, c.want)
+				}
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: Run still running after 20s", c.name)
+		}
+	}
+}
+
 func TestFrequencyLicense(t *testing.T) {
 	silver := isa.XeonSilver4110()
 	gold := isa.XeonGold6240R()

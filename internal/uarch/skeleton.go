@@ -275,7 +275,8 @@ func (sk *skeleton) groupOf(i int) int32 {
 // same timing perturbation — is a pointer comparison: no validation, no
 // rebuild, no allocation. Any other bind validates prog, rebuilds the
 // skeleton in place, and refuses a program with an issue group this machine
-// can never issue, which would otherwise retry forever.
+// can never issue or an instruction with more µops than the ROB holds,
+// which would otherwise retry forever.
 func (s *Sim) bind(prog *Program) error {
 	lj, oj, seed := normalizePerturb(s.perturb)
 	sk := &s.skel
@@ -294,6 +295,13 @@ func (s *Sim) bind(prog *Program) error {
 			sk.prog = nil
 			return fmt.Errorf("uarch: program %q body[%d] (%s) can never issue on %s: %s",
 				prog.Name, b, prog.Body[b].Instr.Name, s.cpu.Name, why)
+		}
+	}
+	for b, u := range sk.uops {
+		if int(u) > s.cpu.ROBSize {
+			sk.prog = nil
+			return fmt.Errorf("uarch: program %q body[%d] (%s) can never dispatch on %s: its %d µops exceed the %d-entry ROB",
+				prog.Name, b, prog.Body[b].Instr.Name, s.cpu.Name, u, s.cpu.ROBSize)
 		}
 	}
 	need := regRingSlots * sk.numRegs
