@@ -435,10 +435,6 @@ func (h *Hierarchy) ResetStats() {
 	h.hwPrefetchMem, h.swPrefetchMem = 0, 0
 }
 
-// LineShift returns log2 of the cache line size: addr >> LineShift() is the
-// line number used throughout the hierarchy.
-func (h *Hierarchy) LineShift() uint { return h.lineShift }
-
 // AccessNo returns the demand-access counter that clocks the stream
 // prefetcher's LRU ages.
 func (h *Hierarchy) AccessNo() uint64 { return h.accessNo }

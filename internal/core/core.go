@@ -34,6 +34,9 @@ type Framework struct {
 	bounds hef.Bounds
 	elems  int64
 
+	// machine hashes the CPU model's part of every evaluator's link
+	// prefix once, for all the framework's searches.
+	machine *hef.Machine
 	// sims holds the simulators no evaluation is using.
 	sims hef.SimStack
 }
@@ -41,7 +44,7 @@ type Framework struct {
 // newEvaluator returns an evaluator for tmpl that measures on the
 // framework's simulators.
 func (f *Framework) newEvaluator(tmpl *hid.Template, c *memo.Cache) *hef.SimEvaluator {
-	eval := hef.NewSimEvaluator(f.cpu, tmpl, f.width, f.elems)
+	eval := f.machine.NewSimEvaluator(tmpl, f.width, f.elems)
 	eval.SetMemo(c)
 	eval.SetSims(&f.sims)
 	return eval
@@ -68,7 +71,8 @@ func New(cpuName string, opts ...Option) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Framework{cpu: cpu, width: cpu.NativeWidth(), bounds: hef.DefaultBounds, elems: hef.DefaultTestElems}
+	f := &Framework{cpu: cpu, width: cpu.NativeWidth(), bounds: hef.DefaultBounds, elems: hef.DefaultTestElems,
+		machine: hef.NewMachine(cpu)}
 	for _, o := range opts {
 		o(f)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"hef/internal/isa"
 	"hef/internal/memo"
 	"hef/internal/translator"
+	"hef/internal/uarch"
 )
 
 func TestNewFramework(t *testing.T) {
@@ -132,11 +135,12 @@ func TestClampNode(t *testing.T) {
 }
 
 // TestMemoWarmSearchAllocs guards the memo's link index: a search whose
-// every candidate is already measured keys each node from its evaluator's
-// hashed prefix and translates nothing, so it allocates about a hundred
-// objects rather than the ~143k a search that translates (and renders)
-// every candidate did, and it borrows no simulator: a framework that only
-// runs such searches never builds one.
+// every candidate is already measured finds each node in its evaluator's
+// link table, reads its cost from the memo entry without copying it, and
+// translates nothing, so it allocates a few dozen objects — the Result it
+// returns, the walk's state and the evaluator — rather than the ~143k a
+// search that translates (and renders) every candidate did, and it borrows
+// no simulator: a framework that only runs such searches never builds one.
 func TestMemoWarmSearchAllocs(t *testing.T) {
 	cache := memo.NewCache()
 	tmpl := hashes.MurmurTemplate()
@@ -156,11 +160,69 @@ func TestMemoWarmSearchAllocs(t *testing.T) {
 	fw := newFW()
 	allocs := testing.AllocsPerRun(5, func() { search(fw) })
 	t.Logf("memo-warm murmur search: %.0f allocs/op", allocs)
-	if allocs > 220 {
-		t.Fatalf("memo-warm murmur search allocated %.0f objects/op, want <= 220", allocs)
+	if allocs > 40 {
+		t.Fatalf("memo-warm murmur search allocated %.0f objects/op, want <= 40", allocs)
 	}
 	if n := len(idleSims(fw)); n != 0 {
 		t.Fatalf("memo-warm searches left %d simulators, want none built", n)
+	}
+}
+
+// TestMemoWarmSearchCopiesNothing: a memo-warm search reads its costs from
+// the memo's entries in place, and leaves every entry byte-identical. Run
+// still hands out a private copy: scaling and editing it, as the
+// experiment harness scales stage Results, changes neither the entry nor
+// the next hit, nor the next search.
+func TestMemoWarmSearchCopiesNothing(t *testing.T) {
+	fw, err := New("silver", WithTestElems(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := memo.NewCache()
+	tmpl := hashes.MurmurTemplate()
+	search := func() *Optimized {
+		opt, err := fw.OptimizeOperatorContext(context.Background(), tmpl, OptimizeOptions{Memo: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt
+	}
+	// entries hashes every stored Result, fields and slices alike.
+	entries := func() map[memo.Key][sha256.Size]byte {
+		m := map[memo.Key][sha256.Size]byte{}
+		cache.Range(func(k memo.Key, r *uarch.Result) { m[k] = sha256.Sum256(fmt.Appendf(nil, "%#v", *r)) })
+		return m
+	}
+	cold := search()
+	before, hits := entries(), cache.Stats().Hits
+	warm := search()
+	if got := cache.Stats().Hits - hits; got != uint64(warm.Search.Tested) {
+		t.Fatalf("the warm search hit %d times for %d evaluations", got, warm.Search.Tested)
+	}
+	if !reflect.DeepEqual(entries(), before) {
+		t.Fatal("a memo-warm search changed a memo entry")
+	}
+	if !reflect.DeepEqual(warm.Search, cold.Search) {
+		t.Fatal("the memo-warm search diverges from the cold one")
+	}
+
+	res, err := fw.MeasureWith(tmpl, warm.Node, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Clone()
+	res.Scale(3)
+	res.Cycles++
+	res.Elems = 0
+	res.PortBusy[0]++
+	if again, err := fw.MeasureWith(tmpl, warm.Node, cache); err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("the hit after an edit of Run's Result diverges (err %v)", err)
+	}
+	if !reflect.DeepEqual(entries(), before) {
+		t.Fatal("an edit of Run's Result reached the memo entry")
+	}
+	if again := search(); !reflect.DeepEqual(again.Search, cold.Search) {
+		t.Fatal("the search after an edit of Run's Result diverges")
 	}
 }
 

@@ -46,10 +46,10 @@ type SimEvaluator struct {
 	elems   int64
 	perturb *uarch.Perturb
 	memo    *memo.Cache
-	// keyer computes Run's translation keys from the prefix hashed when
-	// the evaluator was built or its perturbation last set. Each fork
-	// shares the hashed prefix and has scratch of its own.
-	keyer memo.TranslationKeyer
+	// prefix is the link prefix (memo.LinkKeyer) of the evaluator's
+	// measurements, hashed when the evaluator was built or its
+	// perturbation last set; a node's link is this prefix and the node.
+	prefix memo.Key
 
 	// sims holds the idle simulators the evaluator, its forks and any
 	// evaluator given the same stack (SetSims) measure on. A simulator is
@@ -70,17 +70,37 @@ const DefaultTestElems = 1 << 14
 // keys; an edited template needs an evaluator of its own. The CPU model is
 // fixed for the life of the evaluator and its forks and must not be
 // modified while they are in use: their simulators are built from it, and
-// their translation keys hash it once (a perturbed model is a clone, with
+// their link prefix hashes it once (a perturbed model is a clone, with
 // an evaluator of its own).
 func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems int64) *SimEvaluator {
+	return NewMachine(cpu).NewSimEvaluator(tmpl, width, elems)
+}
+
+// Machine is a CPU model with the part of its evaluators' link prefixes
+// that depends on the model alone hashed once (memo.LinkKeyer), for a
+// caller that builds many evaluators on one model, as core.Framework does.
+// The model must not be modified while the Machine is in use.
+type Machine struct {
+	cpu   *isa.CPU
+	links memo.LinkKeyer
+}
+
+// NewMachine hashes cpu's part of the link prefixes of evaluators on it.
+func NewMachine(cpu *isa.CPU) *Machine {
+	return &Machine{cpu: cpu, links: memo.NewLinkKeyer(memo.ProtoEvaluator, cpu, nil)}
+}
+
+// NewSimEvaluator is NewSimEvaluator on the machine's CPU model; only the
+// template, width and test size are hashed here.
+func (m *Machine) NewSimEvaluator(tmpl *hid.Template, width isa.Width, elems int64) *SimEvaluator {
 	if width == 0 {
 		width = isa.W512
 	}
 	if elems <= 0 {
 		elems = DefaultTestElems
 	}
-	e := &SimEvaluator{cpu: cpu, tmpl: tmpl.Clone(), width: width, elems: elems, sims: &SimStack{}}
-	e.keyer = memo.NewTranslationKeyer(memo.ProtoEvaluator, cpu, nil, e.tmpl)
+	e := &SimEvaluator{cpu: m.cpu, tmpl: tmpl.Clone(), width: width, elems: elems, sims: &SimStack{}}
+	e.prefix = m.links.Prefix(e.tmpl, width, elems)
 	return e
 }
 
@@ -158,25 +178,25 @@ func (e *SimEvaluator) SetSims(s *SimStack) { e.sims = s }
 // Runs whose fingerprint — machine model, perturbation, translated program,
 // iteration count, warmed regions — is already cached return the stored
 // Result without simulating, and a node whose translation inputs are
-// already linked to that fingerprint (memo.TranslationKey) returns it
-// without translating either. The cache is concurrency-safe and is shared
-// with forks, so a parallel search populates it for later operators,
-// trials, and benchmark stages.
+// already linked to that fingerprint (the evaluator's link prefix and the
+// node, memo.LinkKeyer) returns it without translating either. The cache
+// is concurrency-safe and is shared with forks, so a parallel search
+// populates it for later operators, trials, and benchmark stages.
 func (e *SimEvaluator) SetMemo(c *memo.Cache) { e.memo = c }
 
 // SetPerturb installs a fault-injection model on the simulator of every
 // later measurement (nil removes it); see uarch.Sim.SetPerturb. The
 // sensitivity analysis uses this to re-run the search on perturbed machines.
 // The evaluator keeps a copy of *p, so editing p afterwards changes neither
-// its measurements nor its keys. Setting a perturbation re-hashes the keys'
-// shared prefix.
+// its measurements nor its keys. Setting a perturbation re-hashes the link
+// prefix from scratch, machine model included.
 func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 	if p != nil {
 		c := *p
 		p = &c
 	}
 	e.perturb = p
-	e.keyer = memo.NewTranslationKeyer(memo.ProtoEvaluator, e.cpu, p, e.tmpl)
+	e.prefix = memo.NewLinkKeyer(memo.ProtoEvaluator, e.cpu, p).Prefix(e.tmpl, e.width, e.elems)
 }
 
 // Fork implements ForkableEvaluator: the clone measures nodes identically
@@ -185,39 +205,47 @@ func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 // one measurement at a time, so forks are safe to run concurrently and reuse
 // the simulators the others have finished with. Each run resets the cache
 // hierarchy before measuring, so any simulator for the CPU times nodes
-// exactly like a fresh one. The memo and the keys' hashed prefix are
-// shared.
+// exactly like a fresh one. The memo and the link prefix are shared.
 func (e *SimEvaluator) Fork() Evaluator {
 	return &SimEvaluator{cpu: e.cpu, tmpl: e.tmpl, width: e.width, elems: e.elems,
-		perturb: e.perturb, memo: e.memo, keyer: e.keyer.Fork(), sims: e.sims}
+		perturb: e.perturb, memo: e.memo, prefix: e.prefix, sims: e.sims}
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator. A linked node's cost is read from the
+// memo entry in place, with the expression it would have on a copy, so
+// the bits are those of Run's Result.
 func (e *SimEvaluator) Evaluate(n Node) (float64, error) {
-	res, err := e.Run(n)
+	if sec, elems, ok := e.memo.LinkedSeconds(e.prefix, n); ok {
+		return perElem(n, sec, elems)
+	}
+	res, err := e.measure(n)
 	if err != nil {
 		return 0, err
 	}
-	if res.Elems == 0 {
+	return perElem(n, res.Seconds(), res.Elems)
+}
+
+// perElem is the seconds-per-element cost of node n's Result.
+func perElem(n Node, sec float64, elems uint64) (float64, error) {
+	if elems == 0 {
 		return 0, fmt.Errorf("hef: node %v processed no elements", n)
 	}
-	return res.Seconds() / float64(res.Elems), nil
+	return sec / float64(elems), nil
 }
 
 // Run translates and simulates the node, returning the full counter set
-// (used by the experiment harness for the paper's tables).
+// (used by the experiment harness for the paper's tables). The Result is
+// the caller's own copy.
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
-	// The keyer hashed the protocol, machine model, perturbation and
-	// template snapshot once; a call hashes only the node, width and test
-	// size.
-	var tkey memo.Key
-	useMemo := e.memo != nil
-	if useMemo {
-		tkey = e.keyer.Key(n, e.width, e.elems)
-		if res, ok := e.memo.GetLinked(tkey); ok {
-			return res, nil
-		}
+	if res, ok := e.memo.GetLinked(e.prefix, n); ok {
+		return res, nil
 	}
+	return e.measure(n)
+}
+
+// measure is Run after a link miss: translate, get or simulate, and link
+// the node to the measurement key.
+func (e *SimEvaluator) measure(n Node) (*uarch.Result, error) {
 	out, err := translator.Translate(e.tmpl, n, translator.Options{Width: e.width, CPU: e.cpu})
 	if err != nil {
 		return nil, err
@@ -228,13 +256,13 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	// built fails in Measure and never gets a link that would skip it.
 	plan := memo.NewPlan(memo.ProtoEvaluator, e.cpu, e.tmpl, out, e.elems)
 	var key memo.Key
-	if useMemo {
+	if e.memo != nil {
 		key = plan.Key(e.cpu, e.perturb)
 	}
 	res, err := e.sims.Measure(e.memo, key, &plan, e.cpu, e.perturb)
 	if err != nil {
 		return nil, err
 	}
-	e.memo.Link(tkey, key)
+	e.memo.Link(e.prefix, n, key)
 	return res, nil
 }

@@ -11,21 +11,30 @@ import (
 	"hef/internal/uarch"
 )
 
+// linkKey is everything a link is keyed by: the evaluator's link prefix
+// and the node.
+type linkKey struct {
+	prefix memo.Key
+	node   Node
+}
+
 // linkedKeys remembers, across the inputs one fuzz worker runs, the
-// measurement key every translation key was linked to.
-var linkedKeys = map[memo.Key]memo.Key{}
+// measurement key every link key was linked to.
+var linkedKeys = map[linkKey]memo.Key{}
 
 // FuzzTranslationKey checks the soundness of the memo's link index over
 // generated templates (hidgen.Build, the FuzzBuilderBuild generator) at
 // fuzzed nodes, machine models, widths, test sizes, table regions, and
-// perturbations. Run must link each evaluation's translation key to exactly
+// perturbations. Run must link each evaluation's link key — the prefix of
+// a LinkKeyer on the evaluator's inputs, and the node — to exactly
 // Fingerprint(Translate(...)) of the template the evaluator was built on —
 // the key a link-free evaluation would look up — and no two inputs sharing
-// a translation key may fingerprint apart. One evaluator runs a node, a
-// second node on the same inputs (its keyer reuses the hashed prefix), and
-// the second node again after a SetPerturb change (the prefix must
-// re-hash) and a SetRegion edit of the caller's template, which must not
-// reach the evaluator's snapshot. A new evaluator on the edited template
+// a link key may fingerprint apart; Evaluate's cost, read from the linked
+// entry in place, must have the bits of the cost of Run's copy. One
+// evaluator runs a node, a second node on the same inputs (the same
+// prefix), and the second node again after a SetPerturb change (the prefix
+// must re-hash) and a SetRegion edit of the caller's template, which must
+// not reach the evaluator's snapshot. A new evaluator on the edited template
 // links to the edited template's translation, and keeps doing so after a
 // direct in-place write to a body operand's Value; only a third evaluator
 // sees that write.
@@ -74,7 +83,7 @@ func FuzzTranslationKey(f *testing.F) {
 			}
 			pl := memo.NewPlan(memo.ProtoEvaluator, cpu, want, out, ev.elems)
 			mk := memo.Fingerprint(memo.ProtoEvaluator, cpu, ev.perturb, out.Program, pl.Iters, pl.Warm)
-			cache.Put(mk, &uarch.Result{Name: step})
+			cache.Put(mk, &uarch.Result{Name: step, Cycles: uint64(len(linkedKeys)) + 1, Elems: 3, FreqGHz: 2.1})
 			res, err := ev.Run(node)
 			if err != nil {
 				t.Fatalf("%s: Run(%v): %v", step, node, err)
@@ -82,12 +91,15 @@ func FuzzTranslationKey(f *testing.F) {
 			if res.Name != step {
 				t.Fatalf("%s: %s@%v: Run returned the measurement seeded by %q", step, want.Name, node, res.Name)
 			}
-			tk := memo.TranslationKey(memo.ProtoEvaluator, cpu, ev.perturb, want, node, ev.width, ev.elems)
-			if r, ok := cache.GetLinked(tk); !ok || r.Name != step {
-				t.Fatalf("%s: %s@%v: translation key not linked to Fingerprint(Translate(...))", step, want.Name, node)
+			if sec, err := ev.Evaluate(node); err != nil || sec != res.Seconds()/float64(res.Elems) {
+				t.Fatalf("%s: %s@%v: Evaluate = %v (err %v), Run's cost %v", step, want.Name, node, sec, err, res.Seconds()/float64(res.Elems))
+			}
+			tk := linkKey{memo.NewLinkKeyer(memo.ProtoEvaluator, cpu, ev.perturb).Prefix(want, ev.width, ev.elems), node}
+			if r, ok := cache.GetLinked(tk.prefix, tk.node); !ok || r.Name != step {
+				t.Fatalf("%s: %s@%v: link key not linked to Fingerprint(Translate(...))", step, want.Name, node)
 			}
 			if prev, ok := linkedKeys[tk]; ok && prev != mk {
-				t.Fatalf("%s: %s@%v: one translation key, two measurement keys", step, want.Name, node)
+				t.Fatalf("%s: %s@%v: one link key, two measurement keys", step, want.Name, node)
 			}
 			linkedKeys[tk] = mk
 			return true

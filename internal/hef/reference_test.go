@@ -1,6 +1,10 @@
 package hef
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // referenceSearch is Algorithm 2 as written, the naive oracle the engine's
 // differentials compare against: a FIFO queue of winners, each expansion
@@ -46,4 +50,17 @@ func referenceSearch(eval Evaluator, initial Node, bounds Bounds, budget int) (*
 	res.Partial = err != nil
 	sortNodes(res.EndList)
 	return res, err
+}
+
+// sortNodes orders ns by (V, S, P), the order of a search's end list.
+func sortNodes(ns []Node) {
+	slices.SortFunc(ns, func(a, b Node) int {
+		if c := cmp.Compare(a.V, b.V); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.P, b.P)
+	})
 }

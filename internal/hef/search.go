@@ -1,7 +1,6 @@
 package hef
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -143,6 +142,13 @@ func Search(eval Evaluator, initial Node, bounds Bounds) (*Result, error) {
 // apply the pruning rule. Trace, candidate list, end list and best node are
 // identical for every worker count.
 //
+// The walk's state is sized from the bounds, not grown: one byte per node
+// within them, (V, S, P)-ordered, marks it unseen, listed or pruned, so
+// the end list is a scan of the pruned marks, exactly sized and already
+// sorted; a wave's list is sized at six neighbours per wave member and
+// reused by later waves. Beyond the Result it returns, a search allocates
+// that state, the list and the wave buffers.
+//
 // Budgets, panics and evaluator errors stop the replay at the entry the
 // FIFO walk would have stopped at. The context is checked once per wave,
 // before its evaluations start: a pre-cancelled context runs no evaluation,
@@ -155,9 +161,29 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 	m := metrics()
 	defer m.OnSearchEnd()
 	res := &Result{Initial: initial, SpaceSize: SearchSpaceSize(bounds.VMax, bounds.SMax, bounds.PMax)}
+	// state is the walk's one byte per node within bounds, by index.
+	state := make([]nodeState, (bounds.VMax+1)*(bounds.SMax+1)*(bounds.PMax+1))
+	npruned := 0
+	finish := func() {
+		if npruned == 0 {
+			return // an empty end list stays nil, as in the reference search
+		}
+		res.EndList = make([]Node, 0, npruned)
+		i := 0
+		for v := 0; v <= bounds.VMax; v++ {
+			for s := 0; s <= bounds.SMax; s++ {
+				for p := 0; p <= bounds.PMax; p++ {
+					if state[i] == pruned {
+						res.EndList = append(res.EndList, Node{V: v, S: s, P: p})
+					}
+					i++
+				}
+			}
+		}
+	}
 	partial := func(err error) (*Result, error) {
 		res.Partial = true
-		sortNodes(res.EndList)
+		finish()
 		return res, err
 	}
 	checkCtx := func() error {
@@ -187,7 +213,7 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 	m.OnBest(initSec * 1e9)
 
 	evals := evaluators(eval, opts.Workers)
-	seen := map[Node]bool{initial: true}
+	state[bounds.index(initial)] = listed
 	var list []entry
 	// measure evaluates list[i] on worker w's evaluator; each wave's list
 	// runs on sched.ForEach, one evaluator inline on the calling goroutine.
@@ -202,12 +228,16 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 		// List the wave's evaluations in generation order. Nodes are marked
 		// seen as they are listed, exactly when the FIFO walk would have
 		// evaluated them, so a node reachable from two wave members keeps
-		// its first parent.
+		// its first parent. A node has six neighbours, so the list never
+		// outgrows six per wave member.
+		if cap(list) < 6*len(wave) {
+			list = make([]entry, 0, 6*len(wave))
+		}
 		list = list[:0]
 		for _, cur := range wave {
 			for _, nb := range neighbors(cur.node) {
-				if bounds.contains(nb) && !seen[nb] {
-					seen[nb] = true
+				if bounds.contains(nb) && state[bounds.index(nb)] == unseen {
+					state[bounds.index(nb)] = listed
 					list = append(list, entry{node: nb, parent: cur})
 				}
 			}
@@ -225,7 +255,8 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 		sched.ForEach(context.Background(), len(evals), evalN, measure)
 
 		// Replay: apply the pruning rule in generation order.
-		next = next[:0]
+		res.Trace = slices.Grow(res.Trace, evalN)
+		next = slices.Grow(next[:0], evalN)
 		for i := range list {
 			e := &list[i]
 			if i == evalN {
@@ -249,14 +280,30 @@ func SearchContext(ctx context.Context, eval Evaluator, initial Node, bounds Bou
 					m.OnBest(e.sec * 1e9)
 				}
 			} else {
-				res.EndList = append(res.EndList, e.node)
+				state[bounds.index(e.node)] = pruned
+				npruned++
 			}
 		}
 		wave, next = next, wave
 	}
-	sortNodes(res.EndList)
+	finish()
 	return res, nil
 }
+
+// nodeState is a node's place in a search walk.
+type nodeState uint8
+
+const (
+	unseen nodeState = iota
+	// listed nodes are, or were, listed for evaluation; the winners among
+	// them stay listed.
+	listed
+	// pruned nodes were evaluated and lost to their parent: the end list.
+	pruned
+)
+
+// index numbers the nodes within b in (V, S, P) order, 0 for n(0,0,0).
+func (b Bounds) index(n Node) int { return (n.V*(b.SMax+1)+n.S)*(b.PMax+1) + n.P }
 
 // scored is a measured node.
 type scored struct {
@@ -285,17 +332,4 @@ func evaluators(eval Evaluator, workers int) []Evaluator {
 		evals = append(evals, fe.Fork())
 	}
 	return evals
-}
-
-// sortNodes orders ns by (V, S, P).
-func sortNodes(ns []Node) {
-	slices.SortFunc(ns, func(a, b Node) int {
-		if c := cmp.Compare(a.V, b.V); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.S, b.S); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.P, b.P)
-	})
 }

@@ -392,17 +392,23 @@ func (m *Manager) compactLocked() error {
 }
 
 // maybeCompact compacts the job log in place once it has outgrown
-// Config.WALMaxBytes. It runs after a job finishes and after a retention
-// sweep — the two moments the log accretes shed-able records — never on
-// the submission path, so admission latency stays bounded. A log already
-// at its minimal record set is left alone even above the threshold (large
-// live reports can legitimately exceed it; rewriting would only burn I/O).
+// Config.WALMaxBytes. It runs after a retention sweep, and maybeCompactLocked
+// in the step that finishes a job — the two moments the log accretes
+// shed-able records — never on the submission path, so admission latency
+// stays bounded. A log already at its minimal record set is left alone
+// even above the threshold (large live reports can legitimately exceed it;
+// rewriting would only burn I/O).
 func (m *Manager) maybeCompact() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.maybeCompactLocked()
+}
+
+// maybeCompactLocked is maybeCompact's body; callers hold m.mu.
+func (m *Manager) maybeCompactLocked() {
 	if m.cfg.WALMaxBytes <= 0 || m.wal.Size() < m.cfg.WALMaxBytes {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.compactLocked(); err != nil {
 		fmt.Fprintf(m.logW, "hefd: online compaction skipped: %v\n", err)
 	}
@@ -644,10 +650,6 @@ func (m *Manager) worker() {
 		m.runningN--
 		m.cond.Broadcast()
 		m.mu.Unlock()
-
-		// Each finished job appended a state transition (and usually a
-		// report); check whether the log has outgrown its bound.
-		m.maybeCompact()
 	}
 }
 
@@ -694,6 +696,7 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 	if err := m.fs.MkdirAll(filepath.Dir(ckpt)); err != nil {
 		m.mu.Lock()
 		m.finishLocked(j, StateFailed, fmt.Sprintf("checkpoint dir: %v", err))
+		m.maybeCompactLocked()
 		m.mu.Unlock()
 		return
 	}
@@ -723,6 +726,11 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// The outcome below appends a state transition (and usually a report).
+	// The log's bound is checked before the lock is released, in the same
+	// critical section that publishes the outcome, so whoever observes the
+	// job's final state also observes the compaction it triggered.
+	defer m.maybeCompactLocked()
 	if res != nil {
 		j.done = len(res.Results)
 		m.counts.Resumed += res.Resumed

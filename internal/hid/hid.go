@@ -181,9 +181,6 @@ type Template struct {
 	Body []Stmt
 }
 
-// Accumulators returns the declared accumulator variable names.
-func (t *Template) Accumulators() []string { return t.Accs }
-
 // Param returns the parameter with the given name.
 func (t *Template) Param(name string) (*Param, bool) {
 	for i := range t.Params {

@@ -26,10 +26,6 @@ var neonTable = map[string]*Instr{
 // Neon returns the Neon instruction named name.
 func Neon(name string) (*Instr, error) { return lookup(neonTable, name, "neon") }
 
-// MustNeon is Neon for statically-known mnemonics; it panics on unknown
-// names.
-func MustNeon(name string) *Instr { return mustLookup(neonTable, name, "neon") }
-
 // LookupNeon returns the Neon instruction and whether it exists.
 func LookupNeon(name string) (*Instr, bool) { in, ok := neonTable[name]; return in, ok }
 

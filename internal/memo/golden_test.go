@@ -20,8 +20,8 @@ type goldenCase struct {
 	node   translator.Node
 	instrs int // instructions in the translated body
 	// fingerprint is Fingerprint(ProtoEvaluator, silver, nil, prog, 64,
-	// warm); translation is TranslationKey(ProtoEvaluator, silver, nil,
-	// tmpl, node, W512, 2048). Both in hex.
+	// warm); translation is the link prefix NewLinkKeyer(ProtoEvaluator,
+	// silver, nil).Prefix(tmpl, W512, 2048). Both in hex.
 	fingerprint, translation string
 }
 
@@ -30,19 +30,19 @@ var goldenCases = []goldenCase{
 		name: "probe n(1,1,3)", tmpl: engine.ProbeTemplate(1 << 20), node: translator.Node{V: 1, S: 1, P: 3},
 		instrs:      81,
 		fingerprint: "6d94d59f6ce70777f4d02ca16a7b424e",
-		translation: "2c8bc20d124bc68864ec2b6704ea8374",
+		translation: "bcf20c82e7f6af6d03341df9cbc0bf96",
 	},
 	{
 		// Over 500 KB of encoding: a streamed encoder spills it many times.
 		name: "crc64 n(5,5,5)", tmpl: hashes.CRC64Template(), node: translator.Node{V: 5, S: 5, P: 5},
 		instrs:      3196,
 		fingerprint: "17209345da841fe078d2c9ee8dffadfa",
-		translation: "2042a9eea4bd24bc3b2a1e31babbc3d0",
+		translation: "563529a41caa6cf9d5c324d2ffd05f07",
 	},
 }
 
-// TestFingerprintGolden pins the bytes of the measurement and translation
-// keys. TestFingerprintStable and TestFingerprintSeparates only compare keys
+// TestFingerprintGolden pins the bytes of the measurement keys and link
+// prefixes. TestFingerprintStable and TestFingerprintSeparates only compare keys
 // with each other, so an encoding change that moved every key alike would
 // pass them and silently orphan every persisted memo store. A mismatch here
 // is such a change: the test prints the new value, but update the golden
@@ -72,9 +72,9 @@ func TestFingerprintGolden(t *testing.T) {
 		if got := hex.EncodeToString(fp[:]); got != c.fingerprint {
 			t.Errorf("%s: Fingerprint = %s, golden %s", c.name, got, c.fingerprint)
 		}
-		tk := TranslationKey(ProtoEvaluator, cpu, nil, c.tmpl, c.node, isa.W512, 2048)
+		tk := NewLinkKeyer(ProtoEvaluator, cpu, nil).Prefix(c.tmpl, isa.W512, 2048)
 		if got := hex.EncodeToString(tk[:]); got != c.translation {
-			t.Errorf("%s: TranslationKey = %s, golden %s", c.name, got, c.translation)
+			t.Errorf("%s: link prefix = %s, golden %s", c.name, got, c.translation)
 		}
 	}
 }

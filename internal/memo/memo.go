@@ -25,12 +25,14 @@
 //
 // Computing a measurement key needs the translated program, and translating
 // costs far more than the lookup it feeds. A Cache therefore also keeps an
-// in-memory link index from TranslationKey — a fingerprint of the
-// translator's inputs — to the measurement key those inputs produced, so a
-// repeated evaluation finds its Result without translating at all. Within a
-// search only the node, width and test size vary from key to key, so each
-// evaluator keys through a TranslationKeyer, which hashes the rest —
-// machine model, perturbation and template, about 1.8 KB — once.
+// in-memory link index from the translator's inputs to the measurement key
+// those inputs produced, so a repeated evaluation finds its Result without
+// translating at all. Within a search only the node varies, so the index
+// is one table per link prefix — a fingerprint of every other input
+// (LinkKeyer), hashed once per evaluator — keyed by the node: a warm
+// evaluation is one locked probe of the link table and the entries, with
+// nothing hashed and, for a caller that needs only the cost
+// (LinkedSeconds), nothing copied.
 package memo
 
 import (
@@ -227,73 +229,71 @@ func (p *Plan) Measure(sim *uarch.Sim) (*uarch.Result, error) {
 	return res, nil
 }
 
-// TranslationKey computes the canonical key of every input from which an
-// evaluation under proto derives its measurement key: the machine model and
-// normalized perturbation, the whole template (name, element type,
-// parameters with pattern and region, accumulators, constants in sorted
-// order, body), the node, the SIMD width, and the test size. Translation,
-// the iteration count, and the warmed regions are deterministic functions
-// of these, so equal translation keys imply equal measurement keys. It is
-// a TranslationKeyer used once.
-func TranslationKey(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template, node translator.Node, width isa.Width, elems int64) Key {
-	k := NewTranslationKeyer(proto, cpu, p, tmpl)
-	return k.Key(node, width, elems)
-}
-
-// TranslationKeyer computes TranslationKey for calls that share every input
-// but the node, width and test size, as one evaluator's search does. It
-// hashes that prefix once, when built, and keeps only the SHA-256 state
-// that hashing left: each Key restores the state and hashes the 40 bytes
-// that follow. It keeps no reference to its inputs, so a prefix input that
-// changes needs a new keyer. A keyer is scratch state for one goroutine;
-// Fork returns one for another goroutine that shares the hashed prefix.
-type TranslationKeyer struct {
-	// state is the marshaled SHA-256 state after the prefix. Forks share
-	// it, and nothing writes to it once it is built.
+// LinkKeyer keys the link index. An evaluation under proto derives its
+// measurement key from the machine model and normalized perturbation, the
+// whole template (name, element type, parameters with pattern and region,
+// accumulators, constants in sorted order, body), the SIMD width, the test
+// size and the node. Translation, the iteration count and the warmed
+// regions are deterministic functions of these, so equal inputs imply
+// equal measurement keys. Every input but the node is hashed into a prefix
+// key (Prefix), which is fixed for one evaluator; the node is then a plain
+// map key within the prefix's link table, with nothing left to hash.
+//
+// A keyer hashes the inputs it is built on — protocol, machine model and
+// perturbation — once, and keeps only the SHA-256 state that hashing left;
+// Prefix continues from that state. It keeps no reference to its inputs,
+// so a changed machine model or perturbation needs a new keyer. A keyer is
+// immutable and safe for concurrent use.
+type LinkKeyer struct {
+	// state is the marshaled SHA-256 state after the keyer's inputs.
 	state []byte
-	h     hash.Hash // nil in a fork until its first Key
-	buf   []byte
 }
 
-// NewTranslationKeyer hashes the prefix of TranslationKey(proto, cpu, p,
-// tmpl, ...).
-func NewTranslationKeyer(proto Protocol, cpu *isa.CPU, p *uarch.Perturb, tmpl *hid.Template) TranslationKeyer {
-	var e enc
-	// 4 KiB holds the machine model plus the largest built-in template.
-	e.Buf = make([]byte, 0, 4096)
-	// The leading tag keeps translation keys disjoint from measurement keys.
-	e.Buf = append(e.Buf, 'T', byte(proto))
-	e.cpu(cpu)
-	e.perturb(p)
-	e.template(tmpl)
-	h := sha256.New()
+// encBufs recycles the encoding buffers of link keys: a template encodes
+// to about 1.5 KB, and a keyer's prefix is hashed once per evaluator.
+var encBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2<<10); return &b }}
+
+// hashEncoding runs fn on an encoder with a recycled buffer and writes the
+// encoding to h.
+func hashEncoding(h hash.Hash, fn func(e *enc)) {
+	bp := encBufs.Get().(*[]byte)
+	e := enc{fpenc.E{Buf: (*bp)[:0]}}
+	fn(&e)
 	h.Write(e.Buf)
+	*bp = e.Buf[:0]
+	encBufs.Put(bp)
+}
+
+// NewLinkKeyer hashes the machine part of the link prefixes of
+// measurements under proto on cpu with perturbation p.
+func NewLinkKeyer(proto Protocol, cpu *isa.CPU, p *uarch.Perturb) LinkKeyer {
+	h := sha256.New()
+	hashEncoding(h, func(e *enc) {
+		// The leading tag keeps link prefixes disjoint from measurement
+		// keys.
+		e.Buf = append(e.Buf, 'T', byte(proto))
+		e.cpu(cpu)
+		e.perturb(p)
+	})
 	// A SHA-256 state always marshals.
 	state, _ := h.(encoding.BinaryMarshaler).MarshalBinary()
-	return TranslationKeyer{state: state, h: h, buf: e.Buf[:0]}
+	return LinkKeyer{state: state}
 }
 
-// Fork returns a keyer with the receiver's prefix and scratch of its own.
-func (k *TranslationKeyer) Fork() TranslationKeyer { return TranslationKeyer{state: k.state} }
-
-// Key returns the translation key of node, width and elems under the
-// keyer's prefix. It allocates nothing after a keyer's first call.
-func (k *TranslationKeyer) Key(node translator.Node, width isa.Width, elems int64) Key {
-	if k.h == nil {
-		k.h = sha256.New()
-		k.buf = make([]byte, 0, 40) // the node bytes; the sum reuses them
-	}
+// Prefix returns the link prefix of evaluations of tmpl at the given width
+// and test size under the keyer's inputs.
+func (k LinkKeyer) Prefix(tmpl *hid.Template, width isa.Width, elems int64) Key {
+	h := sha256.New()
 	// The state was marshaled by a SHA-256 hash, so it always unmarshals.
-	_ = k.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state)
-	e := enc{fpenc.E{Buf: k.buf[:0]}}
-	e.i(node.V)
-	e.i(node.S)
-	e.i(node.P)
-	e.i(int(width))
-	e.u64(uint64(elems))
-	k.h.Write(e.Buf)
+	_ = h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state)
+	hashEncoding(h, func(e *enc) {
+		e.template(tmpl)
+		e.i(int(width))
+		e.u64(uint64(elems))
+	})
+	var sum [sha256.Size]byte
 	var key Key
-	copy(key[:], k.h.Sum(e.Buf[:0]))
+	copy(key[:], h.Sum(sum[:0]))
 	return key
 }
 
@@ -356,10 +356,11 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	mu sync.Mutex
 	m  map[Key]*uarch.Result
-	// links maps a TranslationKey to the measurement key its translation
-	// fingerprinted to. It is memory-only: translation keys are never
-	// persisted, so stores are the same bytes with or without it.
-	links map[Key]Key
+	// links maps a link prefix (LinkKeyer.Prefix) and a node to the
+	// measurement key their translation fingerprinted to, one table per
+	// prefix. It is memory-only: links are never persisted, so stores are
+	// the same bytes with or without it.
+	links map[Key]map[translator.Node]Key
 	// hits/misses are atomics, not mu-guarded fields: Stats is polled from
 	// the telemetry scrape path while workers are mid-Get, and the counters
 	// must stay exact without the poller contending for the map lock.
@@ -390,42 +391,72 @@ func ResetTotals() {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[Key]*uarch.Result), links: make(map[Key]Key)}
+	return &Cache{m: make(map[Key]*uarch.Result), links: make(map[Key]map[translator.Node]Key)}
+}
+
+// linkedLocked returns the Result stored under the measurement key that
+// prefix and n are linked to, counting one hit, or nil, counting nothing.
+// Callers hold c.mu.
+func (c *Cache) linkedLocked(prefix Key, n translator.Node) *uarch.Result {
+	mk, ok := c.links[prefix][n]
+	if !ok {
+		return nil
+	}
+	r := c.m[mk]
+	if r != nil {
+		c.hits.Add(1)
+		totalHits.Add(1)
+	}
+	return r
 }
 
 // GetLinked returns a private copy of the Result stored under the
-// measurement key tk is linked to, counting one hit. When tk has no link
-// (or its target is absent) it returns false and counts nothing: the caller
-// translates, fingerprints, and Gets the measurement key, which counts the
-// hit or miss exactly as if there were no link index.
-func (c *Cache) GetLinked(tk Key) (*uarch.Result, bool) {
+// measurement key the link prefix and node are linked to, counting one
+// hit. When they have no link (or its target is absent) it returns false
+// and counts nothing: the caller translates, fingerprints, and Gets the
+// measurement key, which counts the hit or miss exactly as if there were
+// no link index.
+func (c *Cache) GetLinked(prefix Key, n translator.Node) (*uarch.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mk, ok := c.links[tk]
-	if !ok {
-		return nil, false
+	if r := c.linkedLocked(prefix, n); r != nil {
+		return r.Clone(), true
 	}
-	r, ok := c.m[mk]
-	if !ok {
-		return nil, false
-	}
-	c.hits.Add(1)
-	totalHits.Add(1)
-	return r.Clone(), true
+	return nil, false
 }
 
-// Link records that translation key tk yields measurement key mk. Callers
-// link only what they computed: mk must be the fingerprint of the
-// translation tk describes.
-func (c *Cache) Link(tk, mk Key) {
+// LinkedSeconds is GetLinked for a caller that needs only the Result's
+// Seconds() and Elems: it reads them from the stored entry, copying
+// nothing.
+func (c *Cache) LinkedSeconds(prefix Key, n translator.Node) (seconds float64, elems uint64, ok bool) {
+	if c == nil {
+		return 0, 0, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r := c.linkedLocked(prefix, n); r != nil {
+		return r.Seconds(), r.Elems, true
+	}
+	return 0, 0, false
+}
+
+// Link records that the link prefix and node yield measurement key mk.
+// Callers link only what they computed: mk must be the fingerprint of the
+// translation prefix and n describe.
+func (c *Cache) Link(prefix Key, n translator.Node, mk Key) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.links[tk] = mk
+	t := c.links[prefix]
+	if t == nil {
+		t = make(map[translator.Node]Key)
+		c.links[prefix] = t
+	}
+	t[n] = mk
 	c.mu.Unlock()
 }
 

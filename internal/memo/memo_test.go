@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hef/internal/isa"
+	"hef/internal/translator"
 	"hef/internal/uarch"
 )
 
@@ -173,10 +174,11 @@ func FuzzFingerprint(f *testing.F) {
 	})
 }
 
-// TestCacheCountersConcurrent hammers Get, Link and GetLinked from many
-// goroutines and checks the hit/miss counters stay exact. Runs under -race
-// in CI: the counters are read by the telemetry poller while workers are
-// mid-Get, so they must be atomics, not plain fields.
+// TestCacheCountersConcurrent hammers Get, Link, GetLinked and
+// LinkedSeconds from many goroutines and checks the hit/miss counters stay
+// exact. Runs under -race in CI: the counters are read by the telemetry
+// poller while workers are mid-Get, so they must be atomics, not plain
+// fields.
 func TestCacheCountersConcurrent(t *testing.T) {
 	c := NewCache()
 	k := baseKey()
@@ -191,13 +193,15 @@ func TestCacheCountersConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			var tk Key
-			tk[0] = byte(w)
-			c.Link(tk, k)
+			var prefix Key
+			prefix[0] = byte(w)
+			node := translator.Node{V: w, S: 1, P: 1}
+			c.Link(prefix, node, k)
 			for i := 0; i < per; i++ {
 				c.Get(k)
 				c.Get(miss)
-				c.GetLinked(tk)
+				c.GetLinked(prefix, node)
+				c.LinkedSeconds(prefix, node)
 				c.Stats() // concurrent reader — the race the test guards against
 			}
 		}()
@@ -206,10 +210,10 @@ func TestCacheCountersConcurrent(t *testing.T) {
 		<-done
 	}
 	s := c.Stats()
-	if s.Hits != 2*workers*per || s.Misses != workers*per {
-		t.Fatalf("counters hits=%d misses=%d, want %d and %d", s.Hits, s.Misses, 2*workers*per, workers*per)
+	if s.Hits != 3*workers*per || s.Misses != workers*per {
+		t.Fatalf("counters hits=%d misses=%d, want %d and %d", s.Hits, s.Misses, 3*workers*per, workers*per)
 	}
-	if got, want := s.HitRate(), 2.0/3; got != want {
+	if got, want := s.HitRate(), 3.0/4; got != want {
 		t.Fatalf("hit rate = %g, want %g", got, want)
 	}
 	h, m := Totals()
