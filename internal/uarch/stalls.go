@@ -190,15 +190,15 @@ func (s *Sim) classifyStall() stallKind {
 	// Operands ready: an execution resource is the blocker.
 	switch sk.class[b] {
 	case isa.Load:
-		if len(s.loadQ) >= s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
+		if s.loadQ.len() >= s.cpu.LoadQueue || s.lfb.len() >= s.cpu.LineFillBuffers {
 			return stallMemory
 		}
 	case isa.GatherOp:
-		if len(s.loadQ)+int(sk.lqSlots[b]) > s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
+		if s.loadQ.len()+int(sk.lqSlots[b]) > s.cpu.LoadQueue || s.lfb.len() >= s.cpu.LineFillBuffers {
 			return stallMemory
 		}
 	case isa.Store:
-		if len(s.storeQ) >= s.cpu.StoreQueue {
+		if s.storeQ.len() >= s.cpu.StoreQueue {
 			return stallMemory
 		}
 	}
