@@ -273,21 +273,34 @@ func TestLLCMissEqualsMemAccess(t *testing.T) {
 }
 
 // stateDiff describes the first difference between two hierarchies' contents
-// — every set of every level, tags in LRU order — or their raw
-// stream-prefetcher tables, and returns "" when there is none. Hierarchies
-// that also share counters and access clock answer every later access
-// identically.
+// — every set of every level, tags in LRU order — or their whole stream
+// tables (slots, LRU order and filter), and returns "" when there is none.
+// Hierarchies that also share counters and access clock answer every later
+// access identically.
 func stateDiff(got, want *Hierarchy) string {
+	if d := levelsDiff(got, want, true); d != "" {
+		return d
+	}
+	if got.streams != want.streams {
+		return fmt.Sprintf("stream table %+v, want %+v", got.streams, want.streams)
+	}
+	return ""
+}
+
+// levelsDiff is stateDiff for the cache levels alone: L1, and L2 and the LLC
+// too when all is set.
+func levelsDiff(got, want *Hierarchy, all bool) string {
 	gl, wl := got.levels(), want.levels()
-	for i := range gl {
+	n := 1
+	if all {
+		n = len(gl)
+	}
+	for i := range gl[:n] {
 		for s := range gl[i].lens {
 			if g, w := gl[i].set(uint64(s)), wl[i].set(uint64(s)); !slices.Equal(g, w) {
 				return fmt.Sprintf("level %d set %d holds %#x, want %#x", i+1, s, g, w)
 			}
 		}
-	}
-	if got.streams != want.streams {
-		return fmt.Sprintf("stream table %+v, want %+v", got.streams, want.streams)
 	}
 	return ""
 }

@@ -30,7 +30,7 @@ type journal struct {
 	tags    []uint64 // arena backing every entry's saved contents
 
 	// Scalar state at BeginJournal, restored wholesale on rollback.
-	streams  [streamTableSize]stream
+	streams  streamTable
 	accessNo uint64
 	stats    Stats
 }
