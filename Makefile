@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/store/ -run TestNone -fuzz FuzzLogOpen -fuzztime 10s
 	$(GO) test ./internal/sched/ -run TestNone -fuzz FuzzCheckpointLoad -fuzztime 10s
 	$(GO) test ./internal/dist/ -run TestNone -fuzz FuzzDistProtocol -fuzztime 10s
+	$(GO) test ./internal/uarch/ -run TestNone -fuzz FuzzEventWheel -fuzztime 10s
 
 # One benchmark per paper table and figure (plus ablations).
 bench:

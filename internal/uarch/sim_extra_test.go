@@ -166,7 +166,7 @@ func TestAddrSpecProperties(t *testing.T) {
 }
 
 // Every built-in CPU model's ROB ring must fit the ROB-index field of a
-// maturation-heap key, and NewSim must refuse a model whose ring does not.
+// maturation key, and NewSim must refuse a model whose ring does not.
 func TestReadyKeyFitsEveryROB(t *testing.T) {
 	for _, name := range []string{"silver", "gold", "neoverse", "zen"} {
 		cpu, err := isa.ByName(name)
